@@ -89,10 +89,6 @@ class PrimeField:
             raise DomainError(f"characteristic {p} is not prime")
         self.p = p
         self.characteristic = p
-        # Inverses of all nonzero residues, precomputed once.
-        self._inv = [0] * p
-        for a in range(1, p):
-            self._inv[a] = pow(a, p - 2, p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -109,7 +105,7 @@ class PrimeField:
         if isinstance(a, Fraction):
             if a.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by p")
-            return a.numerator * self._inv[a.denominator % self.p] % self.p
+            return a.numerator * pow(a.denominator, -1, self.p) % self.p
         return int(a) % self.p
 
     def add(self, a, b):
@@ -128,7 +124,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._inv[a]
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return a * self.inv(b) % self.p

@@ -39,6 +39,18 @@ class VectorOrder:
     strictly smaller than every untagged term.  ``degree_aware`` inserts
     the twisted degree as the leading comparison so homogeneous work
     proceeds by degree.
+
+    ``rank(term)`` is the sort key: a flat tuple of ints in which a larger
+    term has a smaller rank, so ``min`` and a ``heapq`` heap both yield the
+    lead first.  Each term's rank is computed once and memoized in a dict
+    this object owns.  Create one VectorOrder per run (every caller in this
+    module does), so the memo lives for that run only.
+
+    This is a term order: multiplying two terms in one position by the
+    same monomial keeps their comparison, through the tag-block split and
+    the degree twist too.  Reduction relies on it: subtracting a multiple
+    of a basis element whose shifted lead is the current lead term creates
+    only terms below that lead.
     """
 
     def __init__(self, mono_key, twists=None, degree_aware=False, split=None):
@@ -46,13 +58,19 @@ class VectorOrder:
         self.twists = twists
         self.degree_aware = degree_aware
         self.split = split
+        self._ranks = {}
 
-    def key(self, term):
-        pos, e = term
-        flag = 1 if (self.split is None or pos < self.split) else 0
-        if self.degree_aware:
-            return (flag, mono_degree(e) + self.twists[pos], self.mono_key(e), -pos)
-        return (flag, self.mono_key(e), -pos)
+    def rank(self, term):
+        r = self._ranks.get(term)
+        if r is None:
+            pos, e = term
+            head = (-1,) if (self.split is None or pos < self.split) else (0,)
+            if self.degree_aware:
+                head += (-mono_degree(e) - self.twists[pos],)
+            # Splicing the monomial key in keeps its comparison: within one
+            # run, every key from ``mono_key`` has the same length.
+            r = self._ranks[term] = head + tuple(-k for k in self.mono_key(e)) + (pos,)
+        return r
 
 
 def vec_scale(vec, c, field):
@@ -62,15 +80,20 @@ def vec_scale(vec, c, field):
 
 
 def vec_sub_shifted(work, g, c, shift, field):
-    """In place: work -= c * x^shift * g."""
+    """In place: work -= c * x^shift * g.  Returns the terms that entered work."""
     sub, mul, zero, is_zero = field.sub, field.mul, field.zero, field.is_zero
+    entered = []
     for (pos, m), cg in g.items():
         t = (pos, mono_mul(m, shift))
-        acc = sub(work.get(t, zero), mul(c, cg))
+        old = work.get(t)
+        acc = sub(zero if old is None else old, mul(c, cg))
         if is_zero(acc):
             work.pop(t, None)
         else:
             work[t] = acc
+            if old is None:
+                entered.append(t)
+    return entered
 
 
 def vec_degree(vec, twists):
@@ -84,7 +107,7 @@ def vec_degree(vec, twists):
 
 
 def vec_lead(vec, order):
-    return max(vec, key=order.key)
+    return min(vec, key=order.rank)
 
 
 def normal_form_vec(vec, basis, order, field, track=False):
@@ -93,27 +116,36 @@ def normal_form_vec(vec, basis, order, field, track=False):
     ``basis`` is a list of (vector, lead term) pairs.  With ``track``,
     also returns quotients as {basis index: {exponents: coeff}} so that
     input = remainder + sum quotient_i * basis_i.
+
+    Lead terms come off a heap of ranks: every term is pushed when it
+    enters the work vector, and one that has cancelled since is skipped
+    when popped.  Because ``order`` is a term order, subtracting
+    ``c * x^shift * g`` creates only terms below the popped lead, so the
+    heap yields the same leads in the same order as a scan for the largest
+    remaining term.
     """
-    key = order.key
+    rank = order.rank
     work = dict(vec)
+    heap = [(rank(t), t) for t in work]
+    heapq.heapify(heap)
     rem = {}
     quotients = {} if track else None
-    while work:
-        t = max(work, key=key)
-        c = work[t]
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.get(t)
+        if c is None:
+            continue
         pos, m = t
-        hit = None
         for idx, (g, (lp, lm)) in enumerate(basis):
             if lp == pos and mono_divides(lm, m):
-                hit = (idx, g, lm)
                 break
-        if hit is None:
+        else:
             rem[t] = c
             del work[t]
             continue
-        idx, g, lm = hit
         shift = mono_div(m, lm)
-        vec_sub_shifted(work, g, c, shift, field)
+        for new in vec_sub_shifted(work, g, c, shift, field):
+            heapq.heappush(heap, (rank(new), new))
         if track:
             q = quotients.setdefault(idx, {})
             q[shift] = field.add(q.get(shift, field.zero), c)
@@ -129,7 +161,8 @@ def _push_pairs(heap, basis, new_idx, order):
         if pos != pos_new:
             continue
         lcm = mono_lcm(lm, lm_new)
-        heapq.heappush(heap, (order.key((pos, lcm)), i, new_idx, lcm))
+        # Pairs leave the heap smallest lcm first: order them by the negated rank.
+        heapq.heappush(heap, (tuple(-k for k in order.rank((pos, lcm))), i, new_idx, lcm))
 
 
 def buchberger_vectors(vectors, order, field, use_product=False):
@@ -188,8 +221,8 @@ def buchberger_vectors(vectors, order, field, use_product=False):
 
 def _reduce_basis(basis, order, field):
     """Minimalize leads, then tail-reduce: the unique reduced basis."""
-    key = order.key
-    basis = sorted(basis, key=lambda gl: key(gl[1]))
+    rank = order.rank
+    basis = sorted(basis, key=lambda gl: rank(gl[1]), reverse=True)
     kept = []
     for g, lt in basis:
         pos, lm = lt
@@ -229,8 +262,8 @@ def groebner_polys(polys, order=None, use_product=True):
     vorder = VectorOrder(mono_key)
     gb = buchberger_vectors([poly_to_vec(f) for f in live], vorder, ring.field,
                             use_product=use_product)
-    key = vorder.key
-    gb.sort(key=lambda v: key(vec_lead(v, vorder)))
+    rank = vorder.rank
+    gb.sort(key=lambda v: rank(vec_lead(v, vorder)), reverse=True)
     return [vec_to_poly(ring, v) for v in gb]
 
 
@@ -299,34 +332,3 @@ def syzygies_vectors(ring, columns, twists):
         if all(pos >= m for (pos, _) in g):
             syz.append({(pos - m, e): c for (pos, e), c in g.items()})
     return syz, degs
-
-
-def express_in_columns(ring, vec, columns, twists):
-    """Write ``vec`` as a combination of columns; None when impossible.
-
-    Returns a list of polynomial-coefficient dicts, one per column.
-    """
-    m = len(twists)
-    degs = _column_degrees(columns, twists)
-    zero_exps = (0,) * ring.n
-    tagged = []
-    for i, col in enumerate(columns):
-        v = dict(col)
-        v[(m + i, zero_exps)] = ring.field.one
-        tagged.append(v)
-    order = VectorOrder(
-        ring.order.key,
-        twists=tuple(twists) + tuple(degs),
-        degree_aware=True,
-        split=m,
-    )
-    gb = buchberger_vectors(tagged, order, ring.field, use_product=False)
-    basis = [(g, vec_lead(g, order)) for g in gb]
-    rem = normal_form_vec(dict(vec), basis, order, ring.field)
-    if any(pos < m for (pos, _) in rem):
-        return None
-    F = ring.field
-    coeffs = [dict() for _ in columns]
-    for (pos, e), c in rem.items():
-        coeffs[pos - m][e] = F.neg(c)
-    return coeffs

@@ -29,10 +29,6 @@ def mono_coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def mono_pow(a, k):
-    return tuple(x * k for x in a)
-
-
 @lru_cache(maxsize=None)
 def monomials_of_degree(n, d):
     """All exponent tuples of total degree d in n variables, as a tuple."""

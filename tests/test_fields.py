@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,25 @@ def test_gf7_basic():
     assert F.neg(2) == 5
     assert F.of(-1) == 6
     assert F.of(Fraction(1, 2)) == 4
+
+
+def test_large_prime_inverses_without_table():
+    p = 1000003
+    F = PrimeField(p)
+    assert all(not hasattr(v, "__len__") or len(v) < 16 for v in vars(F).values())
+    rng = random.Random(3)
+    for _ in range(200):
+        a, b = rng.randrange(1, p), rng.randrange(1, p)
+        assert a * F.inv(a) % p == 1
+        assert F.mul(F.div(a, b), b) == a
+        assert F.of(Fraction(a, b)) == F.div(a, b)
+        assert F.inv(a + 5 * p) == F.inv(a)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(2 * p)
+    with pytest.raises(ZeroDivisionError):
+        F.of(Fraction(1, 3 * p))
 
 
 def test_rationals_exact():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,9 @@ from soclelab.groebner import (
     minimal_generators,
     normal_form,
 )
+from soclelab.modgb import VectorOrder, buchberger_vectors, normal_form_vec, vec_lead, vec_scale
+from soclelab.monomials import mono_div, mono_divides, mono_mul, monomials_of_degree
+from soclelab.orders import DEGREVLEX
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
 
@@ -252,3 +256,103 @@ def test_quotient_ring_ideal_operations():
     assert contains(col, x)
     assert contains(col, y)
     assert not contains(col, S.one)
+
+
+# ---------------------------------------------------------------------------
+# The reduction core of modgb, against the scan loop it replaced.
+
+
+def _reference_key(order, term):
+    """The term order as a tuple key, bigger key meaning bigger term."""
+    pos, e = term
+    flag = 1 if (order.split is None or pos < order.split) else 0
+    if order.degree_aware:
+        return (flag, sum(e) + order.twists[pos], order.mono_key(e), -pos)
+    return (flag, order.mono_key(e), -pos)
+
+
+def _reference_normal_form(vec, basis, order, F):
+    """Reduction that rescans the work vector for its largest term each step."""
+    work = dict(vec)
+    rem, quotients = {}, {}
+    while work:
+        t = max(work, key=lambda u: _reference_key(order, u))
+        c = work[t]
+        pos, m = t
+        hit = next(((i, g, lm) for i, (g, (lp, lm)) in enumerate(basis)
+                    if lp == pos and mono_divides(lm, m)), None)
+        if hit is None:
+            rem[t] = c
+            del work[t]
+            continue
+        i, g, lm = hit
+        shift = mono_div(m, lm)
+        for (gp, gm), cg in g.items():
+            u = (gp, mono_mul(gm, shift))
+            acc = F.sub(work.get(u, F.zero), F.mul(c, cg))
+            if F.is_zero(acc):
+                work.pop(u, None)
+            else:
+                work[u] = acc
+        q = quotients.setdefault(i, {})
+        q[shift] = F.add(q.get(shift, F.zero), c)
+    return rem, quotients
+
+
+def _random_vector(rng, F, n, positions, terms):
+    vec = {}
+    for _ in range(terms):
+        e = tuple(rng.randint(0, 2) for _ in range(n))
+        c = F.of(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        if not F.is_zero(c):
+            vec[(rng.choice(positions), e)] = c
+    return vec
+
+
+@pytest.mark.parametrize("char", [101, 0])
+@pytest.mark.parametrize("tagged", [False, True])
+def test_normal_form_matches_scan_reference(char, tagged):
+    F = field_of(char)
+    n = 3
+    rng = random.Random(20 + char + tagged)
+    if tagged:
+        positions = range(4)
+        order = VectorOrder(DEGREVLEX.key, twists=(0, 1, 2, 1), degree_aware=True, split=2)
+    else:
+        positions = (0,)
+        order = VectorOrder(DEGREVLEX.key)
+    for _ in range(12):
+        basis = []
+        for _ in range(3):
+            g = _random_vector(rng, F, n, positions, 4)
+            if g:
+                lt = vec_lead(g, order)
+                basis.append((vec_scale(g, F.inv(g[lt]), F), lt))
+        vec = _random_vector(rng, F, n, positions, 10)
+        rem, quotients = normal_form_vec(vec, basis, order, F, track=True)
+        assert (rem, quotients) == _reference_normal_form(vec, basis, order, F)
+        for (pos, m) in rem:
+            assert not any(lp == pos and mono_divides(lm, m) for _, (lp, lm) in basis)
+        total = dict(rem)
+        for i, q in quotients.items():
+            for shift, c in q.items():
+                for (pos, m), cg in basis[i][0].items():
+                    t = (pos, mono_mul(m, shift))
+                    total[t] = F.add(total.get(t, F.zero), F.mul(c, cg))
+        assert {t: c for t, c in total.items() if not F.is_zero(c)} == vec
+
+
+def test_buchberger_computes_each_term_key_once():
+    F = field_of(32003)
+    rng = random.Random(5)
+    quads = [{(0, e): rng.randrange(1, 32003) for e in monomials_of_degree(5, 2)}
+             for _ in range(4)]
+    seen = []
+
+    def recorder(e):
+        seen.append(e)
+        return DEGREVLEX.key(e)
+
+    gb = buchberger_vectors(quads, VectorOrder(recorder), F, use_product=True)
+    assert len(gb) > 4
+    assert seen and len(seen) == len(set(seen))
