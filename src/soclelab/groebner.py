@@ -204,10 +204,7 @@ def minimal_generators(ideal):
         index = {m: k for k, m in enumerate(basis)}
 
         def coords(f):
-            v = [F.zero] * len(index)
-            for m, c in f.terms.items():
-                v[index[m]] = c
-            return v
+            return {index[m]: c for m, c in f.terms.items()}
 
         span = Span(F, len(index))
         for g in kept:

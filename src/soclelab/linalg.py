@@ -1,47 +1,81 @@
-"""Exact dense linear algebra over an abstract coefficient field.
+"""Exact sparse linear algebra over an abstract coefficient field.
 
-Vectors are Python lists of field elements.  Everything is Gaussian
-elimination; sizes stay at desk scale so no sparsity tricks are needed.
+A vector is a dict {column: coefficient}; a missing column is zero.
+Over GF(p) the coefficients are plain ints and every cell update is int
+arithmetic followed by one ``% p``, so any int is accepted as input.
+Over QQ the same code runs on Fractions with no modulus.
 """
+
+from heapq import heapify, heappop, heappush
 
 
 class Span:
-    """A growing row space kept in reduced echelon form.
+    """A growing row space kept in sparse semi-echelon form.
 
-    Supports membership tests, incremental insertion, and expressing a
-    vector in terms of the inserted generators (when tracking is on).
+    Each row has a leading 1 at its pivot and nothing to its left; rows
+    are keyed by pivot and store only their entries right of the pivot.
+    Inserting a row never back-substitutes into the others, so a vector
+    is reduced over its pivot columns in increasing order.
+
+    Supports membership tests, incremental insertion, the canonical
+    remainder of a vector, and expressing a vector in terms of the
+    inserted generators (when tracking is on).
     """
 
     def __init__(self, field, width, track=False):
         self.field = field
         self.width = width
         self.track = track
-        self.rows = []        # echelon rows
-        self.pivots = []      # pivot column of rows[i]
-        self.history = []     # combination of inserted vectors giving rows[i]
+        self.p = field.characteristic
+        self.rows = {}        # pivot -> entries right of the pivot
+        self.history = {}     # pivot -> combination of inserted vectors giving the row
         self.n_inserted = 0
 
     @property
     def rank(self):
         return len(self.rows)
 
+    @property
+    def pivots(self):
+        return sorted(self.rows)
+
     def _reduce(self, vec, comb=None):
-        F = self.field
-        vec = list(vec)
-        for row, piv, hist in zip(self.rows, self.pivots, self.history):
-            c = vec[piv]
-            if not F.is_zero(c):
-                for j in range(piv, self.width):
-                    vec[j] = F.sub(vec[j], F.mul(c, row[j]))
-                if comb is not None:
-                    for k, h in hist.items():
-                        comb[k] = F.sub(comb.get(k, F.zero), F.mul(c, h))
-        return vec
+        """vec minus row multiples, zero on every pivot; nonzero entries only.
+
+        With comb, subtracts the multiples' histories from it as well.
+        """
+        p = self.p
+        rows = self.rows
+        vec = {j: c % p for j, c in vec.items()} if p else dict(vec)
+        get = vec.get
+        heap = [j for j in vec if j in rows]
+        heapify(heap)
+        while heap:
+            piv = heappop(heap)
+            c = vec.pop(piv)
+            if not c:
+                continue
+            for j, a in rows[piv].items():
+                v = get(j)
+                if v is None:
+                    v = -c * a
+                    if j in rows:
+                        heappush(heap, j)
+                else:
+                    v -= c * a
+                vec[j] = v % p if p else v
+            if comb is not None:
+                for k, h in self.history[piv].items():
+                    v = comb.get(k, 0) - c * h
+                    comb[k] = v % p if p else v
+        return {j: c for j, c in vec.items() if c}
+
+    def reduce(self, vec):
+        """The canonical remainder of vec: zero at every pivot, same coset."""
+        return self._reduce(vec)
 
     def contains(self, vec):
-        red = self._reduce(vec)
-        F = self.field
-        return all(F.is_zero(c) for c in red)
+        return not self._reduce(vec)
 
     def coordinates(self, vec):
         """Express vec over the inserted generators, or None if outside.
@@ -50,48 +84,42 @@ class Span:
         """
         if not self.track:
             raise ValueError("span built without tracking")
-        F = self.field
         comb = {}
-        red = self._reduce(vec, comb)
-        if any(not F.is_zero(c) for c in red):
+        if self._reduce(vec, comb):
             return None
-        return {k: F.neg(v) for k, v in comb.items() if not F.is_zero(v)}
+        F = self.field
+        return {k: F.neg(v) for k, v in comb.items() if v}
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        F = self.field
-        comb = {self.n_inserted: F.one} if self.track else None
+        comb = {self.n_inserted: self.field.one} if self.track else None
         self.n_inserted += 1
         red = self._reduce(vec, comb)
-        piv = None
-        for j in range(self.width):
-            if not F.is_zero(red[j]):
-                piv = j
-                break
-        if piv is None:
+        if not red:
             return False
-        c = F.inv(red[piv])
-        red = [F.mul(c, x) for x in red]
+        piv = min(red)
+        c = self.field.inv(red.pop(piv))
+        self.rows[piv] = self._scaled(red, c)
         if comb is not None:
-            comb = {k: F.mul(c, v) for k, v in comb.items()}
-        # Back-substitute into existing rows to stay fully reduced.
-        for i, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            d = row[piv]
-            if not F.is_zero(d):
-                self.rows[i] = [F.sub(a, F.mul(d, b)) for a, b in zip(row, red)]
-                if self.track:
-                    h = dict(self.history[i])
-                    for k, v in comb.items():
-                        h[k] = F.sub(h.get(k, F.zero), F.mul(d, v))
-                    self.history[i] = h
-        self.rows.append(red)
-        self.pivots.append(piv)
-        self.history.append(comb if self.track else None)
+            self.history[piv] = self._scaled(comb, c)
         return True
 
+    def _scaled(self, vec, c):
+        p = self.p
+        return {j: v * c % p if p else v * c for j, v in vec.items() if v}
 
-def rank(field, rows):
-    sp = Span(field, len(rows[0]) if rows else 0)
+
+def transpose(vectors, length):
+    """Rows of the matrix whose columns are the given vectors of that length."""
+    rows = [{} for _ in range(length)]
+    for k, vec in enumerate(vectors):
+        for r, c in vec.items():
+            rows[r][k] = c
+    return rows
+
+
+def rank(field, rows, width):
+    sp = Span(field, width)
     for r in rows:
         sp.add(r)
     return sp.rank
@@ -100,38 +128,21 @@ def rank(field, rows):
 def nullspace(field, rows, width):
     """Basis of {v : A v = 0} for the matrix with the given rows.
 
-    Returns a list of length-``width`` vectors.
+    One basis vector per non-pivot column j of the reduced row echelon
+    form of A, in increasing j: a 1 at j and minus the rows' entries in
+    column j at their pivots.
     """
-    F = field
-    sp = Span(F, width)
+    sp = Span(field, width)
     for r in rows:
         sp.add(r)
-    # Column echelon data: pivot columns of the row space.
-    pivot_cols = set(sp.pivots)
-    free_cols = [j for j in range(width) if j not in pivot_cols]
-    basis = []
-    for j in free_cols:
-        v = [F.zero] * width
-        v[j] = F.one
-        for row, piv in zip(sp.rows, sp.pivots):
-            # row has 1 at piv; v must cancel row . v at the pivot coordinate
-            v[piv] = F.neg(row[j])
-        basis.append(v)
-    return basis
-
-
-def solve(field, columns, target, width):
-    """Solve sum_i x_i columns[i] = target; None if inconsistent.
-
-    ``columns`` is a list of length-``width`` vectors.
-    """
-    sp = Span(field, width, track=True)
-    for c in columns:
-        sp.add(c)
-    coords = sp.coordinates(target)
-    if coords is None:
-        return None
-    out = [field.zero] * len(columns)
-    for k, v in coords.items():
-        out[k] = v
-    return out
+    # Back-substitute from the highest pivot down: every row already in
+    # rref is fully reduced, so reducing a row's tail against them gives
+    # its reduced row echelon tail.
+    rref = Span(field, width)
+    for piv in sorted(sp.rows, reverse=True):
+        rref.rows[piv] = rref.reduce(sp.rows[piv])
+    basis = {j: {j: field.one} for j in range(width) if j not in sp.rows}
+    for piv, row in rref.rows.items():
+        for j, c in row.items():
+            basis[j][piv] = field.neg(c)
+    return list(basis.values())

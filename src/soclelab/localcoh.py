@@ -21,7 +21,7 @@ from .errors import (
     UnstableLimitError,
 )
 from .groebner import Ideal, minimal_generator_degrees, minimal_generators
-from .linalg import Span, nullspace, rank
+from .linalg import Span, nullspace, rank, transpose
 from .modules import (
     GradedMatrix,
     ModulePresentation,
@@ -181,22 +181,20 @@ def socle_report(module, label=""):
 
 
 class _QuotientSpace:
-    """ker/im quotient with coordinates, for one cohomology piece."""
+    """ker/im quotient with coordinates, for one cohomology piece.
+
+    Vectors are sparse; ``reps`` are the kernel vectors that enlarged the
+    span of the image, and coordinates are taken on them.
+    """
 
     def __init__(self, fieldobj, width, image_vectors, kernel_vectors):
-        self.field = fieldobj
-        self.width = width
         self.span = Span(fieldobj, width, track=True)
-        self.n_image = 0
         for v in image_vectors:
             self.span.add(v)
-            self.n_image += 1
         self.reps = []
         self.rep_slots = []
         for v in kernel_vectors:
-            before = self.span.rank
-            self.span.add(v)
-            if self.span.rank > before:
+            if self.span.add(v):
                 self.reps.append(v)
                 self.rep_slots.append(self.span.n_inserted - 1)
 
@@ -205,14 +203,11 @@ class _QuotientSpace:
         return len(self.reps)
 
     def coords(self, vec):
+        """Sparse coordinates {rep index: coefficient} of a kernel vector."""
         combo = self.span.coordinates(vec)
         if combo is None:
             raise AlgebraError("vector escapes the cohomology subquotient")
-        return [combo.get(slot, self.field.zero) for slot in self.rep_slots]
-
-
-def _block_offsets(block_count, block_dim):
-    return [k * block_dim for k in range(block_count)]
+        return {h: combo[k] for h, k in enumerate(self.rep_slots) if k in combo}
 
 
 class _KoszulPiece:
@@ -245,7 +240,6 @@ class _KoszulPiece:
 
         up_subsets = list(itertools.combinations(range(n), j + 1))
         up_dim = module.piece(ell + (j + 1) * s).dim
-        delta_cols = [[F.zero] * (len(up_subsets) * up_dim) for _ in range(width)]
         powers = {}
         for i in range(n):
             e = [0] * n
@@ -254,6 +248,9 @@ class _KoszulPiece:
         mult = {}
         for i in range(n):
             mult[i] = module.piece(ell + j * s).multiplication_matrix(powers[i])
+        # Rows of delta^j.  Each (T, b, i) writes its own block of cells,
+        # since U = T + {i} fixes i, so no entry is written twice.
+        rows = [{} for _ in range(len(up_subsets) * up_dim)]
         up_index = {T: k for k, T in enumerate(up_subsets)}
         for tk, T in enumerate(self.subsets):
             for i in range(n):
@@ -261,31 +258,16 @@ class _KoszulPiece:
                     continue
                 U = tuple(sorted(T + (i,)))
                 sign = (-1) ** U.index(i)
-                cols = mult[i]
-                for b in range(self.block_dim):
+                base = up_index[U] * up_dim
+                for b, col in enumerate(mult[i]):
                     src = tk * self.block_dim + b
-                    col = cols[b]
-                    base = up_index[U] * up_dim
-                    for r, c in enumerate(col):
-                        if not F.is_zero(c):
-                            cc = c if sign > 0 else F.neg(c)
-                            delta_cols[src][base + r] = F.add(
-                                delta_cols[src][base + r], cc
-                            )
-        # Kernel of delta^j: nullspace of the matrix whose columns are
-        # delta_cols; assemble rows for the solver.
-        if width:
-            rows = [
-                [delta_cols[cidx][ridx] for cidx in range(width)]
-                for ridx in range(len(up_subsets) * up_dim)
-            ]
-            kernel = nullspace(F, rows, width) if rows else [
-                _unit(F, width, k) for k in range(width)
-            ]
-        else:
-            kernel = []
+                    for r, c in col.items():
+                        rows[base + r][src] = c if sign > 0 else F.neg(c)
+        kernel = nullspace(F, rows, width) if width else []
 
-        image = []
+        # Columns of delta^{j-1}, one per source basis element (T, b); its
+        # blocks for the different U = T + {i} are disjoint.
+        image = {}
         if j >= 1:
             down_subsets = list(itertools.combinations(range(n), j - 1))
             down_dim = module.piece(ell + (j - 1) * s).dim
@@ -301,23 +283,12 @@ class _KoszulPiece:
                         continue
                     U = tuple(sorted(T + (i,)))
                     sign = (-1) ** U.index(i)
-                    cols = multd[i]
-                    for b in range(down_dim):
-                        vec = [F.zero] * width
-                        col = cols[b]
-                        base = t_index[U] * self.block_dim
-                        for r, c in enumerate(col):
+                    base = t_index[U] * self.block_dim
+                    for b, col in enumerate(multd[i]):
+                        vec = image.setdefault(tk * down_dim + b, {})
+                        for r, c in col.items():
                             vec[base + r] = c if sign > 0 else F.neg(c)
-                        image.append((tk * down_dim + b, vec))
-        # Columns of delta^{j-1} are sums over U of the entries above;
-        # regroup by source basis element.
-        grouped = {}
-        for src, vec in image:
-            if src in grouped:
-                grouped[src] = [F.add(a, b) for a, b in zip(grouped[src], vec)]
-            else:
-                grouped[src] = vec
-        image_vectors = [grouped[k] for k in sorted(grouped)]
+        image_vectors = [image[k] for k in sorted(image)]
         self.quotient = _QuotientSpace(F, width, image_vectors, kernel)
 
     @property
@@ -330,33 +301,23 @@ class _KoszulPiece:
         ``poly_for_subset(T)`` returns the multiplier polynomial for the
         block T; the target piece must have the same subset layout.
         """
-        module = self.module
-        F = module.ring.field
-        cols = []
+        reps = self.quotient.reps
+        if not reps:
+            return []
+        src_piece = self.module.piece(self.ell + self.j * self.s)
+        mms = [src_piece.multiplication_matrix(poly_for_subset(T)) for T in self.subsets]
         tgt_block = target_piece.block_dim
-        for h in range(self.quotient.dim):
-            rep = self.quotient.reps[h]
-            out = [F.zero] * target_piece.width
-            for tk, T in enumerate(self.subsets):
-                f = poly_for_subset(T)
-                src_piece = module.piece(self.ell + self.j * self.s)
-                mm = src_piece.multiplication_matrix(f)
-                for b in range(self.block_dim):
-                    c = rep[tk * self.block_dim + b]
-                    if F.is_zero(c):
-                        continue
-                    col = mm[b]
-                    base = tk * tgt_block
-                    for r, v in enumerate(col):
-                        out[base + r] = F.add(out[base + r], F.mul(c, v))
+        cols = []
+        for rep in reps:
+            # Plain int or Fraction sums: the span reduces its input mod p.
+            out = {}
+            for src, c in rep.items():
+                tk, b = divmod(src, self.block_dim)
+                base = tk * tgt_block
+                for r, v in mms[tk][b].items():
+                    out[base + r] = out.get(base + r, 0) + c * v
             cols.append(target_piece.quotient.coords(out))
         return cols
-
-
-def _unit(field, width, k):
-    v = [field.zero] * width
-    v[k] = field.one
-    return v
 
 
 def _koszul_stage(module, j, ell, s):
@@ -408,7 +369,7 @@ def _transition_is_iso(ring, a, b):
     cols = a.map_blockwise(multiplier, b)
     if not cols:
         return b.dim == 0
-    return rank(ring.field, cols) == b.dim
+    return rank(ring.field, cols, b.dim) == b.dim
 
 
 def socle_piece(j, module, ell, s_max=10):
@@ -436,18 +397,11 @@ def socle_piece(j, module, ell, s_max=10):
             continue
         if a0.dim == 0:
             return 0, s
-        F = ring.field
-        stacked = [[] for _ in range(a0.dim)]
+        rows = []
         for var in ring.ambient.gens():
             cols = a0.map_blockwise(lambda T, f=var: f, b0)
-            for k in range(a0.dim):
-                stacked[k].extend(cols[k])
-        if not stacked[0]:
-            return a0.dim, s
-        width = len(stacked[0])
-        rows = [[stacked[k][r] for k in range(a0.dim)] for r in range(width)]
-        kern = nullspace(F, rows, a0.dim)
-        return len(kern), s
+            rows.extend(transpose(cols, b0.dim))
+        return len(nullspace(ring.field, rows, a0.dim)), s
     raise UnstableLimitError(
         f"socle piece of H^{j} in degree {ell} did not stabilize; increase sMax"
     )
@@ -538,28 +492,22 @@ def ext_k_piece(ring, i, module, ell, truncation=None):
         mat = kres.matrices[step - 1]
         src_twists, src_dims = hom_piece_basis(step - 1)
         dst_twists, dst_dims = hom_piece_basis(step)
-        F = ring.field
-        src_off = [0]
-        for d in src_dims:
-            src_off.append(src_off[-1] + d)
         dst_off = [0]
         for d in dst_dims:
             dst_off.append(dst_off[-1] + d)
         cols = []
         for u in range(len(src_twists)):
             piece_u = module.piece(ell + src_twists[u])
-            for b in range(src_dims[u]):
-                vec = [F.zero] * dst_off[-1]
-                for v in range(len(dst_twists)):
-                    f = mat.entries[u][v]
-                    if f.is_zero():
-                        continue
-                    mm = piece_u.multiplication_matrix(f)
-                    col = mm[b]
-                    for r, c in enumerate(col):
-                        vec[dst_off[v] + r] = F.add(vec[dst_off[v] + r], c)
-                cols.append(vec)
-        return cols, src_off[-1], dst_off[-1]
+            vecs = [{} for _ in range(src_dims[u])]
+            for v in range(len(dst_twists)):
+                f = mat.entries[u][v]
+                if f.is_zero():
+                    continue
+                for b, col in enumerate(piece_u.multiplication_matrix(f)):
+                    for r, c in col.items():
+                        vecs[b][dst_off[v] + r] = c
+            cols.extend(vecs)
+        return cols, dst_off[-1]
 
     F = ring.field
     _, dims_i = hom_piece_basis(i)
@@ -567,20 +515,13 @@ def ext_k_piece(ring, i, module, ell, truncation=None):
     if width == 0:
         return 0
     if i + 1 <= kres.length:
-        out_cols, w_src, w_dst = hom_map(i + 1)
-        if w_dst == 0:
-            ker_dim = width
-        else:
-            rows = [
-                [out_cols[cidx][ridx] for cidx in range(width)]
-                for ridx in range(w_dst)
-            ]
-            ker_dim = len(nullspace(F, rows, width))
+        out_cols, w_dst = hom_map(i + 1)
+        ker_dim = len(nullspace(F, transpose(out_cols, w_dst), width))
     else:
         ker_dim = width
     if i >= 1:
-        in_cols, _, _ = hom_map(i)
-        img_rank = rank(F, in_cols) if in_cols else 0
+        in_cols, _ = hom_map(i)
+        img_rank = rank(F, in_cols, width)
     else:
         img_rank = 0
     return ker_dim - img_rank
@@ -769,7 +710,7 @@ def endomorphism_check(ring, omega_ideal, window_top=None):
 
 def _class_nonzero_in_hom(ring, mod, vec, hom0_twists):
     from .modgb import vec_degree
-    from .modules import free_piece_basis, vec_coords
+    from .modules import free_piece_basis, vec_coords, vec_shift
     from .resolutions import _hom_free_into
 
     _, hom0_rels = _hom_free_into(mod, mod.matrix.target)
@@ -783,15 +724,10 @@ def _class_nonzero_in_hom(ring, mod, vec, hom0_twists):
             continue
         d = vec_degree(red, tuple(hom0_twists))
         for m in ring.standard_monomials(0 - d):
-            moved = {}
-            for (p, mm), c in red.items():
-                key = (p, tuple(x + y for x, y in zip(mm, m)))
-                moved[key] = F.add(moved.get(key, F.zero), c)
-            moved = vec_reduce_components(ring, moved)
-            span.add(vec_coords(moved, index, F))
+            moved = vec_reduce_components(ring, vec_shift(red, m))
+            span.add(vec_coords(moved, index))
     target = vec_reduce_components(ring, vec)
-    coords = vec_coords(target, index, F)
-    return not span.contains(coords)
+    return not span.contains(vec_coords(target, index))
 
 
 # ---------------------------------------------------------------------------

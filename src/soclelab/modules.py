@@ -11,6 +11,7 @@ quotient ring.
 from .errors import StructuralError
 from .linalg import Span
 from .modgb import syzygies_vectors, vec_degree
+from .monomials import mono_mul
 from .poly import Polynomial
 from .rings import RingPresentation
 
@@ -225,11 +226,14 @@ def vec_reduce_components(ring, vec):
     return out
 
 
-def vec_coords(vec, index, field):
-    v = [field.zero] * len(index)
-    for t, c in vec.items():
-        v[index[t]] = c
-    return v
+def vec_coords(vec, index):
+    """The vector as a sparse row over the basis positions in ``index``."""
+    return {index[t]: c for t, c in vec.items()}
+
+
+def vec_shift(vec, m):
+    """The vector times the monomial x^m."""
+    return {(pos, mono_mul(mm, m)): c for (pos, mm), c in vec.items()}
 
 
 class GradedPiece:
@@ -250,31 +254,24 @@ class GradedPiece:
         self.index = {t: k for k, t in enumerate(self.basis)}
         self.span = Span(F, len(self.basis))
         for j in range(mat.cols):
-            d = mat.source[j]
             col = mat.column_vector(j)
-            for m in ring.standard_monomials(degree - d):
-                shifted = {(pos, mm): c for (pos, mm), c in col.items()}
-                moved = {}
-                for (pos, mm), c in shifted.items():
-                    key = (pos, tuple(x + y for x, y in zip(mm, m)))
-                    moved[key] = F.add(moved.get(key, F.zero), c)
-                red = vec_reduce_components(ring, moved)
-                self.span.add(vec_coords(red, self.index, F))
+            for m in ring.standard_monomials(degree - mat.source[j]):
+                red = vec_reduce_components(ring, vec_shift(col, m))
+                self.span.add(vec_coords(red, self.index))
         self.free_positions = [
-            k for k in range(len(self.basis)) if k not in set(self.span.pivots)
+            k for k in range(len(self.basis)) if k not in self.span.rows
         ]
+        self.free_index = {k: i for i, k in enumerate(self.free_positions)}
 
     @property
     def dim(self):
         return len(self.free_positions)
 
     def project(self, vec):
-        """Coordinates of an ambient vector in the quotient basis."""
-        ring = self.module.ring
-        F = ring.field
-        red = vec_reduce_components(ring, vec)
-        coords = self.span._reduce(vec_coords(red, self.index, F))
-        return [coords[k] for k in self.free_positions]
+        """Sparse coordinates of an ambient vector in the quotient basis."""
+        red = vec_reduce_components(self.module.ring, vec)
+        rem = self.span.reduce(vec_coords(red, self.index))
+        return {self.free_index[k]: c for k, c in rem.items()}
 
     def representative(self, k):
         """Ambient vector representing the k-th quotient basis element."""
@@ -284,18 +281,14 @@ class GradedPiece:
     def multiplication_matrix(self, f):
         """Columns: images of the quotient basis under multiplication by f.
 
-        Returns a list of coordinate columns in the piece of degree
-        (this degree + deg f).
+        Returns a list of sparse coordinate columns in the piece of
+        degree (this degree + deg f).
         """
         target = self.module.piece(self.degree + f.degree())
         cols = []
-        F = self.module.ring.field
-        for k in range(self.dim):
-            i, m = self.basis[self.free_positions[k]]
-            vec = {}
-            for mm, c in f.terms.items():
-                key = (i, tuple(x + y for x, y in zip(mm, m)))
-                vec[key] = F.add(vec.get(key, F.zero), c)
+        for k in self.free_positions:
+            i, m = self.basis[k]
+            vec = {(i, mono_mul(mm, m)): c for mm, c in f.terms.items()}
             cols.append(target.project(vec))
         return cols
 
@@ -387,12 +380,8 @@ def nakayama_minimal_subset(ring, twists, vectors, rels=()):
 
         def insert_multiples(vec, d):
             for m in ring.standard_monomials(degree - d):
-                moved = {}
-                for (p, mm), c in vec.items():
-                    key = (p, tuple(x + y for x, y in zip(mm, m)))
-                    moved[key] = F.add(moved.get(key, F.zero), c)
-                red = vec_reduce_components(ring, moved)
-                span.add(vec_coords(red, index, F))
+                red = vec_reduce_components(ring, vec_shift(vec, m))
+                span.add(vec_coords(red, index))
 
         for d, red in rel_data:
             if d <= degree:
@@ -403,7 +392,7 @@ def nakayama_minimal_subset(ring, twists, vectors, rels=()):
                 insert_multiples(red, d)
         while pos < len(order) and order[pos][0] == degree:
             i = order[pos][1]
-            if span.add(vec_coords(degs[i][1], index, F)):
+            if span.add(vec_coords(degs[i][1], index)):
                 kept.append(i)
             pos += 1
     return kept

@@ -1,10 +1,11 @@
 """Monomials as exponent tuples, plus the handful of operations on them."""
 
 from functools import lru_cache
+from operator import add, sub
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_degree(a):
@@ -18,7 +19,7 @@ def mono_divides(a, b):
 
 def mono_div(b, a):
     """Exponent vector of x^b / x^a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):

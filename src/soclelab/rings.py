@@ -14,9 +14,9 @@ from .poly import PolyRing
 class RingPresentation:
     """R = S/a with homogeneous relations of degree >= 1.
 
-    Instances are immutable; the relation Groebner basis is computed once
-    on first use and published atomically, so concurrent readers see
-    either nothing or the finished basis.
+    Instances are immutable apart from two caches, the relation Groebner
+    basis and the standard monomials per degree, which are filled on
+    first use; no lock guards them.
     """
 
     def __init__(self, ambient, relations=()):

@@ -1,14 +1,13 @@
 """Experiment scans over power families and Frobenius families.
 
-Rows for independent t (or e) values are dispatched to a thread pool and
-collected in index order, so reports are deterministic; elapsed times
-are recorded per row but excluded from any determinism contract.  Every
+Rows are computed one t (or e) value after another, in one thread, so
+reports are deterministic; elapsed times are recorded per row but
+excluded from any determinism contract.  Every
 fitted constant these scans report is a measurement on the computed
 range, nothing more.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,15 +27,6 @@ from .localcoh import (
 from .modules import module_hilbert, quotient_module
 from .poly import NEG_INF, POS_INF
 from .resolutions import minimal_free_resolution
-
-
-def _run_indexed(tasks, parallel=True):
-    """Run no-arg callables, returning results in task order."""
-    if not parallel or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor() as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
 
 
 @dataclass
@@ -65,7 +55,7 @@ def _fit_max(values):
     return max(finite) if finite else None
 
 
-def scan_powers(ring, ideal, t_max, oracle=False, s_max=10, parallel=True):
+def scan_powers(ring, ideal, t_max, oracle=False, s_max=10):
     """lc_end and socle_begin of H^j(R/I^t) for t = 1..t_max, all j.
 
     With ``oracle`` on, each finite value is spot-checked against the
@@ -100,7 +90,7 @@ def scan_powers(ring, ideal, t_max, oracle=False, s_max=10, parallel=True):
             )
         return rows
 
-    blocks = _run_indexed([lambda t=t: block(t) for t in range(1, t_max + 1)], parallel)
+    blocks = [block(t) for t in range(1, t_max + 1)]
     rows = [row for rows_t in blocks for row in rows_t]
     summary = ScanSummary(kind="powers")
     js = sorted({r.j for r in rows})
@@ -155,7 +145,7 @@ class CriterionVerdict:
     vacuous: bool
 
 
-def criterion_check(ring, ideal, t_max, truncation=None, parallel=True):
+def criterion_check(ring, ideal, t_max, truncation=None):
     """Check the spectral-sequence lower bound on top socle degrees.
 
     For each t: measure beg Ext^i(k, H^j(R/I^t)) for j < d, i < d + 2,
@@ -235,7 +225,7 @@ def criterion_check(ring, ideal, t_max, truncation=None, parallel=True):
         )
         return rows, verdict
 
-    blocks = _run_indexed([lambda t=t: block(t) for t in range(1, t_max + 1)], parallel)
+    blocks = [block(t) for t in range(1, t_max + 1)]
     rows = [row for rows_t, _ in blocks for row in rows_t]
     verdicts = [v for _, v in blocks]
     return rows, verdicts, d
@@ -250,7 +240,7 @@ class PairedRow:
     elapsed_ms: int = 0
 
 
-def lemma37_scan(ring, ideal, t_max, parallel=True):
+def lemma37_scan(ring, ideal, t_max):
     """Paired socle sequences: H^{d-1}(R/I^t) against H^d(I^t).
 
     Requires H^{d-1}(R) to be finitely generated; the check is exact
@@ -293,7 +283,7 @@ def lemma37_scan(ring, ideal, t_max, parallel=True):
             elapsed_ms=int((time.monotonic() - started) * 1000),
         )
 
-    rows = _run_indexed([lambda t=t: block(t) for t in range(1, t_max + 1)], parallel)
+    rows = [block(t) for t in range(1, t_max + 1)]
     c_quot = _fit_max(
         [(r.t, -r.socle_beg_quotient) for r in rows if r.socle_beg_quotient not in (POS_INF, NEG_INF)]
     )

@@ -6,6 +6,7 @@ from soclelab.errors import UnstableLimitError
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, minimal_generator_degrees
 from soclelab.localcoh import (
+    _koszul_stage,
     alpha_max,
     canonical_ideal,
     canonical_module,
@@ -26,6 +27,7 @@ from soclelab.localcoh import (
 )
 from soclelab.modules import (
     GradedMatrix,
+    GradedPiece,
     ModulePresentation,
     free_module,
     module_hilbert,
@@ -154,6 +156,27 @@ def test_oracle_zero_module(presentation_xy):
     )
     assert koszul_piece(0, zero, 0)[0] == 0
     assert socle_piece(1, zero, -1)[0] == 0
+
+
+def test_map_blockwise_builds_each_multiplication_matrix_once(
+    presentation_xy, ring_xy, monkeypatch
+):
+    x, y = ring_xy.gens()
+    M = quotient_module(presentation_xy, [x * y])
+    a, b = _koszul_stage(M, 1, -1, 2), _koszul_stage(M, 1, -1, 3)
+    assert a.dim == b.dim == 2 and len(a.subsets) == 2
+    builds = []
+    original = GradedPiece.multiplication_matrix
+
+    def counting(piece, f):
+        builds.append(f)
+        return original(piece, f)
+
+    monkeypatch.setattr(GradedPiece, "multiplication_matrix", counting)
+    cols = a.map_blockwise(lambda T: x if T == (0,) else y, b)
+    # One matrix per subset, shared by every quotient representative.
+    assert len(builds) == len(a.subsets)
+    assert len(cols) == a.dim
 
 
 def test_oracle_matches_duality_on_window(presentation_xy, ring_xy):
