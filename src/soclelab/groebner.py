@@ -11,6 +11,7 @@ import warnings
 
 from .errors import DomainError, StructuralError
 from .modgb import groebner_polys, poly_divide_exact, poly_normal_form
+from .modules import nakayama_minimal_subset
 from .monomials import mono_divides, monomials_of_degree
 from .orders import EliminationOrder
 from .poly import PolyRing, Polynomial
@@ -185,37 +186,15 @@ def minimal_generators(ideal):
 
     Degree by degree, a candidate is kept iff it falls outside the span
     of R-multiples of the generators already kept (graded Nakayama, by
-    exact linear algebra on normal forms modulo the relations).  The
-    survivor degrees are a canonical multiset even though the survivors
-    themselves depend on the input order.
+    ``nakayama_minimal_subset`` on the generators as vectors of R^1).
+    The survivors are returned as normal forms modulo the relations, in
+    (degree, input index) order; their degrees are a canonical multiset
+    even though the survivors themselves depend on the input order.
     """
-    from .linalg import Span
-
     ring = ideal.ring
-    F = ring.field
-    cands = [(f.degree(), i, ring.nf(f)) for i, f in enumerate(ideal.generators)]
-    cands = [(d, i, f) for d, i, f in cands if not f.is_zero()]
-    cands.sort(key=lambda t: (t[0], t[1]))
-    kept = []
-    pos = 0
-    while pos < len(cands):
-        deg = cands[pos][0]
-        basis = ring.standard_monomials(deg)
-        index = {m: k for k, m in enumerate(basis)}
-
-        def coords(f):
-            return {index[m]: c for m, c in f.terms.items()}
-
-        span = Span(F, len(index))
-        for g in kept:
-            for m in ring.standard_monomials(deg - g.degree()):
-                span.add(coords(ring.nf(g.shift(m))))
-        while pos < len(cands) and cands[pos][0] == deg:
-            f = cands[pos][2]
-            if span.add(coords(f)):
-                kept.append(f)
-            pos += 1
-    return kept
+    gens = ideal.generators
+    vectors = [{(0, m): c for m, c in f.terms.items()} for f in gens]
+    return [ring.nf(gens[i]) for i in nakayama_minimal_subset(ring, (0,), vectors)]
 
 
 def minimal_generator_degrees(ideal):

@@ -37,6 +37,7 @@ from .modules import (
 )
 from .poly import NEG_INF, POS_INF
 from .resolutions import (
+    _hom_free_into,
     alpha_invariants,
     minimal_free_resolution,
     module_hom,
@@ -44,7 +45,7 @@ from .resolutions import (
     residue_field_resolution,
     tor_residue_field,
 )
-from .rings import RingPresentation
+from .rings import RingPresentation, memoized
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +56,13 @@ def ext_dual(i, module):
     """Ext^i_S(M, S(-n)) as a minimally presented module over M's ring.
 
     Cohomology of the dual of the minimal free resolution; the zero
-    module outside 0 <= i <= projective dimension.
+    module outside 0 <= i <= projective dimension.  Memoized on the
+    module.
     """
-    cache = getattr(module, "_ext_dual_cache", None)
-    if cache is None:
-        cache = module._ext_dual_cache = {}
-    if i in cache:
-        return cache[i]
+    return memoized(module, ("ext_dual", i), lambda: _ext_dual(i, module))
+
+
+def _ext_dual(i, module):
     ring = module.ring
     folded = s_presentation(module)
     base = folded.ring
@@ -69,9 +70,7 @@ def ext_dual(i, module):
     res = minimal_free_resolution(folded)
     twist_lists = [res.module_twists(k) for k in range(res.length + 1)]
     if i < 0 or i > res.length or module.is_zero():
-        out = ModulePresentation(ring, GradedMatrix(ring, (), (), []))
-        cache[i] = out
-        return out
+        return ModulePresentation(ring, GradedMatrix(ring, (), (), []))
     dual_i = tuple(n - a for a in twist_lists[i])
 
     def dual_map_columns(step):
@@ -98,11 +97,9 @@ def ext_dual(i, module):
     rels = dual_map_columns(i) if i >= 1 else []
     pres, _ = present_subquotient(base, dual_i, gens, rels)
     mat = pres.matrix
-    out = ModulePresentation(
+    return ModulePresentation(
         ring, GradedMatrix(ring, mat.target, mat.source, mat.entries, check=False)
     )
-    cache[i] = out
-    return out
 
 
 def _free_kernel(ring, columns, src_twists, dst_twists):
@@ -148,9 +145,7 @@ def module_dimension(module):
 
 def module_depth(module):
     """Depth from the length of the minimal free resolution."""
-    folded = s_presentation(module)
-    res = minimal_free_resolution(folded)
-    return folded.ring.n - res.length
+    return ambient_var_count(module) - minimal_free_resolution(module).length
 
 
 @dataclass
@@ -321,13 +316,9 @@ class _KoszulPiece:
 
 
 def _koszul_stage(module, j, ell, s):
-    cache = getattr(module, "_koszul_cache", None)
-    if cache is None:
-        cache = module._koszul_cache = {}
-    key = (j, ell, s)
-    if key not in cache:
-        cache[key] = _KoszulPiece(module, j, ell, s)
-    return cache[key]
+    return memoized(
+        module, ("koszul", j, ell, s), lambda: _KoszulPiece(module, j, ell, s)
+    )
 
 
 def koszul_piece(j, module, ell, s_max=10):
@@ -412,12 +403,14 @@ def socle_piece(j, module, ell, s_max=10):
 
 
 def kres_for(ring, steps):
-    """Truncated residue-field resolution, cached on the ring object."""
-    cached = getattr(ring, "_kres", None)
-    if cached is not None and (cached.complete or cached.length >= steps):
-        return cached
-    res = residue_field_resolution(ring, steps)
-    ring._kres = res
+    """Residue-field resolution with at least ``steps`` differentials.
+
+    Kept in the ring's memo; a complete or deep enough one is returned
+    as it is, and a deeper request replaces it with a new truncation.
+    """
+    res = ring._memo.get("kres")
+    if res is None or not (res.complete or res.length >= steps):
+        res = ring._memo["kres"] = residue_field_resolution(ring, steps)
     return res
 
 
@@ -709,25 +702,9 @@ def endomorphism_check(ring, omega_ideal, window_top=None):
 
 
 def _class_nonzero_in_hom(ring, mod, vec, hom0_twists):
-    from .modgb import vec_degree
-    from .modules import free_piece_basis, vec_coords, vec_shift
-    from .resolutions import _hom_free_into
-
     _, hom0_rels = _hom_free_into(mod, mod.matrix.target)
-    F = ring.field
-    basis = free_piece_basis(ring, tuple(hom0_twists), 0)
-    index = {t: k for k, t in enumerate(basis)}
-    span = Span(F, len(basis))
-    for col in hom0_rels:
-        red = vec_reduce_components(ring, col)
-        if not red:
-            continue
-        d = vec_degree(red, tuple(hom0_twists))
-        for m in ring.standard_monomials(0 - d):
-            moved = vec_reduce_components(ring, vec_shift(red, m))
-            span.add(vec_coords(moved, index))
-    target = vec_reduce_components(ring, vec)
-    return not span.contains(vec_coords(target, index))
+    hom0 = ModulePresentation(ring, matrix_from_vectors(ring, hom0_twists, hom0_rels))
+    return bool(hom0.piece(0).project(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -741,15 +718,12 @@ def regularity(module):
     Route two: max twist minus step over the Betti table.  Disagreement
     is an internal-consistency failure and raises.
     """
-    folded = s_presentation(module)
-    if folded.is_zero():
+    if module.is_zero():
         raise DomainError("regularity of the zero module is undefined")
-    res = minimal_free_resolution(folded)
-    reg_betti = res.betti().regularity()
-    n = folded.ring.n
+    reg_betti = minimal_free_resolution(module).betti().regularity()
     reg_lc = None
-    for j in range(0, n + 1):
-        e = lc_end(j, folded)
+    for j in range(0, ambient_var_count(module) + 1):
+        e = lc_end(j, module)
         if e != NEG_INF:
             v = e + j
             reg_lc = v if reg_lc is None else max(reg_lc, v)

@@ -13,27 +13,7 @@ from .linalg import Span
 from .modgb import syzygies_vectors, vec_degree
 from .monomials import mono_mul
 from .poly import Polynomial
-from .rings import RingPresentation
-
-
-class GradedFreeModule:
-    """A twist list; rank is its length and the zero module is empty."""
-
-    def __init__(self, twists):
-        self.twists = tuple(int(a) for a in twists)
-
-    @property
-    def rank(self):
-        return len(self.twists)
-
-    def __repr__(self):
-        return f"GradedFreeModule{self.twists}"
-
-    def __eq__(self, other):
-        return isinstance(other, GradedFreeModule) and other.twists == self.twists
-
-    def __hash__(self):
-        return hash(self.twists)
+from .rings import RingPresentation, memoized
 
 
 class GradedMatrix:
@@ -131,7 +111,12 @@ def matrix_from_vectors(ring, target, vectors, source=None):
 
 
 class ModulePresentation:
-    """A finitely generated graded module as a matrix cokernel."""
+    """A finitely generated graded module as a matrix cokernel.
+
+    Graded pieces are kept per degree once built; objects derived from
+    the module (its fold over S, resolution, Ext duals, Koszul stages)
+    are kept in its memo (see :func:`~soclelab.rings.memoized`).
+    """
 
     def __init__(self, ring, matrix):
         if matrix.ring != ring:
@@ -139,7 +124,7 @@ class ModulePresentation:
         self.ring = ring
         self.matrix = matrix
         self._pieces = {}
-        self._resolution = None
+        self._memo = {}
 
     @property
     def generator_degrees(self):
@@ -298,10 +283,18 @@ def module_hilbert(module, degree):
 
 
 def s_presentation(module):
-    """Fold the ring relations into the matrix: the same module over S."""
-    ring = module.ring
-    if ring.is_polynomial_ring:
+    """Fold the ring relations into the matrix: the same module over S.
+
+    The fold is memoized on the module, so what is memoized on the fold
+    (its resolution) is found again on the next call.
+    """
+    if module.ring.is_polynomial_ring:
         return module
+    return memoized(module, "s_presentation", lambda: _fold_relations(module))
+
+
+def _fold_relations(module):
+    ring = module.ring
     amb = ring.ambient
     base = RingPresentation(amb, ())
     mat = module.matrix

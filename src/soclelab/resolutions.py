@@ -10,15 +10,17 @@ each syzygy module.
 
 from .errors import StructuralError, TruncationError
 from .modules import (
-    GradedMatrix,
     ModulePresentation,
     matrix_from_vectors,
+    minimalize_presentation,
     nakayama_minimal_subset,
     present_subquotient,
+    quotient_module,
     s_presentation,
     syzygies_over,
     vec_reduce_components,
 )
+from .rings import memoized
 
 
 class BettiTable:
@@ -118,39 +120,43 @@ def syzygy(matrix):
     return matrix_from_vectors(ring, matrix.source, vecs)
 
 
-def minimal_free_resolution(module, max_length=None):
+def _resolve(module, steps=None):
+    """Minimalize the presentation, then take syzygies until one vanishes.
+
+    With ``steps``, stop once that many differentials are built; the
+    result is then complete only if the chain ended on its own.
+    """
+    pres = minimalize_presentation(module)
+    matrices = []
+    complete = pres.matrix.cols == 0
+    if pres.matrix.cols and steps != 0:
+        matrices.append(pres.matrix)
+        while steps is None or len(matrices) < steps:
+            nxt = syzygy(matrices[-1])
+            if nxt.cols == 0:
+                complete = True
+                break
+            matrices.append(nxt)
+    return Resolution(module.ring, pres.matrix.target, matrices, complete=complete)
+
+
+def minimal_free_resolution(module):
     """Minimal graded free resolution over the polynomial ring.
 
     A module handed in over a quotient is folded into its ambient
     presentation first.  Terminates within the number of variables
-    (asserted); ``max_length`` only truncates earlier.
+    (asserted).  The resolution is memoized on the fold, which is
+    memoized on the module, so it is computed once per module object.
     """
-    module = s_presentation(module)
-    ring = module.ring
-    if module._resolution is not None and max_length is None:
-        return module._resolution
-    from .modules import minimalize_presentation
+    folded = s_presentation(module)
 
-    pres = minimalize_presentation(module)
-    f0 = pres.matrix.target
-    matrices = []
-    complete = True
-    if pres.matrix.cols:
-        matrices.append(pres.matrix)
-        while True:
-            if max_length is not None and len(matrices) >= max_length:
-                complete = False
-                break
-            nxt = syzygy(matrices[-1])
-            if nxt.cols == 0:
-                break
-            matrices.append(nxt)
-        if complete and len(matrices) > ring.n:
+    def build():
+        res = _resolve(folded)
+        if res.length > folded.ring.n:
             raise StructuralError("resolution exceeded the variable count")
-    res = Resolution(ring, f0, matrices, complete=complete)
-    if max_length is None:
-        module._resolution = res
-    return res
+        return res
+
+    return memoized(folded, "resolution", build)
 
 
 def truncated_resolution(module, steps):
@@ -162,21 +168,7 @@ def truncated_resolution(module, steps):
     """
     if steps < 0:
         raise StructuralError("steps must be >= 0")
-    from .modules import minimalize_presentation
-
-    ring = module.ring
-    pres = minimalize_presentation(module)
-    matrices = []
-    complete = pres.matrix.cols == 0
-    if steps >= 1 and pres.matrix.cols:
-        matrices.append(pres.matrix)
-        while len(matrices) < steps:
-            nxt = syzygy(matrices[-1])
-            if nxt.cols == 0:
-                complete = True
-                break
-            matrices.append(nxt)
-    res = Resolution(ring, pres.matrix.target, matrices, complete=complete)
+    res = _resolve(module, steps)
     if not res.check_minimal():
         raise StructuralError("truncated resolution lost minimality")
     return res
@@ -188,31 +180,7 @@ def residue_field_resolution(ring, steps):
     Returns a Resolution whose step-i twists give the alpha invariants;
     ``steps`` counts differentials (steps=0 means just F_0 = R).
     """
-    if steps < 0:
-        raise StructuralError("steps must be >= 0")
-    amb = ring.ambient
-    matrices = []
-    complete = steps == 0 and amb.n == 0
-    if steps >= 1:
-        gens = []
-        for i in range(amb.n):
-            e = [0] * amb.n
-            e[i] = 1
-            gens.append({(0, tuple(e)): ring.field.one})
-        keep = nakayama_minimal_subset(ring, (0,), gens)
-        vecs = [vec_reduce_components(ring, gens[i]) for i in keep]
-        matrices.append(matrix_from_vectors(ring, (0,), vecs))
-        complete = False
-        while len(matrices) < steps:
-            nxt = syzygy(matrices[-1])
-            if nxt.cols == 0:
-                complete = True
-                break
-            matrices.append(nxt)
-    res = Resolution(ring, (0,), matrices, complete=complete)
-    if not res.check_minimal():
-        raise StructuralError("residue field resolution lost minimality")
-    return res
+    return truncated_resolution(quotient_module(ring, ring.ambient.gens()), steps)
 
 
 def alpha_invariants(kres, up_to):
@@ -325,17 +293,6 @@ def _kernel_block(ring, phi_cols, src_twists, dst_twists, dst_rels):
     # A wrinkle: syzygies were taken of columns indexed by phi's source
     # generators, so heads already live in the source free module.
     return out
-
-
-def module_map(source, target, entries):
-    """Wrap a generator-level matrix as a degree-preserving map."""
-    mat = GradedMatrix(
-        source.ring,
-        target.generator_degrees,
-        source.generator_degrees,
-        entries,
-    )
-    return mat
 
 
 def module_kernel_image(source, target, phi):

@@ -14,9 +14,10 @@ from .poly import PolyRing
 class RingPresentation:
     """R = S/a with homogeneous relations of degree >= 1.
 
-    Instances are immutable apart from two caches, the relation Groebner
-    basis and the standard monomials per degree, which are filled on
-    first use; no lock guards them.
+    Instances are immutable apart from what they compute on first use
+    and keep: the relation Groebner basis, the standard monomials per
+    degree, and the memo (see :func:`memoized`) holding the truncated
+    residue-field resolution; no lock guards them.
     """
 
     def __init__(self, ambient, relations=()):
@@ -35,6 +36,7 @@ class RingPresentation:
         self.relations = tuple(rels)
         self._gb = None
         self._std = {}
+        self._memo = {}
 
     @property
     def field(self):
@@ -117,5 +119,13 @@ class RingPresentation:
         return best
 
 
-def polynomial_ring_presentation(ring):
-    return RingPresentation(ring, ())
+def memoized(obj, key, build):
+    """The object derived from ``obj`` under ``key``: built once, then kept.
+
+    ``obj`` is a ring or module presentation; its ``_memo`` dict lives
+    as long as ``obj`` does.
+    """
+    memo = obj._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]

@@ -21,6 +21,7 @@ from soclelab.groebner import (
     minimal_generators,
     normal_form,
 )
+from soclelab.linalg import Span
 from soclelab.modgb import VectorOrder, buchberger_vectors, normal_form_vec, vec_lead, vec_scale
 from soclelab.monomials import mono_div, mono_divides, mono_mul, monomials_of_degree
 from soclelab.orders import DEGREVLEX
@@ -356,3 +357,67 @@ def test_buchberger_computes_each_term_key_once():
     gb = buchberger_vectors(quads, VectorOrder(recorder), F, use_product=True)
     assert len(gb) > 4
     assert seen and len(seen) == len(set(seen))
+
+
+# ---------------------------------------------------------------------------
+# minimal_generators, against the ideal-only Nakayama loop it replaced.
+
+
+def _reference_minimal_generators(ideal):
+    """Degree by degree, keep a candidate iff it enlarges the span of the
+    R-multiples of the generators kept so far."""
+    ring = ideal.ring
+    cands = [(f.degree(), i, ring.nf(f)) for i, f in enumerate(ideal.generators)]
+    cands = sorted((d, i, f) for d, i, f in cands if not f.is_zero())
+    kept = []
+    pos = 0
+    while pos < len(cands):
+        deg = cands[pos][0]
+        index = {m: k for k, m in enumerate(ring.standard_monomials(deg))}
+        span = Span(ring.field, len(index))
+        for g in kept:
+            for m in ring.standard_monomials(deg - g.degree()):
+                span.add({index[u]: c for u, c in ring.nf(g.shift(m)).terms.items()})
+        while pos < len(cands) and cands[pos][0] == deg:
+            f = cands[pos][2]
+            if span.add({index[u]: c for u, c in f.terms.items()}):
+                kept.append(f)
+            pos += 1
+    return kept
+
+
+def _random_form(rng, S, degree):
+    F = S.field
+    terms = {}
+    for m in rng.sample(list(monomials_of_degree(S.n, degree)), rng.randint(1, 3)):
+        c = F.of(rng.randint(-5, 5))
+        if not F.is_zero(c):
+            terms[m] = c
+    return S.from_terms(terms.items())
+
+
+def _redundant_generators(rng, S):
+    """Random forms plus multiples and sums of them, shuffled."""
+    gens = [_random_form(rng, S, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+    for f in list(gens):
+        gens.append(f * S.var(rng.randrange(S.n)))
+    if len(gens) > 1:
+        f, g = rng.sample(gens, 2)
+        if f.degree() == g.degree():
+            gens.append(f + g)
+    gens.append(_random_form(rng, S, 2))
+    rng.shuffle(gens)
+    return gens
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+@pytest.mark.parametrize("quotient", [False, True])
+def test_minimal_generators_matches_ideal_reference(char, quotient):
+    S = PolyRing(field_of(char), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    rels = [a * c - b**2, a * d - b * c, b * d - c**2] if quotient else []
+    R = RingPresentation(S, rels)
+    rng = random.Random(400 + char + quotient)
+    for _ in range(15):
+        I = Ideal(R, _redundant_generators(rng, S))
+        assert minimal_generators(I) == _reference_minimal_generators(I)

@@ -5,9 +5,13 @@ import pytest
 from soclelab.errors import UnstableLimitError
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, minimal_generator_degrees
+import soclelab.localcoh as localcoh
+import soclelab.resolutions as resolutions
 from soclelab.localcoh import (
+    _class_nonzero_in_hom,
     _koszul_stage,
     alpha_max,
+    alpha_table,
     canonical_ideal,
     canonical_module,
     endomorphism_check,
@@ -33,6 +37,7 @@ from soclelab.modules import (
     module_hilbert,
     quotient_module,
 )
+from soclelab.modgb import vec_degree
 from soclelab.poly import NEG_INF, POS_INF, PolyRing
 from soclelab.rings import RingPresentation
 
@@ -243,12 +248,31 @@ def test_alpha_invariants(presentation_xy):
 
 
 def test_alpha_table(presentation_xy):
-    from soclelab.localcoh import alpha_table
-
     table = alpha_table(presentation_xy, 2)
     assert table[0] == 0
     assert table.values == (0, 1, 2)
     assert table.truncation == 2
+
+
+def test_alpha_table_reuses_a_deeper_residue_field_resolution(monkeypatch):
+    S = PolyRing(field_of(2), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    R = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+    kres = kres_for(R, 5)
+    builds = []
+    original = localcoh.residue_field_resolution
+
+    def counting(ring, steps):
+        builds.append(steps)
+        return original(ring, steps)
+
+    monkeypatch.setattr(localcoh, "residue_field_resolution", counting)
+    assert alpha_table(R, 2).values == (0, 1, 2)
+    assert kres_for(R, 3) is kres
+    assert builds == []
+    # A deeper truncation than the memo holds is built anew.
+    assert kres_for(R, 6).length == 6
+    assert builds == [6]
 
 
 def test_ext_begin_lower_bound_randomized():
@@ -360,6 +384,34 @@ def test_endomorphism_check_fails_for_small_support():
     assert cert.hom_dims != cert.ring_dims
 
 
+def _identity_in_hom0(mod):
+    degs = mod.generator_degrees
+    r = len(degs)
+    twists = [g - a for a in degs for g in degs]
+    identity = {(i * r + i, (0,) * mod.ring.n): mod.ring.field.one for i in range(r)}
+    return identity, twists
+
+
+def test_class_nonzero_in_hom_identity_on_canonical_ideal(twisted_cubic):
+    mod = ideal_as_module(canonical_ideal(twisted_cubic).ideal)
+    identity, twists = _identity_in_hom0(mod)
+    assert _class_nonzero_in_hom(twisted_cubic, mod, identity, twists)
+
+
+def test_class_nonzero_in_hom_relation_column_is_zero(presentation_xy, ring_xy):
+    # Generators in degrees 1 and 3 and the relation x^2 e_1: in Hom(F0, M)
+    # the relation sent into the degree-3 slot is a degree-0 column.
+    x, _ = ring_xy.gens()
+    mat = GradedMatrix(presentation_xy, (1, 3), (3,), [[x**2], [ring_xy.zero]])
+    mod = ModulePresentation(presentation_xy, mat)
+    _, twists = _identity_in_hom0(mod)
+    _, rels = resolutions._hom_free_into(mod, mod.matrix.target)
+    degree_zero = [v for v in rels if vec_degree(v, tuple(twists)) == 0]
+    assert degree_zero
+    for vec in degree_zero:
+        assert not _class_nonzero_in_hom(presentation_xy, mod, vec, twists)
+
+
 # -- regularity -------------------------------------------------------------------
 
 
@@ -395,3 +447,29 @@ def test_begin_additivity_for_short_exact_sequences(presentation_xy, ring_xy):
         presentation_xy, GradedMatrix(presentation_xy, (), (), [])
     )
     assert k_mod.begin() == min(zero.begin(), k_mod.begin())
+
+
+@pytest.mark.parametrize(
+    "ideal, syzygies", [((), 2), (("b", "c"), 3)], ids=["R", "R/(b,c)"]
+)
+def test_lc_end_and_socle_begin_resolve_each_module_once(
+    twisted_cubic_gf2, ideal, syzygies, monkeypatch
+):
+    R = twisted_cubic_gf2
+    names = dict(zip(("a", "b", "c", "d"), R.ambient.gens()))
+    M = quotient_module(R, [names[v] for v in ideal])
+    calls = []
+    original = resolutions.syzygy
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(resolutions, "syzygy", counting)
+    for j in range(5):
+        lc_end(j, M)
+        socle_begin(j, M)
+    assert len(calls) == syzygies
+    regularity(M)
+    resolutions.minimal_free_resolution(M)
+    assert len(calls) == syzygies
