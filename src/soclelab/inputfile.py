@@ -10,8 +10,10 @@ before anything that parses polynomials)::
     ideal I = "x", "z"
     ideal J = "x^2 + y^2"
 
-Values are quoted polynomial strings in the library's text syntax.
-Errors carry 1-based line numbers.
+Variable names are identifiers (a letter or underscore, then letters,
+digits or underscores), distinct; ``field`` and ``vars`` appear once
+each.  Values are quoted polynomial strings in the library's text
+syntax.  Errors carry 1-based line numbers.
 """
 
 import re
@@ -23,6 +25,7 @@ from .poly import PolyRing, parse_polynomial
 from .rings import RingPresentation
 
 _QUOTED = re.compile(r'"([^"]*)"')
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def _quoted_list(rest, lineno):
@@ -53,6 +56,8 @@ def parse_input(text):
         if not line:
             continue
         if line.startswith("field"):
+            if field is not None:
+                raise InputSyntaxError("second 'field' line", lineno)
             value = line[len("field") :].strip()
             if not value.lstrip("-").isdigit():
                 raise InputSyntaxError("field expects an integer characteristic", lineno)
@@ -63,11 +68,18 @@ def parse_input(text):
                 )
             field = field_of(ch)
         elif line.startswith("vars"):
+            if names is not None:
+                raise InputSyntaxError("second 'vars' line", lineno)
             names = tuple(
                 v.strip() for v in line[len("vars") :].strip().split(",") if v.strip()
             )
             if not names:
                 raise InputSyntaxError("vars expects at least one name", lineno)
+            for v in names:
+                if not _NAME.fullmatch(v):
+                    raise InputSyntaxError(f"invalid variable name {v!r}", lineno)
+            if len(set(names)) != len(names):
+                raise InputSyntaxError("duplicate variable names", lineno)
         elif line.startswith("relations"):
             pending.append((lineno, "relations", line[len("relations") :]))
         elif line.startswith("ideal"):

@@ -20,20 +20,19 @@ from .errors import (
     TruncationError,
     UnstableLimitError,
 )
-from .groebner import Ideal, minimal_generator_degrees, minimal_generators
+from .groebner import Ideal, minimal_generator_degrees
 from .linalg import Span, nullspace, rank, transpose
 from .modules import (
     GradedMatrix,
     ModulePresentation,
+    block_columns,
     free_module,
     matrix_from_vectors,
     module_hilbert,
-    nakayama_minimal_subset,
     present_subquotient,
     quotient_module,
     s_presentation,
     syzygies_over,
-    vec_reduce_components,
 )
 from .poly import NEG_INF, POS_INF
 from .resolutions import (
@@ -73,43 +72,23 @@ def _ext_dual(i, module):
         return ModulePresentation(ring, GradedMatrix(ring, (), (), []))
     dual_i = tuple(n - a for a in twist_lists[i])
 
-    def dual_map_columns(step):
-        # Columns of the dual of d_step, a map from F_{step-1}* to F_step*.
-        mat = res.matrices[step - 1]
-        cols = []
-        for u in range(mat.rows):
-            col = {}
-            for v in range(mat.cols):
-                f = mat.entries[u][v]
-                for m, c in f.terms.items():
-                    col[(v, m)] = c
-            cols.append(col)
-        return cols
-
+    # The dual of d_step maps F_{step-1}* to F_step*: its columns are
+    # those of the transpose of d_step.
     if i < res.length:
         dual_next = tuple(n - a for a in twist_lists[i + 1])
-        next_cols = dual_map_columns(i + 1)
-        gens = _free_kernel(base, next_cols, dual_i, dual_next)
+        gens = syzygies_over(
+            base, block_columns(res.matrices[i].transpose()), dual_next
+        )
     else:
         gens = [
             {(p, (0,) * n): base.field.one} for p in range(len(dual_i))
         ]
-    rels = dual_map_columns(i) if i >= 1 else []
+    rels = block_columns(res.matrices[i - 1].transpose()) if i >= 1 else []
     pres, _ = present_subquotient(base, dual_i, gens, rels)
     mat = pres.matrix
     return ModulePresentation(
         ring, GradedMatrix(ring, mat.target, mat.source, mat.entries, check=False)
     )
-
-
-def _free_kernel(ring, columns, src_twists, dst_twists):
-    """Kernel generators of a map of free modules given by its columns."""
-    live = any(col for col in columns)
-    if not live:
-        return [
-            {(p, (0,) * ring.n): ring.field.one} for p in range(len(src_twists))
-        ]
-    return syzygies_over(ring, columns, dst_twists)
 
 
 def ambient_var_count(module):
@@ -370,6 +349,8 @@ def socle_piece(j, module, ell, s_max=10):
     stabilized piece; both source and target pieces must stabilize at a
     common stage.
     """
+    if s_max < 3:
+        raise DomainError("s_max must be at least 3")
     ring = module.ring
 
     for s in range(2, s_max):
@@ -627,17 +608,8 @@ def canonical_ideal(ring, random_tries=32):
 
 def ideal_as_module(ideal):
     """The ideal as a graded module over its ring, minimally presented."""
-    ring = ideal.ring
-    gens = minimal_generators(ideal)
-    if not gens:
-        return ModulePresentation(ring, GradedMatrix(ring, (), (), []))
-    degrees = tuple(f.degree() for f in gens)
-    # Syzygies of the generator row inside R are the module relations.
-    row_cols = [{(0, m): c for m, c in f.terms.items()} for f in gens]
-    syz = syzygies_over(ring, row_cols, (0,))
-    keep = nakayama_minimal_subset(ring, degrees, syz)
-    vecs = [vec_reduce_components(ring, syz[k]) for k in keep]
-    return ModulePresentation(ring, matrix_from_vectors(ring, degrees, vecs))
+    gens = [{(0, m): c for m, c in f.terms.items()} for f in ideal.generators]
+    return present_subquotient(ideal.ring, (0,), gens)[0]
 
 
 @dataclass
@@ -667,20 +639,16 @@ def endomorphism_check(ring, omega_ideal, window_top=None):
     degs = tuple(hom.generator_degrees)
     one_gen = degs == (0,)
 
-    r = len(mod.generator_degrees)
-    identity_vec = {}
-    for i in range(r):
-        identity_vec[(i * r + i, (0,) * ring.n)] = ring.field.one
+    gen_degs = mod.generator_degrees
+    r = len(gen_degs)
+    identity_vec = {(i * r + i, (0,) * ring.n): ring.field.one for i in range(r)}
     piece0 = hom.piece(0)
     # The Hom presentation's ambient equals Hom(F0, omega); the identity
     # lives there, and its class is nonzero iff it escapes the relation
     # span in degree zero.
     ident_nonzero = False
     if piece0.dim:
-        hom0_twists = []
-        for a in mod.generator_degrees:
-            for g in mod.generator_degrees:
-                hom0_twists.append(g - a)
+        hom0_twists = [g - a for a in gen_degs for g in gen_degs]
         ident_nonzero = _class_nonzero_in_hom(
             ring, mod, identity_vec, hom0_twists
         )

@@ -51,19 +51,15 @@ class GradedMatrix:
     def cols(self):
         return len(self.source)
 
-    def column_vector(self, j):
-        vec = {}
-        for i in range(self.rows):
-            f = self.entries[i][j]
-            for m, c in f.terms.items():
-                vec[(i, m)] = c
-        return vec
-
-    def column_vectors(self):
-        return [self.column_vector(j) for j in range(self.cols)]
-
-    def transpose_entries(self):
-        return [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
+    def transpose(self):
+        """The dual map, between the dual free modules (twists negated)."""
+        return GradedMatrix(
+            self.ring,
+            tuple(-b for b in self.source),
+            tuple(-a for a in self.target),
+            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
+            check=False,
+        )
 
     def compose(self, other):
         """self . other, when other's target equals self's source."""
@@ -90,6 +86,24 @@ class GradedMatrix:
 
     def __repr__(self):
         return f"GradedMatrix({self.rows}x{self.cols}, target={self.target}, source={self.source})"
+
+
+def block_columns(matrix, r=1):
+    """Columns of ``matrix`` (x) I_r as engine vectors.
+
+    Column v*r + g carries entry (u, v) of the matrix at position u*r + g;
+    with r = 1 these are the matrix columns themselves.  Pass
+    ``matrix.transpose()`` for the columns of the transpose.
+    """
+    cols = []
+    for v in range(matrix.cols):
+        for g in range(r):
+            col = {}
+            for u in range(matrix.rows):
+                for m, c in matrix.entries[u][v].terms.items():
+                    col[(u * r + g, m)] = c
+            cols.append(col)
+    return cols
 
 
 def matrix_from_vectors(ring, target, vectors, source=None):
@@ -171,14 +185,12 @@ class ModulePresentation:
 
 def free_module(ring, twists):
     """The free module as a presentation with no relations."""
-    amb = ring.ambient
     entries = [[] for _ in twists]
     return ModulePresentation(ring, GradedMatrix(ring, tuple(twists), (), entries))
 
 
 def quotient_module(ring, ideal_gens):
     """R/(gens) as a cyclic module presentation over the ring."""
-    amb = ring.ambient
     cols = [f for f in ideal_gens if not f.is_zero()]
     entries = [[f for f in cols]]
     return ModulePresentation(
@@ -238,8 +250,7 @@ class GradedPiece:
         self.basis = free_piece_basis(ring, mat.target, degree)
         self.index = {t: k for k, t in enumerate(self.basis)}
         self.span = Span(F, len(self.basis))
-        for j in range(mat.cols):
-            col = mat.column_vector(j)
+        for j, col in enumerate(block_columns(mat)):
             for m in ring.standard_monomials(degree - mat.source[j]):
                 red = vec_reduce_components(ring, vec_shift(col, m))
                 self.span.add(vec_coords(red, self.index))
@@ -312,16 +323,20 @@ def _fold_relations(module):
     )
 
 
-def syzygies_over(ring, columns, twists):
-    """Syzygy generators of column vectors over the (possibly quotient) ring.
+def syzygies_over(ring, columns, twists, rels=()):
+    """Generators of {v : sum_j v_j columns_j lies in <rels>}, over the ring.
 
-    Over R = S/a the relation multiples a*e_i are appended before calling
-    the ambient engine and the syzygies are restricted back to the given
-    columns; components are reduced to normal form.
+    This is the one kernel routine (Macaulay2's ``modulo``): kernels of
+    maps of free modules, Hom and Tor kernels, and the relations of a
+    subquotient all come from it.  ``rels`` are vectors in the free module
+    with the given twists.  The engine takes the syzygies of the columns,
+    then ``rels``, then (over R = S/a) the multiples a*e_i, and each
+    syzygy is cut back to the positions of ``columns``; components are
+    reduced to normal form and zero cuts dropped.
     """
     amb = ring.ambient
     r = len(columns)
-    aug = list(columns)
+    aug = list(columns) + list(rels)
     if not ring.is_polynomial_ring:
         for rel in ring.relations:
             for i in range(len(twists)):
@@ -396,9 +411,10 @@ def present_subquotient(ring, twists, gens, rels=(), need_relations=True):
 
     Every relation vector must lie in the span of the generators.  The
     returned presentation has Nakayama-minimal generators; with
-    ``need_relations`` the relation matrix is computed by a syzygy run
-    and itself minimalized.  Also returns the indices of the surviving
-    generators, so callers can align side data with them.
+    ``need_relations`` its relations are ``syzygies_over(kept generators,
+    rels)``, themselves Nakayama-minimalized.  Also returns the indices
+    of the surviving generators, so callers can align side data with
+    them.
     """
     kept_idx = nakayama_minimal_subset(ring, twists, gens, rels)
     kept = [vec_reduce_components(ring, gens[i]) for i in kept_idx]
@@ -406,19 +422,12 @@ def present_subquotient(ring, twists, gens, rels=(), need_relations=True):
     if not kept:
         empty = GradedMatrix(ring, (), (), [])
         return ModulePresentation(ring, empty), []
-    live_rels = [vec_reduce_components(ring, v) for v in rels]
-    live_rels = [v for v in live_rels if v]
     if need_relations:
-        all_cols = kept + live_rels
-        syz = syzygies_over(ring, all_cols, twists)
-        cut = []
-        for v in syz:
-            head = {(t[0], t[1]): c for t, c in v.items() if t[0] < len(kept)}
-            head = vec_reduce_components(ring, head)
-            if head:
-                cut.append(head)
-        keep_rel = nakayama_minimal_subset(ring, tuple(kept_degs), cut)
-        rel_vecs = [cut[i] for i in keep_rel]
+        live_rels = [vec_reduce_components(ring, v) for v in rels]
+        live_rels = [v for v in live_rels if v]
+        syz = syzygies_over(ring, kept, twists, live_rels)
+        keep_rel = nakayama_minimal_subset(ring, tuple(kept_degs), syz)
+        rel_vecs = [syz[i] for i in keep_rel]
     else:
         rel_vecs = []
     mat = matrix_from_vectors(ring, tuple(kept_degs), rel_vecs)
@@ -432,6 +441,6 @@ def minimalize_presentation(module):
         {(i, (0,) * module.ring.n): module.ring.field.one} for i in range(mat.rows)
     ]
     pres, _ = present_subquotient(
-        module.ring, mat.target, gens, mat.column_vectors(), need_relations=True
+        module.ring, mat.target, gens, block_columns(mat), need_relations=True
     )
     return pres

@@ -6,11 +6,17 @@ arithmetic done on ambient lifts reduced against a fixed basis of the
 relations.  Minimality means every differential entry lies in the
 irrelevant ideal, enforced by taking Nakayama-minimal generating sets of
 each syzygy module.
+
+Every kernel here (syzygies, Hom, kernel/image, Tor) is one call of
+:func:`~soclelab.modules.syzygies_over` with the downstairs relations as
+``rels``, on matrix columns laid out by
+:func:`~soclelab.modules.block_columns`.
 """
 
 from .errors import StructuralError, TruncationError
 from .modules import (
     ModulePresentation,
+    block_columns,
     matrix_from_vectors,
     minimalize_presentation,
     nakayama_minimal_subset,
@@ -18,8 +24,8 @@ from .modules import (
     quotient_module,
     s_presentation,
     syzygies_over,
-    vec_reduce_components,
 )
+from .poly import Polynomial
 from .rings import memoized
 
 
@@ -113,11 +119,9 @@ class Resolution:
 def syzygy(matrix):
     """Minimal generators of the kernel of the induced map of free modules."""
     ring = matrix.ring
-    cols = matrix.column_vectors()
-    raw = syzygies_over(ring, cols, matrix.target)
+    raw = syzygies_over(ring, block_columns(matrix), matrix.target)
     keep = nakayama_minimal_subset(ring, matrix.source, raw)
-    vecs = [vec_reduce_components(ring, raw[i]) for i in keep]
-    return matrix_from_vectors(ring, matrix.source, vecs)
+    return matrix_from_vectors(ring, matrix.source, [raw[i] for i in keep])
 
 
 def _resolve(module, steps=None):
@@ -208,25 +212,20 @@ def alpha_invariants(kres, up_to):
 def _hom_free_into(module, twists):
     """Presentation data of Hom(free with twists, module).
 
-    Positions are packed (component of the free module, generator of the
-    module); generator (i, g) has degree gens[g] - twists[i].
+    That is one copy of the module's presentation per twist (I_t (x) the
+    matrix): positions are packed (component of the free module,
+    generator of the module), and generator (i, g) has degree
+    gens[g] - twists[i].
     """
-    r = len(module.generator_degrees)
-    target = []
-    for a in twists:
-        for g in module.generator_degrees:
-            target.append(g - a)
-    cols = []
-    mat = module.matrix
-    for i in range(len(twists)):
-        for j in range(mat.cols):
-            col = {}
-            for g in range(mat.rows):
-                f = mat.entries[g][j]
-                for m, c in f.terms.items():
-                    col[(i * r + g, m)] = c
-            cols.append(col)
-    return tuple(target), cols
+    gens = module.generator_degrees
+    r = len(gens)
+    target = tuple(g - a for a in twists for g in gens)
+    cols = block_columns(module.matrix)
+    return target, [
+        {(i * r + g, m): c for (g, m), c in col.items()}
+        for i in range(len(twists))
+        for col in cols
+    ]
 
 
 def module_hom(source, target):
@@ -245,54 +244,19 @@ def module_hom(source, target):
     hom0_twists, hom0_rels = _hom_free_into(target, a_mat.target)
     hom1_twists, hom1_rels = _hom_free_into(target, a_mat.source)
     # Map Hom(F0, N) -> Hom(F1, N): precompose with the presentation.
-    phi_cols = []
-    for i in range(a_mat.rows):
-        for g in range(r):
-            col = {}
-            for j in range(a_mat.cols):
-                f = a_mat.entries[i][j]
-                for m, c in f.terms.items():
-                    key = (j * r + g, m)
-                    col[key] = ring.field.add(col.get(key, ring.field.zero), c)
-            phi_cols.append(col)
-    kernel_gens = _kernel_block(ring, phi_cols, hom0_twists, hom1_twists, hom1_rels)
+    phi_cols = block_columns(a_mat.transpose(), r)
+    kernel_gens = syzygies_over(ring, phi_cols, hom1_twists, hom1_rels)
     pres, kept = present_subquotient(ring, hom0_twists, kernel_gens, hom0_rels)
     witnesses = []
     for k in kept:
-        vec = vec_reduce_components(ring, kernel_gens[k])
         wit = {}
-        for (pos, m), c in vec.items():
+        for (pos, m), c in kernel_gens[k].items():
             i, g = divmod(pos, r)
             wit.setdefault((i, g), {})[m] = c
         witnesses.append(
-            {
-                key: _poly_of(ring, terms)
-                for key, terms in wit.items()
-            }
+            {key: Polynomial(ring.ambient, terms) for key, terms in wit.items()}
         )
     return pres, witnesses
-
-
-def _poly_of(ring, terms):
-    from .poly import Polynomial
-
-    return Polynomial(ring.ambient, terms)
-
-
-def _kernel_block(ring, phi_cols, src_twists, dst_twists, dst_rels):
-    """Generators of {v : phi(v) lies in the relation span downstairs}."""
-    width = len(phi_cols)
-    all_cols = phi_cols + list(dst_rels)
-    syz = syzygies_over(ring, all_cols, dst_twists)
-    out = []
-    for v in syz:
-        head = {t: c for t, c in v.items() if t[0] < width}
-        head = vec_reduce_components(ring, head)
-        if head:
-            out.append(head)
-    # A wrinkle: syzygies were taken of columns indexed by phi's source
-    # generators, so heads already live in the source free module.
-    return out
 
 
 def module_kernel_image(source, target, phi):
@@ -306,19 +270,16 @@ def module_kernel_image(source, target, phi):
     if phi.target != target.generator_degrees or phi.source != source.generator_degrees:
         raise StructuralError("map does not match the presentations")
     ring = source.ring
-    phi_cols = phi.column_vectors()
-    kernel_gens = _kernel_block(
-        ring, phi_cols, source.generator_degrees,
-        target.generator_degrees, target.matrix.column_vectors(),
+    phi_cols = block_columns(phi)
+    target_rels = block_columns(target.matrix)
+    kernel_gens = syzygies_over(
+        ring, phi_cols, target.generator_degrees, target_rels
     )
     ker_pres, kept = present_subquotient(
-        ring, source.generator_degrees, kernel_gens,
-        source.matrix.column_vectors(),
+        ring, source.generator_degrees, kernel_gens, block_columns(source.matrix)
     )
-    live_cols = [c for c in phi_cols]
     im_pres, _ = present_subquotient(
-        ring, target.generator_degrees, live_cols,
-        target.matrix.column_vectors(),
+        ring, target.generator_degrees, phi_cols, target_rels
     )
     kept_vecs = [kernel_gens[k] for k in kept]
     return ker_pres, im_pres, kept_vecs
@@ -326,45 +287,11 @@ def module_kernel_image(source, target, phi):
 
 def shifted_sum(module, shifts):
     """Direct sum of copies of the module twisted by -shift for each shift."""
-    ring = module.ring
-    mat = module.matrix
-    r = mat.rows
-    target = []
-    for s in shifts:
-        for g in mat.target:
-            target.append(g + s)
-    cols = []
-    source = []
-    for b, s in enumerate(shifts):
-        for j in range(mat.cols):
-            col = {}
-            for g in range(r):
-                f = mat.entries[g][j]
-                for m, c in f.terms.items():
-                    col[(b * r + g, m)] = c
-            cols.append(col)
-            source.append(mat.source[j] + s)
-    entries_mat = matrix_from_vectors(ring, tuple(target), cols, tuple(source))
-    return ModulePresentation(ring, entries_mat)
-
-
-def tensor_map_columns(d_matrix, module):
-    """Columns of d (x) module on generator level, as ambient vectors.
-
-    d maps a free module with source twists into one with target twists;
-    the tensored map goes between the corresponding shifted sums.
-    """
-    r = len(module.generator_degrees)
-    cols = []
-    for v in range(d_matrix.cols):
-        for g in range(r):
-            col = {}
-            for u in range(d_matrix.rows):
-                f = d_matrix.entries[u][v]
-                for m, c in f.terms.items():
-                    col[(u * r + g, m)] = c
-            cols.append(col)
-    return cols
+    target, cols = _hom_free_into(module, [-s for s in shifts])
+    source = tuple(b + s for s in shifts for b in module.matrix.source)
+    return ModulePresentation(
+        module.ring, matrix_from_vectors(module.ring, target, cols, source)
+    )
 
 
 def tor_residue_field(ring, i, module, kres):
@@ -382,6 +309,7 @@ def tor_residue_field(ring, i, module, kres):
         )
     if not kres.module_twists(i):
         return {}
+    r = len(module.generator_degrees)
     q_i = shifted_sum(module, kres.module_twists(i))
     if i == 0:
         gens = [
@@ -389,15 +317,14 @@ def tor_residue_field(ring, i, module, kres):
             for p in range(len(q_i.generator_degrees))
         ]
     else:
-        phi_i_cols = tensor_map_columns(kres.matrices[i - 1], module)
         q_prev = shifted_sum(module, kres.module_twists(i - 1))
-        gens = _kernel_block(
-            ring, phi_i_cols, q_i.generator_degrees,
-            q_prev.generator_degrees, q_prev.matrix.column_vectors(),
+        gens = syzygies_over(
+            ring, block_columns(kres.matrices[i - 1], r),
+            q_prev.generator_degrees, block_columns(q_prev.matrix),
         )
-    rels = list(q_i.matrix.column_vectors())
+    rels = block_columns(q_i.matrix)
     if i + 1 <= kres.length:
-        rels += tensor_map_columns(kres.matrices[i], module)
+        rels += block_columns(kres.matrices[i], r)
     pres, _ = present_subquotient(
         ring, q_i.generator_degrees, gens, rels, need_relations=False
     )

@@ -66,7 +66,6 @@ def scan_powers(ring, ideal, t_max, oracle=False, s_max=10):
         raise HypothesisError("t_max must be >= 1")
 
     def block(t):
-        started = time.monotonic()
         it = ideal_power(ideal, t)
         module = quotient_module(ring, list(it.generators))
         d = krull_dimension(it)
@@ -163,7 +162,7 @@ def criterion_check(ring, ideal, t_max, truncation=None):
         raise HypothesisError("criterion scan needs a proper ideal")
     depth_steps = truncation if truncation is not None else d + 2
     kres_for(ring, max(depth_steps, 1))
-    a_d = alpha_max(ring, d, steps=depth_steps) if d >= 0 else None
+    a_d = alpha_max(ring, d, steps=depth_steps)
 
     def block(t):
         it = ideal_power(ideal, t)

@@ -74,3 +74,24 @@ def test_comments_and_blanks_ignored():
     )
     assert ring.n == 2
     assert ideals == {}
+
+
+@pytest.mark.parametrize(
+    "vars_line", ["vars x, x", "vars x, 2y", "vars x y", "vars x, y-1"]
+)
+def test_bad_vars_line_rejected_with_line_number(vars_line):
+    with pytest.raises(InputSyntaxError) as err:
+        parse_input(f"field 7\n\n{vars_line}\n")
+    assert err.value.line == 3
+
+
+def test_second_field_line_rejected():
+    with pytest.raises(InputSyntaxError) as err:
+        parse_input("field 7\nvars x\nfield 5\n")
+    assert err.value.line == 3
+
+
+def test_second_vars_line_rejected():
+    with pytest.raises(InputSyntaxError) as err:
+        parse_input("field 7\nvars x\nvars y\n")
+    assert err.value.line == 3

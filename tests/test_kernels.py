@@ -1,0 +1,338 @@
+"""The one kernel routine and the one block-column builder.
+
+``modules.syzygies_over(ring, columns, twists, rels)`` and
+``modules.block_columns(matrix, r)`` replaced several hand-written copies
+in the homological layer.  The old bodies are kept here as references,
+and the new routines must give equal outputs (with equal term order) on
+seeded homogeneous inputs over GF(2), GF(101) and QQ, with and without
+ring relations, zero entries, zero rows and zero columns.
+"""
+
+import random
+
+import pytest
+
+from soclelab.fields import field_of
+from soclelab.groebner import Ideal, minimal_generators
+from soclelab.linalg import rank
+from soclelab.localcoh import ideal_as_module
+from soclelab.modgb import vec_degree
+from soclelab.modules import (
+    GradedMatrix,
+    ModulePresentation,
+    block_columns,
+    free_piece_basis,
+    matrix_from_vectors,
+    nakayama_minimal_subset,
+    syzygies_over,
+    vec_reduce_components,
+)
+from soclelab.monomials import mono_mul, monomials_of_degree
+from soclelab.poly import PolyRing
+from soclelab.resolutions import _hom_free_into, shifted_sum
+from soclelab.rings import RingPresentation
+
+CHARS = [2, 101, 0]
+
+
+def _ring(char, quotient):
+    S = PolyRing(field_of(char), ("x", "y", "z"))
+    x, y, z = S.gens()
+    return RingPresentation(S, [x * y - z**2] if quotient else [])
+
+
+def _random_form(rng, S, degree):
+    if degree < 0 or rng.random() < 0.3:
+        return S.zero
+    F = S.field
+    monos = list(monomials_of_degree(S.n, degree))
+    terms = {}
+    for m in rng.sample(monos, min(len(monos), rng.randint(1, 3))):
+        c = F.of(rng.randint(-5, 5))
+        if not F.is_zero(c):
+            terms[m] = c
+    return S.from_terms(terms.items())
+
+
+def _random_matrix(rng, ring, target, cols, zero_row=False):
+    """Homogeneous matrix into the given twists, with random source twists;
+    entry (i, j) has degree source[j] - target[i] (zero when negative)."""
+    source = [max(target, default=0) + rng.randint(0, 2) for _ in range(cols)]
+    entries = [
+        [_random_form(rng, ring.ambient, b - a) for b in source] for a in target
+    ]
+    if zero_row and target:
+        entries[rng.randrange(len(target))] = [ring.ambient.zero] * cols
+    return GradedMatrix(ring, target, source, entries)
+
+
+def _cases():
+    for char in CHARS:
+        for quotient in (False, True):
+            ring = _ring(char, quotient)
+            rng = random.Random(500 + char + 7 * quotient)
+            for k in range(6):
+                target = [rng.randint(0, 2) for _ in range(rng.randint(0, 3))]
+                mat = _random_matrix(rng, ring, target, rng.randint(0, 4), k % 2 == 0)
+                yield ring, mat
+
+
+# ---------------------------------------------------------------------------
+# The old block layouts.
+
+
+def _reference_column_vector(mat, j):
+    vec = {}
+    for i in range(mat.rows):
+        f = mat.entries[i][j]
+        for m, c in f.terms.items():
+            vec[(i, m)] = c
+    return vec
+
+
+def _reference_tensor_map_columns(d_matrix, r):
+    cols = []
+    for v in range(d_matrix.cols):
+        for g in range(r):
+            col = {}
+            for u in range(d_matrix.rows):
+                f = d_matrix.entries[u][v]
+                for m, c in f.terms.items():
+                    col[(u * r + g, m)] = c
+            cols.append(col)
+    return cols
+
+
+def _reference_phi_cols(ring, a_mat, r):
+    phi_cols = []
+    for i in range(a_mat.rows):
+        for g in range(r):
+            col = {}
+            for j in range(a_mat.cols):
+                f = a_mat.entries[i][j]
+                for m, c in f.terms.items():
+                    key = (j * r + g, m)
+                    col[key] = ring.field.add(col.get(key, ring.field.zero), c)
+            phi_cols.append(col)
+    return phi_cols
+
+
+def _reference_dual_map_columns(mat):
+    cols = []
+    for u in range(mat.rows):
+        col = {}
+        for v in range(mat.cols):
+            f = mat.entries[u][v]
+            for m, c in f.terms.items():
+                col[(v, m)] = c
+        cols.append(col)
+    return cols
+
+
+def _reference_hom_free_into(module, twists):
+    r = len(module.generator_degrees)
+    target = []
+    for a in twists:
+        for g in module.generator_degrees:
+            target.append(g - a)
+    cols = []
+    mat = module.matrix
+    for i in range(len(twists)):
+        for j in range(mat.cols):
+            col = {}
+            for g in range(mat.rows):
+                f = mat.entries[g][j]
+                for m, c in f.terms.items():
+                    col[(i * r + g, m)] = c
+            cols.append(col)
+    return tuple(target), cols
+
+
+def _items(cols):
+    return [list(col.items()) for col in cols]
+
+
+def test_block_columns_match_the_old_layouts():
+    seen = 0
+    for ring, mat in _cases():
+        assert _items(block_columns(mat)) == _items(
+            [_reference_column_vector(mat, j) for j in range(mat.cols)]
+        )
+        assert _items(block_columns(mat.transpose())) == _items(
+            _reference_dual_map_columns(mat)
+        )
+        for r in (1, 2, 3):
+            assert _items(block_columns(mat, r)) == _items(
+                _reference_tensor_map_columns(mat, r)
+            )
+            assert _items(block_columns(mat.transpose(), r)) == _items(
+                _reference_phi_cols(ring, mat, r)
+            )
+        seen += 1
+    assert seen == 36
+
+
+def test_transpose_is_the_dual_map():
+    ring = _ring(101, True)
+    mat = _random_matrix(random.Random(3), ring, [0, 1], 3)
+    dual = mat.transpose()
+    assert dual.target == tuple(-b for b in mat.source)
+    assert dual.source == tuple(-a for a in mat.target)
+    assert (dual.rows, dual.cols) == (mat.cols, mat.rows)
+    dual._validate()
+    assert dual.transpose().entries == mat.entries
+    # A matrix with rows but no columns keeps its rows as dual columns.
+    empty = GradedMatrix(ring, (0, 1), (), [[], []])
+    assert empty.transpose().cols == 2
+    assert block_columns(empty.transpose(), 2) == [{}] * 4
+
+
+def test_hom_free_into_and_shifted_sum_match_the_copy_loops():
+    rng = random.Random(17)
+    for ring, mat in _cases():
+        module = ModulePresentation(ring, mat)
+        twists = [rng.randint(-2, 2) for _ in range(rng.randint(0, 3))]
+        target, cols = _hom_free_into(module, twists)
+        ref_target, ref_cols = _reference_hom_free_into(module, twists)
+        assert target == ref_target
+        assert _items(cols) == _items(ref_cols)
+        summed = shifted_sum(module, twists)
+        assert summed.generator_degrees == tuple(
+            g + s for s in twists for g in mat.target
+        )
+        assert summed.matrix.source == tuple(
+            b + s for s in twists for b in mat.source
+        )
+        assert block_columns(summed.matrix) == ref_cols
+
+
+# ---------------------------------------------------------------------------
+# The kernel routine.
+
+
+def _reference_kernel_block(ring, phi_cols, dst_twists, dst_rels):
+    """The old two-step cut: syzygies of columns + rels, then the head."""
+    width = len(phi_cols)
+    syz = syzygies_over(ring, phi_cols + list(dst_rels), dst_twists)
+    out = []
+    for v in syz:
+        head = {t: c for t, c in v.items() if t[0] < width}
+        head = vec_reduce_components(ring, head)
+        if head:
+            out.append(head)
+    return out
+
+
+def _kernel_cases():
+    """(ring, columns, twists, rels): a random map into a random cokernel."""
+    for char in CHARS:
+        for quotient in (False, True):
+            ring = _ring(char, quotient)
+            rng = random.Random(900 + char + 7 * quotient)
+            for k in range(5):
+                target = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+                mat = _random_matrix(rng, ring, target, rng.randint(0, 3), k % 2 == 0)
+                rel_mat = _random_matrix(rng, ring, target, rng.randint(0, 2))
+                yield ring, block_columns(mat), target, block_columns(rel_mat)
+
+
+def _combination(vec, columns):
+    """sum_j v_j columns_j, for v with components at positions j."""
+    out = {}
+    for (j, m), c in vec.items():
+        for (pos, mm), cc in columns[j].items():
+            key = (pos, mono_mul(m, mm))
+            out[key] = out.get(key, 0) + c * cc
+    return out
+
+
+def test_syzygies_over_with_rels_matches_the_old_kernel_block():
+    seen = zero_cols = with_rels = quotients = 0
+    for ring, cols, twists, rels in _kernel_cases():
+        new = syzygies_over(ring, cols, twists, rels)
+        ref = _reference_kernel_block(ring, cols, twists, rels)
+        assert _items(new) == _items(ref)
+        seen += 1
+        zero_cols += sum(not c for c in cols)
+        with_rels += bool(rels)
+        quotients += not ring.is_polynomial_ring
+    assert seen >= 20 and zero_cols and with_rels and quotients
+
+
+def _column_twists(cols, twists):
+    return [vec_degree(c, twists) or 0 for c in cols]
+
+
+def test_syzygies_over_generators_land_in_the_relations():
+    """Every generator v has sum_j v_j col_j in <rels> + ring relations."""
+    checked = 0
+    for ring, cols, twists, rels in _kernel_cases():
+        F = ring.field
+        target = ModulePresentation(ring, matrix_from_vectors(ring, twists, rels))
+        for v in syzygies_over(ring, cols, twists, rels):
+            assert v == vec_reduce_components(ring, v)
+            combo = {t: F.of(c) for t, c in _combination(v, cols).items()}
+            combo = {t: c for t, c in combo.items() if not F.is_zero(c)}
+            if combo:
+                assert not target.piece(vec_degree(combo, twists)).project(combo)
+            checked += 1
+    assert checked >= 20
+
+
+def test_syzygies_over_generators_span_the_kernel_in_low_degrees():
+    """In each degree, the generators' multiples span the whole kernel of
+    (free module on the columns) -> (target free module / rels)."""
+    for ring, cols, twists, rels in _kernel_cases():
+        if not cols:
+            continue
+        F = ring.field
+        target = ModulePresentation(ring, matrix_from_vectors(ring, twists, rels))
+        src = _column_twists(cols, twists)
+        gens = syzygies_over(ring, cols, twists, rels)
+        kernel_span = ModulePresentation(ring, matrix_from_vectors(ring, src, gens))
+        for d in range(min(src), min(src) + 3):
+            basis = free_piece_basis(ring, src, d)
+            images = []
+            for j, m in basis:
+                vec = {(pos, mono_mul(mm, m)): c for (pos, mm), c in cols[j].items()}
+                images.append(target.piece(d).project(vec) if vec else {})
+            kernel_dim = len(basis) - rank(F, images, target.piece(d).dim)
+            assert len(basis) - kernel_span.piece(d).dim == kernel_dim
+
+
+# ---------------------------------------------------------------------------
+# ideal_as_module, now one present_subquotient call.
+
+
+def _reference_ideal_as_module(ideal):
+    ring = ideal.ring
+    gens = minimal_generators(ideal)
+    if not gens:
+        return ModulePresentation(ring, GradedMatrix(ring, (), (), []))
+    degrees = tuple(f.degree() for f in gens)
+    row_cols = [{(0, m): c for m, c in f.terms.items()} for f in gens]
+    syz = syzygies_over(ring, row_cols, (0,))
+    keep = nakayama_minimal_subset(ring, degrees, syz)
+    vecs = [vec_reduce_components(ring, syz[k]) for k in keep]
+    return ModulePresentation(ring, matrix_from_vectors(ring, degrees, vecs))
+
+
+@pytest.mark.parametrize("char", CHARS)
+@pytest.mark.parametrize("quotient", [False, True])
+def test_ideal_as_module_matches_the_old_body(char, quotient):
+    ring = _ring(char, quotient)
+    S = ring.ambient
+    rng = random.Random(700 + char + quotient)
+    presented = 0
+    for _ in range(8):
+        gens = [_random_form(rng, S, rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+        gens += [f * S.var(rng.randrange(S.n)) for f in gens[:1]]
+        rng.shuffle(gens)
+        ideal = Ideal(ring, gens)
+        new, ref = ideal_as_module(ideal).matrix, _reference_ideal_as_module(ideal).matrix
+        assert (new.target, new.source) == (ref.target, ref.source)
+        assert [[list(f.terms.items()) for f in row] for row in new.entries] == [
+            [list(f.terms.items()) for f in row] for row in ref.entries
+        ]
+        presented += bool(ref.source)
+    assert presented

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from soclelab.errors import UnstableLimitError
+from soclelab.errors import DomainError, UnstableLimitError
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, minimal_generator_degrees
 import soclelab.localcoh as localcoh
@@ -205,6 +205,14 @@ def test_oracle_unstable_raises(presentation_xy):
         # s_max too small to certify two agreeing consecutive stages at a
         # degree that keeps moving with s.
         koszul_piece(2, S_mod, -7, s_max=3)
+
+
+@pytest.mark.parametrize("oracle", [koszul_piece, socle_piece])
+@pytest.mark.parametrize("s_max", [2, 0, -1])
+def test_oracle_rejects_s_max_below_three(presentation_xy, oracle, s_max):
+    S_mod = free_module(presentation_xy, (0,))
+    with pytest.raises(DomainError, match="s_max must be at least 3"):
+        oracle(2, S_mod, -2, s_max=s_max)
 
 
 # -- Ext against k --------------------------------------------------------------

@@ -1,4 +1,6 @@
+import ast
 import types
+from pathlib import Path
 
 import soclelab
 
@@ -16,3 +18,34 @@ def test_every_public_attribute_is_exported():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(public - set(soclelab.__all__)) == []
+
+
+def _unused_imports(source):
+    """Names bound by module-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_unused_import_check_sees_leftovers():
+    source = "import os\nimport re\nfrom x import a, b as c\nre.compile(c)\n"
+    assert _unused_imports(source) == [(1, "os"), (3, "a")]
+
+
+def test_no_unused_module_level_imports():
+    # __init__.py re-exports what it imports, so it is exempt.
+    package = Path(soclelab.__file__).parent
+    unused = {
+        path.name: _unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: found for name, found in unused.items() if found} == {}
