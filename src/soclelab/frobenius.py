@@ -14,17 +14,13 @@ unchanged everywhere.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import DomainError
-from .groebner import (
-    Ideal,
-    frobenius_power,
-    hilbert_function,
-    ideal_colon,
-    minimal_generators,
-)
+from .groebner import Ideal, frobenius_power, ideal_colon, minimal_generators
 from .localcoh import canonical_ideal, ideal_as_module, socle_begin
-from .rings import RingPresentation
+from .monomials import hilbert_coefficient
+from .rings import RingPresentation, memoized
 
 
 @dataclass
@@ -58,14 +54,20 @@ def fedder_module(ring, e):
     """Minimal generator degrees of (a^[q] : a)/a^[q], with the colon ideal.
 
     Defined over the ambient polynomial ring; the degrees are computed by
-    graded Nakayama via Hilbert functions of the colon and of m*colon + a^[q].
+    graded Nakayama, as the t^d coefficients of the difference of the
+    Hilbert–Poincaré series of m*colon + a^[q] and of the colon.  The
+    report is memoized on ``ring`` under ("fedder", e), so a scan and its
+    identity check share one colon computation per exponent.
     """
     p = ring.field.characteristic
     if p == 0:
         raise DomainError("Fedder modules need positive characteristic")
     if e < 0:
         raise DomainError("Frobenius exponent must be >= 0")
-    q = p**e
+    return memoized(ring, ("fedder", e), lambda: _fedder_report(ring, e, p**e))
+
+
+def _fedder_report(ring, e, q):
     amb = RingPresentation(ring.ambient, ())
     a_ideal = Ideal(amb, list(ring.relations))
     if not ring.relations:
@@ -80,7 +82,12 @@ def fedder_module(ring, e):
 
 
 def _quotient_generator_degrees(amb, big, small):
-    """Minimal generator degree multiset of big/small for nested ideals."""
+    """Minimal generator degree multiset of big/small for nested ideals.
+
+    The count in degree d is H(S/(m*big + small), d) - H(S/big, d): the
+    t^d coefficient of the difference of the two series numerators over
+    (1-t)^n.
+    """
     big_gens = minimal_generators(big)
     if not big_gens:
         return ()
@@ -90,11 +97,16 @@ def _quotient_generator_degrees(amb, big, small):
         for v in amb.ambient.gens():
             mgens.append(v * f)
     denominator = Ideal(amb, mgens + list(small.generators))
+    diff = [
+        a - b
+        for a, b in zip_longest(
+            denominator.hilbert_numerator(), big.hilbert_numerator(), fillvalue=0
+        )
+    ]
     out = []
     for ell in range(0, top + 1):
-        count = hilbert_function(denominator, ell) - hilbert_function(big, ell)
-        out.extend([ell] * count)
-    return tuple(sorted(out))
+        out.extend([ell] * hilbert_coefficient(diff, amb.n, ell))
+    return tuple(out)
 
 
 def cartier_degrees(report, n):

@@ -1,9 +1,9 @@
 """Ideals in a graded ring presentation and the ideal-theoretic toolkit.
 
-An ideal of R = S/a is stored by homogeneous generator lifts; its cached
-Groebner basis is the reduced basis of the full preimage (generators
-plus relations), which is the canonical object membership and Hilbert
-computations reduce against.
+An ideal of R = S/a is stored by homogeneous generator lifts.  Its memo
+holds the reduced Groebner basis of the full preimage (generators plus
+relations), which membership reduces against, and the numerator of the
+Hilbert–Poincaré series of R/I read off that basis's lead terms.
 """
 
 import itertools
@@ -12,14 +12,19 @@ import warnings
 from .errors import DomainError, StructuralError
 from .modgb import groebner_polys, poly_divide_exact, poly_normal_form
 from .modules import nakayama_minimal_subset
-from .monomials import mono_divides, monomials_of_degree
+from .monomials import hilbert_coefficient, hilbert_numerator, series_dimension
 from .orders import EliminationOrder
 from .poly import PolyRing, Polynomial
-from .rings import RingPresentation
+from .rings import RingPresentation, memoized
 
 
 class Ideal:
-    """Homogeneous ideal of a ring presentation, given by generator lifts."""
+    """Homogeneous ideal of a ring presentation, given by generator lifts.
+
+    Its memo (see :func:`~soclelab.rings.memoized`) keeps the Groebner
+    basis ("gb") and the Hilbert–Poincaré numerator of R/I
+    ("hilbert_numerator").
+    """
 
     def __init__(self, ring, generators):
         if not isinstance(ring, RingPresentation):
@@ -35,17 +40,29 @@ class Ideal:
                 raise StructuralError("ideal generators must be homogeneous")
             gens.append(f)
         self.generators = tuple(gens)
-        self._gb = None
+        self._memo = {}
 
     def __repr__(self):
         gens = ", ".join(str(f) for f in self.generators) or "0"
         return f"Ideal({gens})"
 
     def groebner(self):
-        """Reduced Groebner basis of generators + relations, cached."""
-        if self._gb is None:
-            self._gb = tuple(groebner_polys(list(self.generators) + list(self.ring.relations)))
-        return self._gb
+        """Reduced Groebner basis of generators + relations, memoized."""
+        return memoized(
+            self,
+            "gb",
+            lambda: tuple(groebner_polys(list(self.generators) + list(self.ring.relations))),
+        )
+
+    def hilbert_numerator(self):
+        """Numerator of HS(R/I) = N(t)/(1-t)^n, from the basis's lead terms."""
+        return memoized(
+            self,
+            "hilbert_numerator",
+            lambda: hilbert_numerator(
+                [g.lead_monomial() for g in self.groebner()], self.ring.n
+            ),
+        )
 
     def is_zero(self):
         return not self.groebner()
@@ -204,20 +221,13 @@ def minimal_generator_degrees(ideal):
 def hilbert_function(obj, degree):
     """dim_k of the degree piece.
 
-    For an Ideal the quotient R/I is measured (standard monomials modulo
-    the lead-term ideal); ring presentations measure themselves; module
-    presentations go through exact linear algebra on the presentation.
+    For an Ideal the quotient R/I is measured and for a ring presentation
+    the ring itself: both read the t^degree coefficient of their memoized
+    Hilbert–Poincaré series.  Module presentations go through exact
+    linear algebra on the presentation.
     """
     if isinstance(obj, Ideal):
-        if degree < 0:
-            return 0
-        leads = [g.lead_monomial() for g in obj.groebner()]
-        n = obj.ring.n
-        return sum(
-            1
-            for m in monomials_of_degree(n, degree)
-            if not any(mono_divides(lt, m) for lt in leads)
-        )
+        return hilbert_coefficient(obj.hilbert_numerator(), obj.ring.n, degree)
     if isinstance(obj, RingPresentation):
         return obj.hilbert(degree)
     from .modules import module_hilbert
@@ -229,7 +239,4 @@ def krull_dimension(obj):
     """Dimension of R/I (Ideal) or of R itself; -1 for the unit ideal."""
     if isinstance(obj, RingPresentation):
         return obj.dimension()
-    gb = obj.groebner()
-    if any(g.degree() == 0 for g in gb):
-        return -1
-    return RingPresentation(obj.ring.ambient, [g for g in gb]).dimension()
+    return series_dimension(obj.hilbert_numerator(), obj.ring.n)

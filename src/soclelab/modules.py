@@ -127,9 +127,9 @@ def matrix_from_vectors(ring, target, vectors, source=None):
 class ModulePresentation:
     """A finitely generated graded module as a matrix cokernel.
 
-    Graded pieces are kept per degree once built; objects derived from
-    the module (its fold over S, resolution, Ext duals, Koszul stages)
-    are kept in its memo (see :func:`~soclelab.rings.memoized`).
+    Objects derived from the module (its graded pieces, fold over S,
+    resolution, Ext duals, Koszul stages) are kept in its memo (see
+    :func:`~soclelab.rings.memoized`).
     """
 
     def __init__(self, ring, matrix):
@@ -137,7 +137,6 @@ class ModulePresentation:
             raise StructuralError("matrix over a different ring")
         self.ring = ring
         self.matrix = matrix
-        self._pieces = {}
         self._memo = {}
 
     @property
@@ -172,9 +171,7 @@ class ModulePresentation:
         return ModulePresentation(self.ring, shifted)
 
     def piece(self, degree):
-        if degree not in self._pieces:
-            self._pieces[degree] = GradedPiece(self, degree)
-        return self._pieces[degree]
+        return memoized(self, ("piece", degree), lambda: GradedPiece(self, degree))
 
     def __repr__(self):
         return (

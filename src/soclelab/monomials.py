@@ -1,7 +1,14 @@
-"""Monomials as exponent tuples, plus the handful of operations on them."""
+"""Monomials as exponent tuples, plus the handful of operations on them.
+
+Also the one monomial-ideal kernel: the numerator of the Hilbert–Poincaré
+series of S/(monomials), from which Hilbert functions and Krull
+dimensions are read.
+"""
 
 from functools import lru_cache
-from operator import add, sub
+from itertools import accumulate
+from math import comb
+from operator import add, le, sub
 
 
 def mono_mul(a, b):
@@ -14,7 +21,7 @@ def mono_degree(a):
 
 def mono_divides(a, b):
     """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
@@ -42,3 +49,85 @@ def monomials_of_degree(n, d):
         for rest in monomials_of_degree(n - 1, d - first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+def _minimalize(monos):
+    """The minimal generators of the monomial ideal (monos), by degree."""
+    kept = []
+    for m in sorted(set(monos), key=sum):
+        if not any(mono_divides(k, m) for k in kept):
+            kept.append(m)
+    return kept
+
+
+def hilbert_numerator(leads, n):
+    """Numerator N(t) of HS(S/(leads)) = N(t)/(1-t)^n, S = k[x_1..x_n].
+
+    ``leads`` are exponent tuples of length n, in any number and order;
+    N is returned as a tuple of integers, N[k] the coefficient of t^k,
+    with no trailing zeros (the unit ideal gives ()).
+
+    Bigatti's pivot recursion (Bigatti 1997; Bayer–Stillman 1992): for a
+    monomial p, 0 -> S/(I:p)(-deg p) -> S/I -> S/(I+p) -> 0 is exact, so
+    N(I) = N(I + p) + t^deg(p) N(I : p).  The pivot is x_i^e for the
+    variable x_i in the most minimal generators and e the median exponent
+    of x_i over the generators that contain it and are not pure powers.
+    Both branches then have a smaller sum of generator degrees, and a
+    branch whose generators are pairwise coprime (a regular sequence)
+    ends with N = prod(1 - t^deg g).  The branches are summed from a
+    stack, so the depth of the recursion costs no Python frames.
+    """
+    total = [0]
+    stack = [(_minimalize(leads), 0)]
+    while stack:
+        gens, shift = stack.pop()
+        counts = [0] * n
+        for g in gens:
+            for i, x in enumerate(g):
+                if x:
+                    counts[i] += 1
+        top = max(counts, default=0)
+        if top <= 1:
+            leaf = [1]
+            for g in gens:
+                d = sum(g)
+                leaf = [a - b for a, b in zip(leaf + [0] * d, [0] * d + leaf)]
+            if len(total) < shift + len(leaf):
+                total.extend([0] * (shift + len(leaf) - len(total)))
+            for k, c in enumerate(leaf, shift):
+                total[k] += c
+            continue
+        i = counts.index(top)
+        exps = sorted(g[i] for g in gens if g[i] and g[i] != sum(g))
+        e = exps[len(exps) // 2]
+        pivot = tuple(e if k == i else 0 for k in range(n))
+        stack.append(([g for g in gens if g[i] < e] + [pivot], shift))
+        colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1 :] for g in gens]
+        stack.append((_minimalize(colon), shift + e))
+    while total and total[-1] == 0:
+        total.pop()
+    return tuple(total)
+
+
+def hilbert_coefficient(numerator, n, d):
+    """Coefficient of t^d in numerator(t)/(1-t)^n: a Hilbert function value."""
+    if d < 0:
+        return 0
+    if n == 0:
+        return numerator[d] if d < len(numerator) else 0
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(numerator[: d + 1]))
+
+
+def series_dimension(numerator, n):
+    """Krull dimension: the order of the pole of numerator(t)/(1-t)^n at t = 1.
+
+    -1 for the zero numerator (the unit ideal).  Each factor 1 - t is
+    divided out of the numerator by partial sums.
+    """
+    if not any(numerator):
+        return -1
+    num = list(numerator)
+    while sum(num) == 0:
+        num = list(accumulate(num))[:-1]
+        n -= 1
+    return n

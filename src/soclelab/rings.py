@@ -1,23 +1,36 @@
 """Presentations of standard graded rings R = S/a.
 
 The ambient ring S is a :class:`~soclelab.poly.PolyRing`; the relation
-ideal is kept as a generator list with a cached reduced Groebner basis.
-A presentation with no relations is the polynomial ring itself.
+ideal is kept as a generator list, and its reduced Groebner basis is
+computed once and memoized.  A presentation with no relations is the
+polynomial ring itself.
 """
 
 from .errors import StructuralError
 from .modgb import groebner_polys, poly_normal_form
-from .monomials import mono_divides, monomials_of_degree
+from .monomials import (
+    hilbert_coefficient,
+    hilbert_numerator,
+    mono_divides,
+    monomials_of_degree,
+    series_dimension,
+)
 from .poly import PolyRing
 
 
 class RingPresentation:
     """R = S/a with homogeneous relations of degree >= 1.
 
-    Instances are immutable apart from what they compute on first use
-    and keep: the relation Groebner basis, the standard monomials per
-    degree, and the memo (see :func:`memoized`) holding the truncated
-    residue-field resolution; no lock guards them.
+    Instances are immutable apart from their memo (see :func:`memoized`),
+    which keeps what is computed on first use: the relation Groebner
+    basis ("gb"), the numerator of the Hilbert–Poincaré series
+    ("hilbert_numerator"), the standard monomials of each degree
+    (("std", d)), the truncated residue-field resolution ("kres") and
+    the Fedder report of each Frobenius exponent (("fedder", e)).  No
+    lock guards it.
+
+    ``hilbert`` and ``dimension`` read the series: H(d) is its t^d
+    coefficient, the dimension its pole order at t = 1.
     """
 
     def __init__(self, ambient, relations=()):
@@ -34,8 +47,6 @@ class RingPresentation:
                 raise StructuralError("relations must be homogeneous of degree >= 1")
             rels.append(f)
         self.relations = tuple(rels)
-        self._gb = None
-        self._std = {}
         self._memo = {}
 
     @property
@@ -67,9 +78,7 @@ class RingPresentation:
         return not self.relations
 
     def relations_groebner(self):
-        if self._gb is None:
-            self._gb = tuple(groebner_polys(list(self.relations)))
-        return self._gb
+        return memoized(self, "gb", lambda: tuple(groebner_polys(list(self.relations))))
 
     def nf(self, f):
         """Normal form of f modulo the relation ideal."""
@@ -84,46 +93,41 @@ class RingPresentation:
         """Monomial basis of the degree piece of R."""
         if degree < 0:
             return ()
-        if degree not in self._std:
+
+        def build():
             leads = [g.lead_monomial() for g in self.relations_groebner()]
-            out = tuple(
+            return tuple(
                 m
                 for m in monomials_of_degree(self.n, degree)
                 if not any(mono_divides(lt, m) for lt in leads)
             )
-            self._std[degree] = out
-        return self._std[degree]
+
+        return memoized(self, ("std", degree), build)
+
+    def hilbert_numerator(self):
+        """Numerator of HS(R) = N(t)/(1-t)^n, from the relation lead terms."""
+        return memoized(
+            self,
+            "hilbert_numerator",
+            lambda: hilbert_numerator(
+                [g.lead_monomial() for g in self.relations_groebner()], self.n
+            ),
+        )
 
     def hilbert(self, degree):
-        return len(self.standard_monomials(degree))
+        """dim_k of the degree piece of R."""
+        return hilbert_coefficient(self.hilbert_numerator(), self.n, degree)
 
     def dimension(self):
-        """Krull dimension of R via independent variable sets."""
-        gb = self.relations_groebner()
-        if any(g.degree() == 0 for g in gb):
-            return -1
-        leads = [g.lead_monomial() for g in gb]
-        n = self.n
-        best = 0
-        for mask in range(1 << n):
-            size = bin(mask).count("1")
-            if size <= best:
-                continue
-            ok = True
-            for lt in leads:
-                if all(lt[i] == 0 or (mask >> i) & 1 for i in range(n)):
-                    ok = False
-                    break
-            if ok:
-                best = size
-        return best
+        """Krull dimension of R: the pole order of its series at t = 1."""
+        return series_dimension(self.hilbert_numerator(), self.n)
 
 
 def memoized(obj, key, build):
     """The object derived from ``obj`` under ``key``: built once, then kept.
 
-    ``obj`` is a ring or module presentation; its ``_memo`` dict lives
-    as long as ``obj`` does.
+    ``obj`` is a ring presentation, an ideal or a module presentation;
+    its ``_memo`` dict lives as long as ``obj`` does.
     """
     memo = obj._memo
     if key not in memo:

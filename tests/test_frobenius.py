@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import soclelab.groebner
 from soclelab.errors import DomainError
 from soclelab.fields import field_of
 from soclelab.frobenius import (
@@ -200,3 +201,22 @@ def test_gauge_scan_char_zero_rejected():
     S = PolyRing(field_of(0), ("x",))
     with pytest.raises(DomainError):
         gauge_scan(RingPresentation(S), 2)
+
+
+def test_fedder_module_is_computed_once_per_exponent(monkeypatch):
+    S = PolyRing(field_of(2), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    tc = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+    calls = []
+    colon = soclelab.groebner.ideal_colon
+
+    def counting(*args):
+        calls.append(args)
+        return colon(*args)
+
+    monkeypatch.setattr("soclelab.frobenius.ideal_colon", counting)
+    records, _ = gauge_scan(tc, 2)
+    assert len(calls) == 2
+    assert [r.fedder for r in records] == [fedder_module(tc, 1), fedder_module(tc, 2)]
+    assert fedder_module(tc, 2) is records[1].fedder
+    assert len(calls) == 2

@@ -21,9 +21,18 @@ from soclelab.groebner import (
     minimal_generators,
     normal_form,
 )
+from soclelab.frobenius import _quotient_generator_degrees, fedder_module
 from soclelab.linalg import Span
 from soclelab.modgb import VectorOrder, buchberger_vectors, normal_form_vec, vec_lead, vec_scale
-from soclelab.monomials import mono_div, mono_divides, mono_mul, monomials_of_degree
+from soclelab.monomials import (
+    hilbert_coefficient,
+    hilbert_numerator,
+    mono_div,
+    mono_divides,
+    mono_mul,
+    monomials_of_degree,
+    series_dimension,
+)
 from soclelab.orders import DEGREVLEX
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
@@ -389,7 +398,8 @@ def _reference_minimal_generators(ideal):
 def _random_form(rng, S, degree):
     F = S.field
     terms = {}
-    for m in rng.sample(list(monomials_of_degree(S.n, degree)), rng.randint(1, 3)):
+    monos = monomials_of_degree(S.n, degree)
+    for m in rng.sample(monos, min(len(monos), rng.randint(1, 3))):
         c = F.of(rng.randint(-5, 5))
         if not F.is_zero(c):
             terms[m] = c
@@ -421,3 +431,131 @@ def test_minimal_generators_matches_ideal_reference(char, quotient):
     for _ in range(15):
         I = Ideal(R, _redundant_generators(rng, S))
         assert minimal_generators(I) == _reference_minimal_generators(I)
+
+
+# ---------------------------------------------------------------------------
+# The Hilbert–Poincaré series, against the enumerator and the 2^n subset
+# loop it replaced.
+
+
+def _reference_hilbert(leads, n, degree):
+    """Monomials of the degree divisible by no lead term, counted one by one."""
+    if degree < 0:
+        return 0
+    return sum(
+        1
+        for m in monomials_of_degree(n, degree)
+        if not any(mono_divides(lt, m) for lt in leads)
+    )
+
+
+def _reference_dimension(leads, n):
+    """Largest set of variables no lead term lives on; -1 for the unit ideal."""
+    if any(sum(lt) == 0 for lt in leads):
+        return -1
+    best = 0
+    for mask in range(1 << n):
+        size = bin(mask).count("1")
+        if size <= best:
+            continue
+        if all(any(lt[i] and not (mask >> i) & 1 for i in range(n)) for lt in leads):
+            best = size
+    return best
+
+
+def _random_monomial_ideals(rng, n):
+    """Seeded monomial generator lists, with the edge cases named up front."""
+    zero = tuple([0] * n)
+    pure = [tuple(k + 1 if i == j else 0 for i in range(n)) for j, k in enumerate(range(n))]
+    yield []
+    yield [zero]
+    yield pure
+    yield pure + [zero]
+    for _ in range(30):
+        gens = [
+            tuple(rng.randint(0, 3) for _ in range(n))
+            for _ in range(rng.randint(1, 7))
+        ]
+        gens = [g for g in gens if any(g)] or [pure[0]]
+        # Non-minimal and repeated generators.
+        g = rng.choice(gens)
+        gens.append(mono_mul(g, tuple(rng.randint(0, 1) for _ in range(n))))
+        gens.append(g)
+        if rng.random() < 0.3:
+            gens.append(pure[rng.randrange(n)])
+        rng.shuffle(gens)
+        yield gens
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_series_coefficients_match_enumeration(n):
+    rng = random.Random(600 + n)
+    for leads in _random_monomial_ideals(rng, n):
+        num = hilbert_numerator(leads, n)
+        assert not num or num[-1] != 0
+        for d in range(-3, 13):
+            assert hilbert_coefficient(num, n, d) == _reference_hilbert(leads, n, d), (leads, d)
+        assert series_dimension(num, n) == _reference_dimension(leads, n), leads
+
+
+def test_series_of_named_ideals():
+    assert hilbert_numerator([], 3) == (1,)
+    assert hilbert_numerator([(0, 0)], 2) == ()
+    # (x^2, xy, y^2): 1 + 2t = (1 - 3t^2 + 2t^3)/(1-t)^2.
+    assert hilbert_numerator([(2, 0), (1, 1), (0, 2), (2, 1), (1, 1)], 2) == (1, 0, -3, 2)
+    # The twisted cubic's lead terms in degrevlex: 1 + 3t + 5t^2 + ...
+    leads = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1)]
+    num = hilbert_numerator(leads, 4)
+    assert num == (1, 0, -3, 2)
+    assert [hilbert_coefficient(num, 4, d) for d in range(5)] == [1, 4, 7, 10, 13]
+    assert series_dimension(num, 4) == 2
+    assert hilbert_coefficient((), 0, 0) == 0 and hilbert_coefficient((1,), 0, 0) == 1
+
+
+def _random_quotient(rng, char):
+    S = PolyRing(field_of(char), ("a", "b", "c", "d")[: rng.randint(1, 4)])
+    rels = [_random_form(rng, S, rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+    return RingPresentation(S, rels)
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_ring_hilbert_and_dimension_match_references(char, twisted_cubic):
+    rng = random.Random(700 + char)
+    rings = [twisted_cubic] + [_random_quotient(rng, char) for _ in range(12)]
+    for R in rings:
+        leads = [g.lead_monomial() for g in R.relations_groebner()]
+        for d in range(0, 9):
+            assert R.hilbert(d) == len(R.standard_monomials(d))
+        assert R.hilbert(-1) == R.hilbert(-4) == 0
+        assert R.dimension() == _reference_dimension(leads, R.n)
+        assert krull_dimension(R) == R.dimension()
+        I = Ideal(R, [_random_form(rng, R.ambient, rng.randint(1, 2))])
+        ileads = [g.lead_monomial() for g in I.groebner()]
+        assert krull_dimension(I) == _reference_dimension(ileads, R.n)
+        for d in range(0, 9):
+            assert hilbert_function(I, d) == _reference_hilbert(ileads, R.n, d)
+
+
+def _reference_quotient_generator_degrees(amb, big, small):
+    """The old loop: two enumerated Hilbert functions per degree 0..top."""
+    big_gens = minimal_generators(big)
+    top = max(f.degree() for f in big_gens)
+    mgens = [v * f for f in big_gens for v in amb.ambient.gens()]
+    denominator = Ideal(amb, mgens + list(small.generators))
+    den_leads = [g.lead_monomial() for g in denominator.groebner()]
+    big_leads = [g.lead_monomial() for g in big.groebner()]
+    out = []
+    for ell in range(0, top + 1):
+        count = _reference_hilbert(den_leads, amb.n, ell) - _reference_hilbert(big_leads, amb.n, ell)
+        out.extend([ell] * count)
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_quotient_generator_degrees_match_enumeration(e, twisted_cubic_gf2):
+    amb = RingPresentation(twisted_cubic_gf2.ambient)
+    report = fedder_module(twisted_cubic_gf2, e)
+    a_q = frobenius_power(Ideal(amb, list(twisted_cubic_gf2.relations)), report.q)
+    expected = _reference_quotient_generator_degrees(amb, report.colon, a_q)
+    assert _quotient_generator_degrees(amb, report.colon, a_q) == expected
+    assert report.generator_degrees == expected
