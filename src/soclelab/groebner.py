@@ -10,11 +10,9 @@ import itertools
 import warnings
 
 from .errors import DomainError, StructuralError
-from .modgb import groebner_polys, poly_divide_exact, poly_normal_form
-from .modules import nakayama_minimal_subset
+from .modgb import groebner_polys, poly_normal_form, vec_to_poly
+from .modules import nakayama_minimal_subset, syzygies_over
 from .monomials import hilbert_coefficient, hilbert_numerator, series_dimension
-from .orders import EliminationOrder
-from .poly import PolyRing, Polynomial
 from .rings import RingPresentation, memoized
 
 
@@ -132,70 +130,56 @@ def frobenius_power(ideal, q):
     return Ideal(ideal.ring, [f**q for f in ideal.generators])
 
 
-def _extended_ring(ring):
-    names = ("_u",) + ring.names
-    return PolyRing(ring.field, names, ring.order)
-
-
-def _embed(ext, f, shift=1):
-    return Polynomial(ext, {(0,) * shift + m: c for m, c in f.terms.items()})
-
-
-def _project(ring, f):
-    return Polynomial(ring, {m[1:]: c for m, c in f.terms.items()})
+def _at(i, f):
+    """The polynomial f as the vector f*e_i."""
+    return {(i, m): c for m, c in f.terms.items()}
 
 
 def ideal_intersection(a, b):
-    """I cap J via the auxiliary-variable construction <uI, (1-u)J> cap S."""
-    if a.ring != b.ring:
-        raise StructuralError("ideals in different rings")
-    ring = a.ring
-    amb = ring.ambient
-    ext = _extended_ring(amb)
-    u = ext.var(0)
-    one = ext.one
-    gens = []
-    for f in list(a.generators) + list(ring.relations):
-        gens.append(u * _embed(ext, f))
-    for g in list(b.generators) + list(ring.relations):
-        gens.append((one - u) * _embed(ext, g))
-    gb = groebner_polys(gens, order=EliminationOrder(1), use_product=True)
-    out = []
-    for h in gb:
-        if all(m[0] == 0 for m in h.terms):
-            f = _project(amb, h)
-            # The intersection ideal is homogeneous even though the
-            # elimination computation is not; keep graded components.
-            comps = {}
-            for m, c in f.terms.items():
-                comps.setdefault(sum(m), []).append((m, c))
-            for terms in comps.values():
-                out.append(amb.from_terms(terms))
-    return Ideal(ring, out)
+    """I cap J = {sum_j v_j f_j : v in modulo(f, J)}, f the generators of I.
 
-
-def ideal_colon(a, b):
-    """(I : J) = {f : f J in I}, via intersection with principal ideals.
-
-    Works on the full preimage in the ambient polynomial ring: the lift
-    of (I : g) is (lift(I) : g), computed as (1/g)(lift(I) cap (g)) with
-    the principal intersection taken in S so the division is exact.
+    One ``syzygies_over`` call, over the ring, with I's generators as the
+    columns of R^1 and J's generators as the relations: v is in the
+    kernel exactly when sum_j v_j f_j lies in J.  These combinations,
+    reduced modulo the relations and made monic, generate I cap J.
     """
     if a.ring != b.ring:
         raise StructuralError("ideals in different rings")
     ring = a.ring
-    amb = RingPresentation(ring.ambient, ())
-    lift = Ideal(amb, list(a.generators) + list(ring.relations))
-    live = [g for g in b.generators if not ring.is_zero_in_quotient(g)]
-    if not live:
+    amb = ring.ambient
+    gens = a.generators
+    kernel = syzygies_over(
+        ring, [_at(0, f) for f in gens], (0,), [_at(0, g) for g in b.generators]
+    )
+    out = []
+    for v in kernel:
+        h = amb.zero
+        for j, f in enumerate(gens):
+            h = h + f * vec_to_poly(amb, {t: c for t, c in v.items() if t[0] == j})
+        out.append(ring.nf(h).monic())
+    return Ideal(ring, out)
+
+
+def ideal_colon(a, b):
+    """(I : J) = {f : f J in I}, as one ``syzygies_over`` call.
+
+    With g_1..g_k the generators of J, the column (g_1, ..., g_k) into
+    the free module with twists -deg g_i has degree zero, and f lies in
+    (I : J) exactly when f * (g_1, ..., g_k) lies in the span of the
+    vectors I*e_i (and, over R = S/a, of a*e_i, which the routine adds).
+    J = 0 gives the unit ideal.
+    """
+    if a.ring != b.ring:
+        raise StructuralError("ideals in different rings")
+    ring = a.ring
+    gens = b.generators
+    if not gens:
         return Ideal(ring, [ring.ambient.one])
-    result = None
-    for g in live:
-        meet = ideal_intersection(lift, Ideal(amb, [g]))
-        cols = [poly_divide_exact(h, g) for h in meet.generators]
-        part = Ideal(ring, cols)
-        result = part if result is None else ideal_intersection(result, part)
-    return result
+    column = {t: c for i, g in enumerate(gens) for t, c in _at(i, g).items()}
+    rels = [_at(i, f) for i in range(len(gens)) for f in a.generators]
+    twists = tuple(-g.degree() for g in gens)
+    kernel = syzygies_over(ring, [column], twists, rels)
+    return Ideal(ring, [vec_to_poly(ring.ambient, v) for v in kernel])
 
 
 def minimal_generators(ideal):

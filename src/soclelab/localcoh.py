@@ -639,19 +639,13 @@ def endomorphism_check(ring, omega_ideal, window_top=None):
     degs = tuple(hom.generator_degrees)
     one_gen = degs == (0,)
 
-    gen_degs = mod.generator_degrees
-    r = len(gen_degs)
+    r = len(mod.generator_degrees)
     identity_vec = {(i * r + i, (0,) * ring.n): ring.field.one for i in range(r)}
     piece0 = hom.piece(0)
     # The Hom presentation's ambient equals Hom(F0, omega); the identity
     # lives there, and its class is nonzero iff it escapes the relation
     # span in degree zero.
-    ident_nonzero = False
-    if piece0.dim:
-        hom0_twists = [g - a for a in gen_degs for g in gen_degs]
-        ident_nonzero = _class_nonzero_in_hom(
-            ring, mod, identity_vec, hom0_twists
-        )
+    ident_nonzero = bool(piece0.dim) and _class_nonzero_in_hom(ring, mod, identity_vec)
 
     if window_top is None:
         window_top = max(list(mod.generator_degrees) + [2]) + 3
@@ -669,8 +663,8 @@ def endomorphism_check(ring, omega_ideal, window_top=None):
     )
 
 
-def _class_nonzero_in_hom(ring, mod, vec, hom0_twists):
-    _, hom0_rels = _hom_free_into(mod, mod.matrix.target)
+def _class_nonzero_in_hom(ring, mod, vec):
+    hom0_twists, hom0_rels = _hom_free_into(mod, mod.matrix.target)
     hom0 = ModulePresentation(ring, matrix_from_vectors(ring, hom0_twists, hom0_rels))
     return bool(hom0.piece(0).project(vec))
 

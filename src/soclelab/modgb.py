@@ -2,18 +2,18 @@
 
 A vector is a dict mapping ``(position, exponent tuple)`` to a nonzero
 field coefficient; ideals are the rank-one case.  The same loop serves
-four jobs:
+three jobs:
 
 * reduced Groebner bases of ideals (with the coprimality and chain
   criteria for pair pruning),
 * reduced Groebner bases of submodules of free modules (chain criterion
   only; the coprimality shortcut is unsound beyond rank one),
-* syzygies, computed by appending a unit-vector tag block to each
-  generator and running a block order in which tagged coordinates are
-  incomparably smaller: the Groebner elements supported entirely on the
-  tag block generate the syzygy module,
-* membership with explicit division quotients, by reducing the tagged
-  vector ``(v, 0)``.
+* syzygies modulo a submodule (Macaulay2's and Singular's ``modulo``),
+  computed by appending a unit-vector tag block to each column, adding
+  the submodule's generators untagged, and running a block order in
+  which tagged coordinates are incomparably smaller: the Groebner
+  elements supported entirely on the tag block generate
+  {v : sum_j v_j col_j in the submodule}.
 
 Orders on module terms put heavier positions first through an optional
 degree component so that graded inputs are processed degree by degree.
@@ -279,20 +279,6 @@ def poly_normal_form(f, basis_polys, order=None):
     return vec_to_poly(ring, rem)
 
 
-def poly_divide_exact(f, g):
-    """Quotient f/g when g divides f exactly; raises otherwise."""
-    ring = f.ring
-    vorder = VectorOrder(ring.order.key)
-    basis = [(poly_to_vec(g.monic()), (0, g.lead_monomial()))]
-    rem, quot = normal_form_vec(poly_to_vec(f), basis, vorder, ring.field, track=True)
-    if rem:
-        raise StructuralError("division is not exact")
-    terms = quot.get(0, {})
-    c = ring.field.inv(g.lead_coeff())
-    poly = vec_to_poly(ring, {(0, m): v for m, v in terms.items()})
-    return poly.scale(c)
-
-
 # ---------------------------------------------------------------------------
 # Syzygies via the tag-block construction.
 
@@ -305,12 +291,15 @@ def _column_degrees(columns, twists):
     return degs
 
 
-def syzygies_vectors(ring, columns, twists):
-    """Generators of the syzygy module of homogeneous ``columns``.
+def syzygies_vectors(ring, columns, twists, extra=()):
+    """Generators of {v : sum_j v_j columns_j lies in <extra>}.
 
-    Columns live in the free module with the given twists over the plain
-    polynomial ring; the result vectors live in positions 0..len(columns)-1
-    with twists equal to the column degrees.  Correct but not minimal.
+    ``columns`` and ``extra`` are homogeneous vectors in the free module
+    with the given twists over the plain polynomial ring.  Only the
+    columns are tagged; ``extra`` enters untagged, so no syzygies among
+    the extra vectors are computed.  The result vectors live in positions
+    0..len(columns)-1 with twists equal to the column degrees.  Correct
+    but not minimal.
     """
     m = len(twists)
     degs = _column_degrees(columns, twists)
@@ -326,9 +315,9 @@ def syzygies_vectors(ring, columns, twists):
         degree_aware=True,
         split=m,
     )
-    gb = buchberger_vectors(tagged, order, ring.field, use_product=False)
-    syz = []
-    for g in gb:
-        if all(pos >= m for (pos, _) in g):
-            syz.append({(pos - m, e): c for (pos, e), c in g.items()})
-    return syz, degs
+    gb = buchberger_vectors(tagged + list(extra), order, ring.field, use_product=False)
+    return [
+        {(pos - m, e): c for (pos, e), c in g.items()}
+        for g in gb
+        if all(pos >= m for (pos, _) in g)
+    ]

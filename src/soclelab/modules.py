@@ -324,33 +324,24 @@ def syzygies_over(ring, columns, twists, rels=()):
     """Generators of {v : sum_j v_j columns_j lies in <rels>}, over the ring.
 
     This is the one kernel routine (Macaulay2's ``modulo``): kernels of
-    maps of free modules, Hom and Tor kernels, and the relations of a
-    subquotient all come from it.  ``rels`` are vectors in the free module
-    with the given twists.  The engine takes the syzygies of the columns,
-    then ``rels``, then (over R = S/a) the multiples a*e_i, and each
-    syzygy is cut back to the positions of ``columns``; components are
-    reduced to normal form and zero cuts dropped.
+    maps of free modules, Hom and Tor kernels, the relations of a
+    subquotient, colon ideals and intersections all come from it.
+    ``rels`` are vectors in the free module with the given twists.  Only
+    the columns are tagged; ``rels`` and (over R = S/a) the multiples
+    a*e_i enter the engine untagged, so no syzygies among them are
+    computed.  Components are reduced to normal form and zero generators
+    dropped.
     """
-    amb = ring.ambient
-    r = len(columns)
-    aug = list(columns) + list(rels)
-    if not ring.is_polynomial_ring:
-        for rel in ring.relations:
-            for i in range(len(twists)):
-                aug.append({(i, m): c for m, c in rel.terms.items()})
-    raw, _ = syzygies_vectors(amb, aug, tuple(twists))
+    extra = list(rels)
+    for rel in ring.relations:
+        for i in range(len(twists)):
+            extra.append({(i, m): c for m, c in rel.terms.items()})
+    raw = syzygies_vectors(ring.ambient, columns, tuple(twists), extra)
     out = []
     for v in raw:
-        cut = {t: c for t, c in v.items() if t[0] < r}
-        cut = vec_reduce_components(ring, cut)
-        if cut:
-            out.append(cut)
-    # Columns that vanish modulo the relations get their unit syzygy
-    # explicitly, in case reduction hid it.
-    for j, col in enumerate(columns):
-        if not vec_reduce_components(ring, col):
-            unit = {(j, (0,) * amb.n): ring.field.one}
-            out.append(unit)
+        v = vec_reduce_components(ring, v)
+        if v:
+            out.append(v)
     return out
 
 

@@ -2,8 +2,8 @@
 
 Every order exposes ``key(exponents) -> tuple`` such that the usual tuple
 comparison of keys realizes the order (bigger key means bigger monomial).
-All public orders refine total degree; the elimination order used
-internally by ideal intersection does not, but is still a term order.
+Both MonomialOrder kinds refine total degree; EliminationOrder does
+not, but is still a term order.
 """
 
 from .errors import StructuralError
@@ -63,8 +63,10 @@ class MonomialOrder:
 class EliminationOrder:
     """Block order: the first ``block`` variables dominate, degrevlex inside.
 
-    Used for the auxiliary-variable intersection construction; an element
-    is free of the auxiliary block iff its leading monomial is.
+    The auxiliary-variable intersection construction needs it: an
+    element is free of the auxiliary block iff its leading monomial is.
+    The package computes intersections through ``syzygies_over`` instead;
+    the tests keep that construction as a reference.
     """
 
     def __init__(self, block=1):

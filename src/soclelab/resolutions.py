@@ -15,7 +15,6 @@ Every kernel here (syzygies, Hom, kernel/image, Tor) is one call of
 
 from .errors import StructuralError, TruncationError
 from .modules import (
-    ModulePresentation,
     block_columns,
     matrix_from_vectors,
     minimalize_presentation,
@@ -285,15 +284,6 @@ def module_kernel_image(source, target, phi):
     return ker_pres, im_pres, kept_vecs
 
 
-def shifted_sum(module, shifts):
-    """Direct sum of copies of the module twisted by -shift for each shift."""
-    target, cols = _hom_free_into(module, [-s for s in shifts])
-    source = tuple(b + s for s in shifts for b in module.matrix.source)
-    return ModulePresentation(
-        module.ring, matrix_from_vectors(module.ring, target, cols, source)
-    )
-
-
 def tor_residue_field(ring, i, module, kres):
     """Graded dimensions of Tor_i(k, module) over R.
 
@@ -310,24 +300,20 @@ def tor_residue_field(ring, i, module, kres):
     if not kres.module_twists(i):
         return {}
     r = len(module.generator_degrees)
-    q_i = shifted_sum(module, kres.module_twists(i))
+    # F_i (x) module: one copy of the module's presentation per twist of F_i.
+    twists, rels = _hom_free_into(module, [-s for s in kres.module_twists(i)])
     if i == 0:
-        gens = [
-            {(p, (0,) * ring.n): ring.field.one}
-            for p in range(len(q_i.generator_degrees))
-        ]
+        gens = [{(p, (0,) * ring.n): ring.field.one} for p in range(len(twists))]
     else:
-        q_prev = shifted_sum(module, kres.module_twists(i - 1))
-        gens = syzygies_over(
-            ring, block_columns(kres.matrices[i - 1], r),
-            q_prev.generator_degrees, block_columns(q_prev.matrix),
+        prev_twists, prev_rels = _hom_free_into(
+            module, [-s for s in kres.module_twists(i - 1)]
         )
-    rels = block_columns(q_i.matrix)
+        gens = syzygies_over(
+            ring, block_columns(kres.matrices[i - 1], r), prev_twists, prev_rels
+        )
     if i + 1 <= kres.length:
         rels += block_columns(kres.matrices[i], r)
-    pres, _ = present_subquotient(
-        ring, q_i.generator_degrees, gens, rels, need_relations=False
-    )
+    pres, _ = present_subquotient(ring, twists, gens, rels, need_relations=False)
     dims = {}
     for d in pres.generator_degrees:
         dims[d] = dims.get(d, 0) + 1

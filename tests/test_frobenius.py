@@ -220,3 +220,13 @@ def test_fedder_module_is_computed_once_per_exponent(monkeypatch):
     assert [r.fedder for r in records] == [fedder_module(tc, 1), fedder_module(tc, 2)]
     assert fedder_module(tc, 2) is records[1].fedder
     assert len(calls) == 2
+
+
+def test_fedder_module_e5_on_the_twisted_cubic():
+    # (a^[32] : a) on the GF(2) twisted cubic: one kernel call, three
+    # minimal generators of degree 104 over a^[32].
+    S = PolyRing(field_of(2), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    tc = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+    report = fedder_module(tc, 5)
+    assert (report.q, report.generator_degrees, report.mu) == (32, (104, 104, 104), 3)

@@ -23,7 +23,15 @@ from soclelab.groebner import (
 )
 from soclelab.frobenius import _quotient_generator_degrees, fedder_module
 from soclelab.linalg import Span
-from soclelab.modgb import VectorOrder, buchberger_vectors, normal_form_vec, vec_lead, vec_scale
+from soclelab.modgb import (
+    VectorOrder,
+    buchberger_vectors,
+    groebner_polys,
+    normal_form_vec,
+    poly_to_vec,
+    vec_lead,
+    vec_scale,
+)
 from soclelab.monomials import (
     hilbert_coefficient,
     hilbert_numerator,
@@ -33,8 +41,8 @@ from soclelab.monomials import (
     monomials_of_degree,
     series_dimension,
 )
-from soclelab.orders import DEGREVLEX
-from soclelab.poly import PolyRing
+from soclelab.orders import DEGREVLEX, EliminationOrder
+from soclelab.poly import PolyRing, Polynomial
 from soclelab.rings import RingPresentation
 
 
@@ -559,3 +567,112 @@ def test_quotient_generator_degrees_match_enumeration(e, twisted_cubic_gf2):
     expected = _reference_quotient_generator_degrees(amb, report.colon, a_q)
     assert _quotient_generator_degrees(amb, report.colon, a_q) == expected
     assert report.generator_degrees == expected
+
+
+# ---------------------------------------------------------------------------
+# Colon and intersection, against the auxiliary-variable elimination they
+# replaced: both are now one ``syzygies_over`` call.
+
+
+def _reference_extended_ring(ring):
+    return PolyRing(ring.field, ("_u",) + ring.names, ring.order)
+
+
+def _reference_embed(ext, f):
+    return Polynomial(ext, {(0,) + m: c for m, c in f.terms.items()})
+
+
+def _reference_intersection(a, b):
+    """I cap J as <uI, (1-u)J> cap S, under an elimination order for u."""
+    ring = a.ring
+    amb = ring.ambient
+    ext = _reference_extended_ring(amb)
+    u = ext.var(0)
+    gens = [u * _reference_embed(ext, f) for f in a.generators + ring.relations]
+    gens += [(ext.one - u) * _reference_embed(ext, g) for g in b.generators + ring.relations]
+    out = []
+    for h in groebner_polys(gens, order=EliminationOrder(1)):
+        if all(m[0] == 0 for m in h.terms):
+            # The intersection is homogeneous; keep the graded components.
+            comps = {}
+            for m, c in h.terms.items():
+                comps.setdefault(sum(m), []).append((m[1:], c))
+            out.extend(amb.from_terms(terms) for terms in comps.values())
+    return Ideal(ring, out)
+
+
+def _reference_divide_exact(f, g):
+    basis = [(poly_to_vec(g.monic()), (0, g.lead_monomial()))]
+    rem, quot = normal_form_vec(
+        poly_to_vec(f), basis, VectorOrder(f.ring.order.key), f.ring.field, track=True
+    )
+    assert not rem
+    quotient = Polynomial(f.ring, quot.get(0, {}))
+    return quotient.scale(f.ring.field.inv(g.lead_coeff()))
+
+
+def _reference_colon(a, b):
+    """(I : J) as the intersection over g in J of (1/g)(lift(I) cap (g))."""
+    ring = a.ring
+    amb = RingPresentation(ring.ambient, ())
+    lift = Ideal(amb, list(a.generators) + list(ring.relations))
+    live = [g for g in b.generators if not ring.is_zero_in_quotient(g)]
+    if not live:
+        return Ideal(ring, [ring.ambient.one])
+    result = None
+    for g in live:
+        meet = _reference_intersection(lift, Ideal(amb, [g]))
+        part = Ideal(ring, [_reference_divide_exact(h, g) for h in meet.generators])
+        result = part if result is None else _reference_intersection(result, part)
+    return result
+
+
+def _colon_cases(char, quotient):
+    """(I, J) pairs: seeded forms, plus J empty, J the unit ideal and J
+    holding a generator that is zero in the quotient."""
+    S = PolyRing(field_of(char), ("x", "y", "z"))
+    x, y, z = S.gens()
+    ring = RingPresentation(S, [x * y - z**2] if quotient else [])
+    rng = random.Random(7100 + char + quotient)
+
+    def forms(k, top):
+        return [_random_form(rng, S, rng.randint(1, top)) for _ in range(k)]
+
+    for _ in range(5):
+        yield Ideal(ring, forms(rng.randint(1, 3), 2)), Ideal(ring, forms(rng.randint(1, 2), 2))
+    I = Ideal(ring, forms(2, 2))
+    yield I, Ideal(ring, [])
+    yield I, Ideal(ring, [S.one])
+    yield I, Ideal(ring, [(x * y - z**2) * x] + forms(1, 1))
+    yield Ideal(ring, []), Ideal(ring, forms(2, 1))
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+@pytest.mark.parametrize("quotient", [False, True])
+def test_colon_and_intersection_match_the_elimination_references(char, quotient):
+    for I, J in _colon_cases(char, quotient):
+        assert ideal_colon(I, J).groebner() == _reference_colon(I, J).groebner()
+        assert ideal_intersection(I, J).groebner() == _reference_intersection(I, J).groebner()
+        assert ideal_intersection(J, I).groebner() == _reference_intersection(I, J).groebner()
+
+
+def test_colon_is_one_kernel_call_and_no_intersection(monkeypatch, twisted_cubic_gf2):
+    import soclelab.groebner as groebner
+
+    calls = {"syzygies_over": 0, "ideal_intersection": 0}
+
+    def counted(name):
+        inner = getattr(groebner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(groebner, name, counted(name))
+    amb = RingPresentation(twisted_cubic_gf2.ambient, ())
+    a = Ideal(amb, list(twisted_cubic_gf2.relations))
+    ideal_colon(frobenius_power(a, 4), a)
+    assert calls == {"syzygies_over": 1, "ideal_intersection": 0}

@@ -402,8 +402,8 @@ def _identity_in_hom0(mod):
 
 def test_class_nonzero_in_hom_identity_on_canonical_ideal(twisted_cubic):
     mod = ideal_as_module(canonical_ideal(twisted_cubic).ideal)
-    identity, twists = _identity_in_hom0(mod)
-    assert _class_nonzero_in_hom(twisted_cubic, mod, identity, twists)
+    identity, _ = _identity_in_hom0(mod)
+    assert _class_nonzero_in_hom(twisted_cubic, mod, identity)
 
 
 def test_class_nonzero_in_hom_relation_column_is_zero(presentation_xy, ring_xy):
@@ -417,7 +417,7 @@ def test_class_nonzero_in_hom_relation_column_is_zero(presentation_xy, ring_xy):
     degree_zero = [v for v in rels if vec_degree(v, tuple(twists)) == 0]
     assert degree_zero
     for vec in degree_zero:
-        assert not _class_nonzero_in_hom(presentation_xy, mod, vec, twists)
+        assert not _class_nonzero_in_hom(presentation_xy, mod, vec)
 
 
 # -- regularity -------------------------------------------------------------------

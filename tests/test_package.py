@@ -49,3 +49,45 @@ def test_no_unused_module_level_imports():
         if path.name != "__init__.py"
     }
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _unreferenced_private_definitions(sources):
+    """Private module-level functions and classes that no code names
+    outside their own definition; ``sources`` maps file names to code."""
+    defined = []
+    referenced = set()
+    for fname, source in sources.items():
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.append((fname, own))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    return sorted(d for d in defined if d[1] not in referenced)
+
+
+def test_private_definition_check_sees_leftovers():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _rec(n):\n    return _rec(n - 1)\n"
+        "class _Gone:\n    pass\n",
+        "b.py": "from a import _used\n\ndef f():\n    return _used()\n",
+        "c.py": "import a\n\ndef _helper():\n    return a._used\n\nx = _helper()\n",
+    }
+    assert _unreferenced_private_definitions(sources) == [("a.py", "_Gone"), ("a.py", "_rec")]
+
+
+def test_every_private_definition_is_referenced():
+    package = Path(soclelab.__file__).parent
+    sources = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))
+    }
+    assert _unreferenced_private_definitions(sources) == []
