@@ -24,6 +24,7 @@ from .localcoh import (
 from .modules import quotient_module
 from .poly import NEG_INF, POS_INF, format_polynomial
 from .report import (
+    SCHEMA,
     fmt,
     powers_chart_svg,
     summary_to_json,
@@ -94,6 +95,14 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _report(args, kind, rows, summary=None, lines=()):
+    """Emit the rows as JSON with the summary, or as CSV with comment lines."""
+    if args.format == "json":
+        _emit(args, to_json(kind, rows, summary=summary))
+    else:
+        _emit(args, to_csv(kind, rows, summary_lines=lines))
+
+
 def _need_ideal(args, ideals):
     name = getattr(args, "ideal", None)
     if name is None:
@@ -117,10 +126,7 @@ def cmd_gb(args, ring, ideals):
         (k, g.degree(), format_polynomial(g))
         for k, g in enumerate(ideal.groebner())
     ]
-    if args.format == "json":
-        _emit(args, to_json("gb", rows))
-    else:
-        _emit(args, to_csv("gb", rows))
+    _report(args, "gb", rows)
     return 0
 
 
@@ -128,10 +134,7 @@ def cmd_resolve(args, ring, ideals):
     module, _ = _module_of(ring, args, ideals)
     res = minimal_free_resolution(module)
     rows = res.betti().rows()
-    if args.format == "json":
-        _emit(args, to_json("betti", rows))
-    else:
-        _emit(args, to_csv("betti", rows))
+    _report(args, "betti", rows)
     return 0
 
 
@@ -148,10 +151,7 @@ def cmd_socle(args, ring, ideals):
             top, _ = koszul_piece(j, module, e_val)
             checked = soc > 0 and top > 0
         rows.append((j, e_val, s_val, checked))
-    if args.format == "json":
-        _emit(args, to_json("socle", rows))
-    else:
-        _emit(args, to_csv("socle", rows))
+    _report(args, "socle", rows)
     return 0
 
 
@@ -168,7 +168,7 @@ def cmd_canonical(args, ring, ideals):
     if args.format == "json":
         import json
 
-        _emit(args, json.dumps({"schema": "socle-lab/1", "kind": "canonical",
+        _emit(args, json.dumps({"schema": SCHEMA, "kind": "canonical",
                                 **payload}, indent=2, sort_keys=True) + "\n")
     else:
         lines = [f"{k},{v}" for k, v in (
@@ -187,25 +187,23 @@ def cmd_fedder(args, ring, ideals):
     for e in range(1, args.e_max + 1):
         rep = fedder_module(ring, e)
         rows.append((rep.e, rep.q, rep.mu, tuple(rep.generator_degrees)))
-    if args.format == "json":
-        _emit(args, to_json("fedder", rows))
-    else:
-        _emit(args, to_csv("fedder", rows))
+    _report(args, "fedder", rows)
     return 0
+
+
+def _report_gauge(args, records, verdict):
+    """The gauge rows with the boundedness verdict as their summary."""
+    _report(args, "gauge", records, summary={
+        "consistent": verdict.consistent,
+        "witness_measured": fmt(verdict.witness),
+        "attained_at": verdict.attained_at,
+        "note": verdict.note,
+    }, lines=[verdict.note, f"measured witness max_alpha = {fmt(verdict.witness)}"])
 
 
 def cmd_gauge(args, ring, ideals):
     records, verdict = gauge_scan(ring, args.e_max)
-    notes = [verdict.note, f"measured witness max_alpha = {fmt(verdict.witness)}"]
-    if args.format == "json":
-        _emit(args, to_json("gauge", records, summary={
-            "consistent": verdict.consistent,
-            "witness_measured": fmt(verdict.witness),
-            "attained_at": verdict.attained_at,
-            "note": verdict.note,
-        }))
-    else:
-        _emit(args, to_csv("gauge", records, summary_lines=notes))
+    _report_gauge(args, records, verdict)
     return 0
 
 
@@ -215,10 +213,7 @@ def cmd_scan_powers(args, ring, ideals):
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(powers_chart_svg(rows))
-    if args.format == "json":
-        _emit(args, to_json("powers", rows, summary=summary_to_json(summary)))
-    else:
-        _emit(args, to_csv("powers", rows, summary_lines=summary_to_strings(summary)))
+    _report(args, "powers", rows, summary_to_json(summary), summary_to_strings(summary))
     return 0
 
 
@@ -235,18 +230,7 @@ def cmd_scan_frobenius(args, ring, ideals):
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(powers_chart_svg([_Row(r) for r in records],
                                       title="socle_beg(omega^[q]) / e against e"))
-    summary = {
-        "consistent": verdict.consistent,
-        "witness_measured": fmt(verdict.witness),
-        "attained_at": verdict.attained_at,
-        "note": verdict.note,
-    }
-    if args.format == "json":
-        _emit(args, to_json("gauge", records, summary=summary))
-    else:
-        _emit(args, to_csv("gauge", records,
-                           summary_lines=[verdict.note,
-                                          f"measured witness max_alpha = {fmt(verdict.witness)}"]))
+    _report_gauge(args, records, verdict)
     return 0
 
 
@@ -262,34 +246,28 @@ def cmd_criterion(args, ring, ideals):
             f"t={v.t}: measured c'={fmt(v.c_prime)} alpha_d={fmt(v.alpha_d)} "
             f"bound={fmt(v.bound)} socle_beg={fmt(v.socle_beg_top)} -> {status}"
         )
-    if args.format == "json":
-        _emit(args, to_json("criterion", rows, summary={
-            "dimension": d,
-            "verdicts": [
-                {
-                    "t": v.t,
-                    "c_prime_measured": fmt(v.c_prime),
-                    "alpha_d": fmt(v.alpha_d),
-                    "bound": fmt(v.bound),
-                    "socle_beg": fmt(v.socle_beg_top),
-                    "passed": v.passed,
-                    "vacuous": v.vacuous,
-                }
-                for v in verdicts
-            ],
-        }))
-    else:
-        _emit(args, to_csv("criterion", rows, summary_lines=lines))
+    _report(args, "criterion", rows, summary={
+        "dimension": d,
+        "verdicts": [
+            {
+                "t": v.t,
+                "c_prime_measured": fmt(v.c_prime),
+                "alpha_d": fmt(v.alpha_d),
+                "bound": fmt(v.bound),
+                "socle_beg": fmt(v.socle_beg_top),
+                "passed": v.passed,
+                "vacuous": v.vacuous,
+            }
+            for v in verdicts
+        ],
+    }, lines=lines)
     return 0 if all(v.passed for v in verdicts) else 1
 
 
 def cmd_lemma37(args, ring, ideals):
     ideal = _need_ideal(args, ideals)
     rows, summary = lemma37_scan(ring, ideal, args.t_max)
-    if args.format == "json":
-        _emit(args, to_json("lemma37", rows, summary=summary_to_json(summary)))
-    else:
-        _emit(args, to_csv("lemma37", rows, summary_lines=summary_to_strings(summary)))
+    _report(args, "lemma37", rows, summary_to_json(summary), summary_to_strings(summary))
     return 0
 
 

@@ -7,6 +7,12 @@ degree.  The slow route computes stabilized pieces of the Koszul-limit
 system on powers of the variables and never returns a silently
 unstabilized value.  Canonical modules, canonical ideals, alpha
 invariants, and regularity all hang off these two routes.
+
+Each Koszul stage, and ``ext_k_piece``'s direct check of Ext^i_R(k, M),
+is the cohomology of Hom(F_., M) in one internal degree for a complex
+F_. of graded free modules: one coboundary builder (``_hom_map``) and
+one ker/im routine (``_hom_cohomology``) serve both.  One stabilization
+test (``_stable_stage``) serves ``koszul_piece`` and ``socle_piece``.
 """
 
 import itertools
@@ -184,6 +190,78 @@ class _QuotientSpace:
         return {h: combo[k] for h, k in enumerate(self.rep_slots) if k in combo}
 
 
+def _hom_map(module, d, ell):
+    """Hom(d, M) in degree ell, for a map d: G -> F of graded free modules.
+
+    Block u of Hom(F, M)_ell is M_{ell + a_u}, for the twist a_u of F; it
+    goes to block v of Hom(G, M)_ell through multiplication by entry
+    (u, v) of d.  Each multiplication matrix is built once per (twist,
+    monic entry) and scaled by the entry's lead coefficient, so entries
+    that differ by a unit share one.  Returns the sparse columns, block by
+    block, and the width of Hom(G, M)_ell.
+    """
+    F = module.ring.field
+    offsets = [0]
+    for b in d.source:
+        offsets.append(offsets[-1] + module.piece(ell + b).dim)
+    mults = {}
+    cols = []
+    for u, a in enumerate(d.target):
+        piece = module.piece(ell + a)
+        vecs = [{} for _ in range(piece.dim)]
+        for v, f in enumerate(d.entries[u]):
+            if f.is_zero():
+                continue
+            lc, monic = f.lead_coeff(), f.monic()
+            key = (a, monic)
+            if key not in mults:
+                mults[key] = piece.multiplication_matrix(monic)
+            base = offsets[v]
+            for b, col in enumerate(mults[key]):
+                for r, c in col.items():
+                    vecs[b][base + r] = c if lc == F.one else F.mul(lc, c)
+        cols.extend(vecs)
+    return cols, offsets[-1]
+
+
+def _hom_cohomology(module, twists, d_in, d_out, ell):
+    """ker Hom(d_out, M)_ell / im Hom(d_in, M)_ell at the free module F.
+
+    F has the given twists; d_in maps F to the previous module of the
+    complex and d_out the next one to F.  Either map is None at an end
+    of the complex.
+    """
+    F = module.ring.field
+    width = sum(module.piece(ell + a).dim for a in twists)
+    if not width:
+        return _QuotientSpace(F, 0, [], [])
+    rows = transpose(*_hom_map(module, d_out, ell)) if d_out is not None else []
+    kernel = nullspace(F, rows, width)
+    image = _hom_map(module, d_in, ell)[0] if d_in is not None else []
+    return _QuotientSpace(F, width, image, kernel)
+
+
+def _koszul_matrix(ring, s, j):
+    """d_j: K_j -> K_{j-1} of the Koszul complex on x_1^s, ..., x_n^s.
+
+    Basis elements are the j-subsets, in ``itertools.combinations``
+    order; entry (T, U) for U = T + {i} is (-1)^pos x_i^s, with pos the
+    place of i in U.
+    """
+    amb = ring.ambient
+    rows = list(itertools.combinations(range(amb.n), j - 1))
+    cols = list(itertools.combinations(range(amb.n), j))
+    row_index = {T: k for k, T in enumerate(rows)}
+    entries = [[amb.zero] * len(cols) for _ in rows]
+    for v, U in enumerate(cols):
+        for pos, i in enumerate(U):
+            f = amb.var(i) ** s
+            entries[row_index[U[:pos] + U[pos + 1:]]][v] = -f if pos % 2 else f
+    return GradedMatrix(
+        ring, ((j - 1) * s,) * len(rows), (j * s,) * len(cols), entries, check=False
+    )
+
+
 class _KoszulPiece:
     """Cohomology of Hom(Koszul(x_1^s..x_n^s), M) in one internal degree."""
 
@@ -193,12 +271,8 @@ class _KoszulPiece:
         self.ell = ell
         self.s = s
         ring = module.ring
-        F = ring.field
-        n = ring.ambient.n
-        self.subsets = list(itertools.combinations(range(n), j))
+        self.subsets = list(itertools.combinations(range(ring.ambient.n), j))
         self.block_dim = module.piece(ell + j * s).dim
-        width = len(self.subsets) * self.block_dim
-        self.width = width
 
         # A zero piece is only evidence when the window has reached the
         # module: for j >= 1 the relevant degrees climb with s, and below
@@ -212,58 +286,13 @@ class _KoszulPiece:
                 self.block_dim > 0 or ell + j * s >= min(module.generator_degrees)
             )
 
-        up_subsets = list(itertools.combinations(range(n), j + 1))
-        up_dim = module.piece(ell + (j + 1) * s).dim
-        powers = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = s
-            powers[i] = ring.ambient.monomial(tuple(e))
-        mult = {}
-        for i in range(n):
-            mult[i] = module.piece(ell + j * s).multiplication_matrix(powers[i])
-        # Rows of delta^j.  Each (T, b, i) writes its own block of cells,
-        # since U = T + {i} fixes i, so no entry is written twice.
-        rows = [{} for _ in range(len(up_subsets) * up_dim)]
-        up_index = {T: k for k, T in enumerate(up_subsets)}
-        for tk, T in enumerate(self.subsets):
-            for i in range(n):
-                if i in T:
-                    continue
-                U = tuple(sorted(T + (i,)))
-                sign = (-1) ** U.index(i)
-                base = up_index[U] * up_dim
-                for b, col in enumerate(mult[i]):
-                    src = tk * self.block_dim + b
-                    for r, c in col.items():
-                        rows[base + r][src] = c if sign > 0 else F.neg(c)
-        kernel = nullspace(F, rows, width) if width else []
-
-        # Columns of delta^{j-1}, one per source basis element (T, b); its
-        # blocks for the different U = T + {i} are disjoint.
-        image = {}
-        if j >= 1:
-            down_subsets = list(itertools.combinations(range(n), j - 1))
-            down_dim = module.piece(ell + (j - 1) * s).dim
-            multd = {}
-            for i in range(n):
-                multd[i] = module.piece(ell + (j - 1) * s).multiplication_matrix(
-                    powers[i]
-                )
-            t_index = {T: k for k, T in enumerate(self.subsets)}
-            for tk, T in enumerate(down_subsets):
-                for i in range(n):
-                    if i in T:
-                        continue
-                    U = tuple(sorted(T + (i,)))
-                    sign = (-1) ** U.index(i)
-                    base = t_index[U] * self.block_dim
-                    for b, col in enumerate(multd[i]):
-                        vec = image.setdefault(tk * down_dim + b, {})
-                        for r, c in col.items():
-                            vec[base + r] = c if sign > 0 else F.neg(c)
-        image_vectors = [image[k] for k in sorted(image)]
-        self.quotient = _QuotientSpace(F, width, image_vectors, kernel)
+        self.quotient = _hom_cohomology(
+            module,
+            (j * s,) * len(self.subsets),
+            _koszul_matrix(ring, s, j) if j else None,
+            _koszul_matrix(ring, s, j + 1),
+            ell,
+        )
 
     @property
     def dim(self):
@@ -300,6 +329,20 @@ def _koszul_stage(module, j, ell, s):
     )
 
 
+def _stable_stage(module, j, ell, s):
+    """Stage s of the Koszul limit when stages s and s + 1 agree, else None.
+
+    They agree when their dimensions are equal and either the comparison
+    map between them is an isomorphism or both are zero and informative.
+    """
+    a, b = _koszul_stage(module, j, ell, s), _koszul_stage(module, j, ell, s + 1)
+    if a.dim != b.dim:
+        return None
+    if a.dim == 0:
+        return a if a.informative and b.informative else None
+    return a if _transition_is_iso(module.ring, a, b) else None
+
+
 def koszul_piece(j, module, ell, s_max=10):
     """dim H^j_m(M) in one degree, from the stabilized Koszul limit.
 
@@ -310,17 +353,9 @@ def koszul_piece(j, module, ell, s_max=10):
     """
     if s_max < 3:
         raise DomainError("s_max must be at least 3")
-    ring = module.ring
-
     for s in range(2, s_max):
-        a, b = _koszul_stage(module, j, ell, s), _koszul_stage(module, j, ell, s + 1)
-        if a.dim != b.dim:
-            continue
-        if a.dim == 0:
-            if a.informative and b.informative:
-                return 0, s
-            continue
-        if _transition_is_iso(ring, a, b):
+        a = _stable_stage(module, j, ell, s)
+        if a is not None:
             return a.dim, s
     raise UnstableLimitError(
         f"H^{j} piece in degree {ell} did not stabilize by s_max={s_max}; increase sMax"
@@ -354,18 +389,11 @@ def socle_piece(j, module, ell, s_max=10):
     ring = module.ring
 
     for s in range(2, s_max):
-        a0, a1 = _koszul_stage(module, j, ell, s), _koszul_stage(module, j, ell, s + 1)
-        b0 = _koszul_stage(module, j, ell + 1, s)
-        b1 = _koszul_stage(module, j, ell + 1, s + 1)
-        if a0.dim != a1.dim or b0.dim != b1.dim:
+        a0 = _stable_stage(module, j, ell, s)
+        if a0 is None:
             continue
-        if a0.dim == 0 and not (a0.informative and a1.informative):
-            continue
-        if b0.dim == 0 and not (b0.informative and b1.informative):
-            continue
-        if a0.dim and not _transition_is_iso(ring, a0, a1):
-            continue
-        if b0.dim and not _transition_is_iso(ring, b0, b1):
+        b0 = _stable_stage(module, j, ell + 1, s)
+        if b0 is None:
             continue
         if a0.dim == 0:
             return 0, s
@@ -456,49 +484,9 @@ def ext_k_piece(ring, i, module, ell, truncation=None):
     if kres.length < i + 1 and not kres.complete:
         raise TruncationError("resolution truncated below the requested index")
 
-    def hom_piece_basis(step):
-        twists = kres.module_twists(step)
-        dims = [module.piece(ell + a).dim for a in twists]
-        return twists, dims
-
-    def hom_map(step):
-        # Hom(G_{step-1}, M) -> Hom(G_step, M): precompose with d_step.
-        mat = kres.matrices[step - 1]
-        src_twists, src_dims = hom_piece_basis(step - 1)
-        dst_twists, dst_dims = hom_piece_basis(step)
-        dst_off = [0]
-        for d in dst_dims:
-            dst_off.append(dst_off[-1] + d)
-        cols = []
-        for u in range(len(src_twists)):
-            piece_u = module.piece(ell + src_twists[u])
-            vecs = [{} for _ in range(src_dims[u])]
-            for v in range(len(dst_twists)):
-                f = mat.entries[u][v]
-                if f.is_zero():
-                    continue
-                for b, col in enumerate(piece_u.multiplication_matrix(f)):
-                    for r, c in col.items():
-                        vecs[b][dst_off[v] + r] = c
-            cols.extend(vecs)
-        return cols, dst_off[-1]
-
-    F = ring.field
-    _, dims_i = hom_piece_basis(i)
-    width = sum(dims_i)
-    if width == 0:
-        return 0
-    if i + 1 <= kres.length:
-        out_cols, w_dst = hom_map(i + 1)
-        ker_dim = len(nullspace(F, transpose(out_cols, w_dst), width))
-    else:
-        ker_dim = width
-    if i >= 1:
-        in_cols, _ = hom_map(i)
-        img_rank = rank(F, in_cols, width)
-    else:
-        img_rank = 0
-    return ker_dim - img_rank
+    d_in = kres.matrices[i - 1] if i >= 1 else None
+    d_out = kres.matrices[i] if i + 1 <= kres.length else None
+    return _hom_cohomology(module, kres.module_twists(i), d_in, d_out, ell).dim
 
 
 # ---------------------------------------------------------------------------

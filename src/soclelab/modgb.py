@@ -110,12 +110,10 @@ def vec_lead(vec, order):
     return min(vec, key=order.rank)
 
 
-def normal_form_vec(vec, basis, order, field, track=False):
+def normal_form_vec(vec, basis, order, field):
     """Full reduction of ``vec`` by monic basis elements.
 
-    ``basis`` is a list of (vector, lead term) pairs.  With ``track``,
-    also returns quotients as {basis index: {exponents: coeff}} so that
-    input = remainder + sum quotient_i * basis_i.
+    ``basis`` is a list of (vector, lead term) pairs.
 
     Lead terms come off a heap of ranks: every term is pushed when it
     enters the work vector, and one that has cancelled since is skipped
@@ -129,14 +127,13 @@ def normal_form_vec(vec, basis, order, field, track=False):
     heap = [(rank(t), t) for t in work]
     heapq.heapify(heap)
     rem = {}
-    quotients = {} if track else None
     while heap:
         t = heapq.heappop(heap)[1]
         c = work.get(t)
         if c is None:
             continue
         pos, m = t
-        for idx, (g, (lp, lm)) in enumerate(basis):
+        for g, (lp, lm) in basis:
             if lp == pos and mono_divides(lm, m):
                 break
         else:
@@ -146,11 +143,6 @@ def normal_form_vec(vec, basis, order, field, track=False):
         shift = mono_div(m, lm)
         for new in vec_sub_shifted(work, g, c, shift, field):
             heapq.heappush(heap, (rank(new), new))
-        if track:
-            q = quotients.setdefault(idx, {})
-            q[shift] = field.add(q.get(shift, field.zero), c)
-    if track:
-        return rem, quotients
     return rem
 
 
@@ -252,28 +244,26 @@ def vec_to_poly(ring, vec):
     return Polynomial(ring, {m: c for (_, m), c in vec.items()})
 
 
-def groebner_polys(polys, order=None, use_product=True):
+def groebner_polys(polys):
     """Reduced Groebner basis of an ideal, as monic polynomials."""
     live = [f for f in polys if not f.is_zero()]
     if not live:
         return []
     ring = live[0].ring
-    mono_key = (order or ring.order).key
-    vorder = VectorOrder(mono_key)
+    vorder = VectorOrder(ring.order.key)
     gb = buchberger_vectors([poly_to_vec(f) for f in live], vorder, ring.field,
-                            use_product=use_product)
+                            use_product=True)
     rank = vorder.rank
     gb.sort(key=lambda v: rank(vec_lead(v, vorder)), reverse=True)
     return [vec_to_poly(ring, v) for v in gb]
 
 
-def poly_normal_form(f, basis_polys, order=None):
+def poly_normal_form(f, basis_polys):
     """Remainder of f on division by monic polynomials."""
     if f.is_zero() or not basis_polys:
         return f
     ring = f.ring
-    mono_key = (order or ring.order).key
-    vorder = VectorOrder(mono_key)
+    vorder = VectorOrder(ring.order.key)
     basis = [(poly_to_vec(g), (0, g.lead_monomial())) for g in basis_polys]
     rem = normal_form_vec(poly_to_vec(f), basis, vorder, ring.field)
     return vec_to_poly(ring, rem)

@@ -230,6 +230,23 @@ def vec_shift(vec, m):
     return {(pos, mono_mul(mm, m)): c for (pos, mm), c in vec.items()}
 
 
+def multiples_span(ring, twists, degree, vector_degree_pairs):
+    """The monomial multiples of vectors in one degree of a free module.
+
+    Each (vector, d) pair contributes its multiples by the standard
+    monomials of degree ``degree - d`` (none when d > degree), reduced
+    modulo the ring relations and inserted in the order given.  Returns
+    the piece's (component, monomial) basis, its index and the ``Span``.
+    """
+    basis = free_piece_basis(ring, twists, degree)
+    index = {t: k for k, t in enumerate(basis)}
+    span = Span(ring.field, len(basis))
+    for vec, d in vector_degree_pairs:
+        for m in ring.standard_monomials(degree - d):
+            span.add(vec_coords(vec_reduce_components(ring, vec_shift(vec, m)), index))
+    return basis, index, span
+
+
 class GradedPiece:
     """The degree piece of a presented module, as explicit linear algebra.
 
@@ -241,16 +258,10 @@ class GradedPiece:
     def __init__(self, module, degree):
         self.module = module
         self.degree = degree
-        ring = module.ring
-        F = ring.field
         mat = module.matrix
-        self.basis = free_piece_basis(ring, mat.target, degree)
-        self.index = {t: k for k, t in enumerate(self.basis)}
-        self.span = Span(F, len(self.basis))
-        for j, col in enumerate(block_columns(mat)):
-            for m in ring.standard_monomials(degree - mat.source[j]):
-                red = vec_reduce_components(ring, vec_shift(col, m))
-                self.span.add(vec_coords(red, self.index))
+        self.basis, self.index, self.span = multiples_span(
+            module.ring, mat.target, degree, zip(block_columns(mat), mat.source)
+        )
         self.free_positions = [
             k for k in range(len(self.basis)) if k not in self.span.rows
         ]
@@ -351,58 +362,42 @@ def nakayama_minimal_subset(ring, twists, vectors, rels=()):
     Degree by degree, a vector is kept iff it lies outside the span of
     ring multiples of earlier kept vectors and of the auxiliary vectors.
     """
-    F = ring.field
-    degs = []
+    reduced = []
     for v in vectors:
         red = vec_reduce_components(ring, v)
-        d = vec_degree(red, twists)
-        degs.append((d, red))
-    rel_data = []
+        reduced.append((red, vec_degree(red, twists)))
+    rel_pairs = []
     for v in rels:
         red = vec_reduce_components(ring, v)
         d = vec_degree(red, twists)
         if d is not None:
-            rel_data.append((d, red))
+            rel_pairs.append((red, d))
     order = sorted(
-        (d, i) for i, (d, red) in enumerate(degs) if d is not None
+        (d, i) for i, (red, d) in enumerate(reduced) if d is not None
     )
     kept = []
     pos = 0
     while pos < len(order):
         degree = order[pos][0]
-        basis = free_piece_basis(ring, twists, degree)
-        index = {t: k for k, t in enumerate(basis)}
-        span = Span(F, len(basis))
-
-        def insert_multiples(vec, d):
-            for m in ring.standard_monomials(degree - d):
-                red = vec_reduce_components(ring, vec_shift(vec, m))
-                span.add(vec_coords(red, index))
-
-        for d, red in rel_data:
-            if d <= degree:
-                insert_multiples(red, d)
-        for i in kept:
-            d, red = degs[i]
-            if d < degree:
-                insert_multiples(red, d)
+        _, index, span = multiples_span(
+            ring, twists, degree, rel_pairs + [reduced[i] for i in kept]
+        )
         while pos < len(order) and order[pos][0] == degree:
             i = order[pos][1]
-            if span.add(vec_coords(degs[i][1], index)):
+            if span.add(vec_coords(reduced[i][0], index)):
                 kept.append(i)
             pos += 1
     return kept
 
 
-def present_subquotient(ring, twists, gens, rels=(), need_relations=True):
+def present_subquotient(ring, twists, gens, rels=()):
     """Minimal presentation of <gens> / <rels> inside a free module.
 
     Every relation vector must lie in the span of the generators.  The
-    returned presentation has Nakayama-minimal generators; with
-    ``need_relations`` its relations are ``syzygies_over(kept generators,
-    rels)``, themselves Nakayama-minimalized.  Also returns the indices
-    of the surviving generators, so callers can align side data with
-    them.
+    returned presentation has Nakayama-minimal generators, and its
+    relations are ``syzygies_over(kept generators, rels)``, themselves
+    Nakayama-minimalized.  Also returns the indices of the surviving
+    generators, so callers can align side data with them.
     """
     kept_idx = nakayama_minimal_subset(ring, twists, gens, rels)
     kept = [vec_reduce_components(ring, gens[i]) for i in kept_idx]
@@ -410,15 +405,11 @@ def present_subquotient(ring, twists, gens, rels=(), need_relations=True):
     if not kept:
         empty = GradedMatrix(ring, (), (), [])
         return ModulePresentation(ring, empty), []
-    if need_relations:
-        live_rels = [vec_reduce_components(ring, v) for v in rels]
-        live_rels = [v for v in live_rels if v]
-        syz = syzygies_over(ring, kept, twists, live_rels)
-        keep_rel = nakayama_minimal_subset(ring, tuple(kept_degs), syz)
-        rel_vecs = [syz[i] for i in keep_rel]
-    else:
-        rel_vecs = []
-    mat = matrix_from_vectors(ring, tuple(kept_degs), rel_vecs)
+    live_rels = [vec_reduce_components(ring, v) for v in rels]
+    live_rels = [v for v in live_rels if v]
+    syz = syzygies_over(ring, kept, twists, live_rels)
+    keep_rel = nakayama_minimal_subset(ring, tuple(kept_degs), syz)
+    mat = matrix_from_vectors(ring, tuple(kept_degs), [syz[i] for i in keep_rel])
     return ModulePresentation(ring, mat), kept_idx
 
 
@@ -428,7 +419,5 @@ def minimalize_presentation(module):
     gens = [
         {(i, (0,) * module.ring.n): module.ring.field.one} for i in range(mat.rows)
     ]
-    pres, _ = present_subquotient(
-        module.ring, mat.target, gens, block_columns(mat), need_relations=True
-    )
+    pres, _ = present_subquotient(module.ring, mat.target, gens, block_columns(mat))
     return pres

@@ -14,6 +14,7 @@ Every kernel here (syzygies, Hom, kernel/image, Tor) is one call of
 """
 
 from .errors import StructuralError, TruncationError
+from .modgb import vec_degree
 from .modules import (
     block_columns,
     matrix_from_vectors,
@@ -313,8 +314,10 @@ def tor_residue_field(ring, i, module, kres):
         )
     if i + 1 <= kres.length:
         rels += block_columns(kres.matrices[i], r)
-    pres, _ = present_subquotient(ring, twists, gens, rels, need_relations=False)
+    # Only the degrees of a minimal generating set are needed, not its
+    # relations.
     dims = {}
-    for d in pres.generator_degrees:
+    for k in nakayama_minimal_subset(ring, twists, gens, rels):
+        d = vec_degree(gens[k], twists)
         dims[d] = dims.get(d, 0) + 1
     return dims

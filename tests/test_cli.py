@@ -185,3 +185,35 @@ def test_gauge_subcommand(twisted_file):
     assert out.returncode == 0
     assert "consistent with gauge-boundedness" in out.stdout
     assert "proved" not in out.stdout
+
+
+JSON_ARGS = {
+    "gb": ("demo", "--ideal", "I"),
+    "resolve": ("tc",),
+    "socle": ("tc",),
+    "canonical": ("tc",),
+    "fedder": ("tc", "--e-max", "1"),
+    "gauge": ("tc", "--e-max", "1"),
+    "scan-powers": ("demo", "--ideal", "I", "--t-max", "2"),
+    "scan-frobenius": ("tc", "--e-max", "1"),
+    "criterion": ("demo", "--ideal", "J", "--t-max", "2"),
+    "lemma37": ("demo", "--ideal", "J", "--t-max", "2"),
+}
+
+
+def test_json_args_cover_every_subcommand():
+    from soclelab.cli import _COMMANDS
+
+    assert set(JSON_ARGS) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(JSON_ARGS))
+def test_every_subcommand_writes_versioned_json(command, demo_file, twisted_file, capsys):
+    from soclelab.cli import main
+    from soclelab.report import SCHEMA
+
+    source, *rest = JSON_ARGS[command]
+    path = demo_file if source == "demo" else twisted_file
+    assert main([command, path, *rest, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == SCHEMA

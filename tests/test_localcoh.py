@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from soclelab.modules import (
     module_hilbert,
     quotient_module,
 )
+from soclelab.linalg import nullspace, rank, transpose
 from soclelab.modgb import vec_degree
 from soclelab.poly import NEG_INF, POS_INF, PolyRing
 from soclelab.rings import RingPresentation
@@ -481,3 +483,240 @@ def test_lc_end_and_socle_begin_resolve_each_module_once(
     regularity(M)
     resolutions.minimal_free_resolution(M)
     assert len(calls) == syzygies
+
+
+# -- the Hom-complex routine, against the loops it replaced -------------------
+
+
+class _ReferenceKoszulPiece:
+    """The old stage: the delta^j rows and the delta^{j-1} columns, each
+    built by its own loop over the subsets, with one multiplication
+    matrix per variable and per differential."""
+
+    map_blockwise = localcoh._KoszulPiece.map_blockwise
+
+    def __init__(self, module, j, ell, s):
+        self.module = module
+        self.j = j
+        self.ell = ell
+        self.s = s
+        ring = module.ring
+        F = ring.field
+        n = ring.ambient.n
+        self.subsets = list(itertools.combinations(range(n), j))
+        self.block_dim = module.piece(ell + j * s).dim
+        width = len(self.subsets) * self.block_dim
+        if module.is_zero() or j == 0:
+            self.informative = True
+        else:
+            self.informative = (
+                self.block_dim > 0 or ell + j * s >= min(module.generator_degrees)
+            )
+        up_subsets = list(itertools.combinations(range(n), j + 1))
+        up_dim = module.piece(ell + (j + 1) * s).dim
+        powers = {}
+        for i in range(n):
+            e = [0] * n
+            e[i] = s
+            powers[i] = ring.ambient.monomial(tuple(e))
+        mult = {}
+        for i in range(n):
+            mult[i] = module.piece(ell + j * s).multiplication_matrix(powers[i])
+        rows = [{} for _ in range(len(up_subsets) * up_dim)]
+        up_index = {T: k for k, T in enumerate(up_subsets)}
+        for tk, T in enumerate(self.subsets):
+            for i in range(n):
+                if i in T:
+                    continue
+                U = tuple(sorted(T + (i,)))
+                sign = (-1) ** U.index(i)
+                base = up_index[U] * up_dim
+                for b, col in enumerate(mult[i]):
+                    src = tk * self.block_dim + b
+                    for r, c in col.items():
+                        rows[base + r][src] = c if sign > 0 else F.neg(c)
+        self.kernel = nullspace(F, rows, width) if width else []
+        image = {}
+        if j >= 1:
+            down_subsets = list(itertools.combinations(range(n), j - 1))
+            down_dim = module.piece(ell + (j - 1) * s).dim
+            multd = {}
+            for i in range(n):
+                multd[i] = module.piece(ell + (j - 1) * s).multiplication_matrix(
+                    powers[i]
+                )
+            t_index = {T: k for k, T in enumerate(self.subsets)}
+            for tk, T in enumerate(down_subsets):
+                for i in range(n):
+                    if i in T:
+                        continue
+                    U = tuple(sorted(T + (i,)))
+                    sign = (-1) ** U.index(i)
+                    base = t_index[U] * self.block_dim
+                    for b, col in enumerate(multd[i]):
+                        vec = image.setdefault(tk * down_dim + b, {})
+                        for r, c in col.items():
+                            vec[base + r] = c if sign > 0 else F.neg(c)
+        self.image = [image[k] for k in sorted(image)]
+        self.quotient = localcoh._QuotientSpace(F, width, self.image, self.kernel)
+
+    @property
+    def dim(self):
+        return self.quotient.dim
+
+
+def _reference_ext_k_piece(ring, i, module, ell, truncation=None):
+    """The old ext_k_piece: its own Hom map, kernel dimension minus image rank."""
+    kres = kres_for(ring, (truncation if truncation is not None else i + 1))
+
+    def hom_piece_basis(step):
+        twists = kres.module_twists(step)
+        return twists, [module.piece(ell + a).dim for a in twists]
+
+    def hom_map(step):
+        mat = kres.matrices[step - 1]
+        src_twists, src_dims = hom_piece_basis(step - 1)
+        dst_twists, dst_dims = hom_piece_basis(step)
+        dst_off = [0]
+        for d in dst_dims:
+            dst_off.append(dst_off[-1] + d)
+        cols = []
+        for u in range(len(src_twists)):
+            piece_u = module.piece(ell + src_twists[u])
+            vecs = [{} for _ in range(src_dims[u])]
+            for v in range(len(dst_twists)):
+                f = mat.entries[u][v]
+                if f.is_zero():
+                    continue
+                for b, col in enumerate(piece_u.multiplication_matrix(f)):
+                    for r, c in col.items():
+                        vecs[b][dst_off[v] + r] = c
+            cols.extend(vecs)
+        return cols, dst_off[-1]
+
+    F = ring.field
+    width = sum(hom_piece_basis(i)[1])
+    if width == 0:
+        return 0
+    if i + 1 <= kres.length:
+        out_cols, w_dst = hom_map(i + 1)
+        ker_dim = len(nullspace(F, transpose(out_cols, w_dst), width))
+    else:
+        ker_dim = width
+    img_rank = rank(F, hom_map(i)[0], width) if i >= 1 else 0
+    return ker_dim - img_rank
+
+
+def _hom_complex_rings(char):
+    F = field_of(char)
+    S2 = PolyRing(F, ("x", "y"))
+    S3 = PolyRing(F, ("x", "y", "z"))
+    S4 = PolyRing(F, ("a", "b", "c", "d"))
+    a, b, c, d = S4.gens()
+    tc = RingPresentation(S4, [a * c - b**2, a * d - b * c, b * d - c**2])
+    return [RingPresentation(S2), RingPresentation(S3), tc]
+
+
+def _hom_complex_modules(char):
+    """Per ring: R itself and two seeded cyclic quotients by forms of
+    degree 1 or 2, some twisted."""
+    from soclelab.monomials import monomials_of_degree
+
+    rng = random.Random(8800 + char)
+    for ring in _hom_complex_rings(char):
+        amb = ring.ambient
+        F = amb.field
+        yield ring, quotient_module(ring, [])
+        for count in (1, 2):
+            gens = []
+            for _ in range(count):
+                monos = monomials_of_degree(amb.n, rng.randint(1, 2))
+                terms = {m: F.of(rng.randint(1, 9)) for m in rng.sample(monos, 2)}
+                gens.append(amb.from_terms(terms.items()))
+            yield ring, quotient_module(ring, gens).twist(rng.randint(-1, 1))
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_koszul_stage_matches_the_old_loops(char):
+    rng = random.Random(8900 + char)
+    nonzero = 0
+    for ring, M in _hom_complex_modules(char):
+        n = ring.ambient.n
+        gens = ring.ambient.gens()
+
+        def multiplier(T):
+            f = ring.ambient.one
+            for i in T:
+                f = f * gens[i]
+            return f
+
+        for j in range(n + 1):
+            for ell in sorted(rng.sample(range(-2 * n, 3), 2)):
+                for s in (2, 3, 4):
+                    new = localcoh._KoszulPiece(M, j, ell, s)
+                    ref = _ReferenceKoszulPiece(M, j, ell, s)
+                    assert new.dim == ref.dim
+                    assert new.informative == ref.informative
+                    assert (new.subsets, new.block_dim) == (ref.subsets, ref.block_dim)
+                    assert new.quotient.reps == ref.quotient.reps
+                    twists = (j * s,) * len(new.subsets)
+                    width = sum(M.piece(ell + a).dim for a in twists)
+                    if width:
+                        out_cols, w_out = localcoh._hom_map(
+                            M, localcoh._koszul_matrix(ring, s, j + 1), ell
+                        )
+                        assert nullspace(ring.field, transpose(out_cols, w_out), width) == ref.kernel
+                        if j:
+                            in_cols, _ = localcoh._hom_map(
+                                M, localcoh._koszul_matrix(ring, s, j), ell
+                            )
+                            assert in_cols == ref.image
+                    nonzero += new.dim > 0
+                    if not new.dim:
+                        continue
+                    # The stage transition and one socle multiplication.
+                    new_up = localcoh._KoszulPiece(M, j, ell, s + 1)
+                    ref_up = _ReferenceKoszulPiece(M, j, ell, s + 1)
+                    assert new.map_blockwise(multiplier, new_up) == ref.map_blockwise(
+                        multiplier, ref_up
+                    )
+                    new_next = localcoh._KoszulPiece(M, j, ell + 1, s)
+                    ref_next = _ReferenceKoszulPiece(M, j, ell + 1, s)
+                    var = gens[rng.randrange(n)]
+                    assert new.map_blockwise(lambda T: var, new_next) == ref.map_blockwise(
+                        lambda T: var, ref_next
+                    )
+    assert nonzero >= 20
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_ext_k_piece_matches_the_old_hom_map(char):
+    nonzero = 0
+    for ring, M in _hom_complex_modules(char):
+        for i in range(3):
+            for ell in range(-i - 3, 2):
+                value = ext_k_piece(ring, i, M, ell)
+                assert value == _reference_ext_k_piece(ring, i, M, ell)
+                nonzero += value > 0
+    assert nonzero >= 10
+
+
+def test_koszul_stage_builds_n_multiplication_matrices_per_differential(
+    presentation_xyz, monkeypatch
+):
+    # One matrix per variable and differential: the signs and the repeated
+    # x_i^s entries share it.  A cache per row or per signed entry builds more.
+    M = free_module(presentation_xyz, (0,))
+    n = 3
+    builds = []
+    original = GradedPiece.multiplication_matrix
+
+    def counting(piece, f):
+        builds.append(f)
+        return original(piece, f)
+
+    monkeypatch.setattr(GradedPiece, "multiplication_matrix", counting)
+    for j in range(n + 1):
+        builds.clear()
+        localcoh._KoszulPiece(M, j, 0, 2)
+        assert len(builds) == n * ((j > 0) + (j < n))
