@@ -10,19 +10,40 @@ from fractions import Fraction
 from .errors import DomainError
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this
+# bound, the least strong pseudoprime to all of them (Sorenson and Webster).
+PRIMALITY_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(m):
-    """Trial-division primality test; inputs here are small."""
+    """Deterministic Miller-Rabin test, exact below ``PRIMALITY_BOUND``.
+
+    Raises DomainError for a larger m with no small factor, whose
+    primality these bases do not decide.
+    """
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    for a in _WITNESSES:
+        if m % a == 0:
+            return m == a
+    if m >= PRIMALITY_BOUND:
+        raise DomainError(
+            f"primality of {m} is not decided at or above {PRIMALITY_BOUND}"
+        )
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -18,7 +18,7 @@ syntax.  Errors carry 1-based line numbers.
 
 import re
 
-from .errors import InputSyntaxError, StructuralError
+from .errors import DomainError, InputSyntaxError, StructuralError
 from .fields import field_of, is_prime
 from .groebner import Ideal
 from .poly import PolyRing, parse_polynomial
@@ -62,7 +62,11 @@ def parse_input(text):
             if not value.lstrip("-").isdigit():
                 raise InputSyntaxError("field expects an integer characteristic", lineno)
             ch = int(value)
-            if ch < 0 or (ch != 0 and not is_prime(ch)):
+            try:
+                prime = ch == 0 or (ch > 0 and is_prime(ch))
+            except DomainError as exc:
+                raise InputSyntaxError(str(exc), lineno) from exc
+            if not prime:
                 raise InputSyntaxError(
                     f"characteristic {ch} is neither 0 nor prime", lineno
                 )

@@ -8,12 +8,13 @@ three jobs:
   criteria for pair pruning),
 * reduced Groebner bases of submodules of free modules (chain criterion
   only; the coprimality shortcut is unsound beyond rank one),
-* syzygies modulo a submodule (Macaulay2's and Singular's ``modulo``),
-  computed by appending a unit-vector tag block to each column, adding
-  the submodule's generators untagged, and running a block order in
-  which tagged coordinates are incomparably smaller: the Groebner
-  elements supported entirely on the tag block generate
-  {v : sum_j v_j col_j in the submodule}.
+* syzygies modulo a submodule (Macaulay2's and Singular's ``modulo``):
+  each column gets a unit-vector tag, the submodule's generators enter
+  untagged, and in the block order every tagged term is below every
+  untagged one.  By Schreyer's theorem the remainders of the S-pairs of
+  untagged-led elements, which live on the tag block, generate
+  {v : sum_j v_j col_j in the submodule}: a generating set, not a
+  reduced Groebner basis.
 
 Orders on module terms put heavier positions first through an optional
 degree component so that graded inputs are processed degree by degree.
@@ -36,7 +37,8 @@ class VectorOrder:
     """Term order on (position, monomial) pairs.
 
     ``split`` marks the boundary of the tag block: positions >= split are
-    strictly smaller than every untagged term.  ``degree_aware`` inserts
+    strictly smaller than every untagged term (only ``syzygies_vectors``
+    sets it).  ``degree_aware`` inserts
     the twisted degree as the leading comparison so homogeneous work
     proceeds by degree.
 
@@ -148,6 +150,8 @@ def normal_form_vec(vec, basis, order, field):
 
 def _push_pairs(heap, basis, new_idx, order):
     g_new, (pos_new, lm_new) = basis[new_idx]
+    if order.split is not None and pos_new >= order.split:
+        return
     for i in range(new_idx):
         g, (pos, lm) = basis[i]
         if pos != pos_new:
@@ -160,6 +164,10 @@ def _push_pairs(heap, basis, new_idx, order):
 def buchberger_vectors(vectors, order, field, use_product=False):
     """Reduced Groebner basis of the submodule generated by ``vectors``.
 
+    With a tag block in ``order``, elements led there (no untagged terms)
+    reduce later tag parts but get no S-pairs, and the run returns exactly
+    them, unreduced: by Schreyer's theorem they generate the submodule's
+    part on the tag block, and they are no basis to minimalize against.
     The coprimality criterion is applied only when the caller vouches for
     it (plain rank-one ideals); the chain criterion is always safe.
     """
@@ -208,6 +216,8 @@ def buchberger_vectors(vectors, order, field, use_product=False):
             basis.append((rem, lt))
             _push_pairs(heap, basis, len(basis) - 1, order)
 
+    if order.split is not None:
+        return [g for g, (pos, _) in basis if pos >= order.split]
     return _reduce_basis(basis, order, field)
 
 
@@ -273,26 +283,18 @@ def poly_normal_form(f, basis_polys):
 # Syzygies via the tag-block construction.
 
 
-def _column_degrees(columns, twists):
-    degs = []
-    for v in columns:
-        d = vec_degree(v, twists)
-        degs.append(0 if d is None else d)
-    return degs
-
-
 def syzygies_vectors(ring, columns, twists, extra=()):
     """Generators of {v : sum_j v_j columns_j lies in <extra>}.
 
     ``columns`` and ``extra`` are homogeneous vectors in the free module
     with the given twists over the plain polynomial ring.  Only the
     columns are tagged; ``extra`` enters untagged, so no syzygies among
-    the extra vectors are computed.  The result vectors live in positions
-    0..len(columns)-1 with twists equal to the column degrees.  Correct
-    but not minimal.
+    the extra vectors are computed.  The result, a Schreyer generating
+    set and not a Groebner basis, lives in positions 0..len(columns)-1
+    with twists equal to the column degrees.  Correct but not minimal.
     """
     m = len(twists)
-    degs = _column_degrees(columns, twists)
+    degs = [vec_degree(v, twists) or 0 for v in columns]
     tagged = []
     zero_exps = (0,) * ring.n
     for i, col in enumerate(columns):
@@ -305,9 +307,5 @@ def syzygies_vectors(ring, columns, twists, extra=()):
         degree_aware=True,
         split=m,
     )
-    gb = buchberger_vectors(tagged + list(extra), order, ring.field, use_product=False)
-    return [
-        {(pos - m, e): c for (pos, e), c in g.items()}
-        for g in gb
-        if all(pos >= m for (pos, _) in g)
-    ]
+    gens = buchberger_vectors(tagged + list(extra), order, ring.field, use_product=False)
+    return [{(pos - m, e): c for (pos, e), c in g.items()} for g in gens]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soclelab.errors import DomainError
-from soclelab.fields import PrimeField, field_of, is_prime
+from soclelab.fields import PRIMALITY_BOUND, PrimeField, field_of, is_prime
 
 
 def test_field_of_caches():
@@ -24,6 +24,28 @@ def test_nonprime_characteristic_rejected():
 def test_is_prime_small():
     primes = [p for p in range(50) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def test_is_prime_matches_trial_division():
+    def trial(m):
+        return m > 1 and all(m % f for f in range(2, int(m**0.5) + 1))
+
+    assert [m for m in range(3000) if is_prime(m)] == [m for m in range(3000) if trial(m)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not is_prime(561)  # Carmichael
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    # The least strong pseudoprime to every prime base up to 37: base 41
+    # is what makes the test exact below PRIMALITY_BOUND.
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(32003) and is_prime(10**18 + 3)
+
+
+def test_is_prime_refuses_above_its_bound():
+    with pytest.raises(DomainError, match=str(PRIMALITY_BOUND)):
+        PrimeField(2**89 - 1)
+    assert not is_prime(2**89)
 
 
 def test_gf7_basic():

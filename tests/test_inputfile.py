@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from soclelab.errors import InputSyntaxError
+from soclelab.fields import PRIMALITY_BOUND
 from soclelab.inputfile import parse_input
 
 GOOD = """
@@ -32,6 +35,28 @@ def test_nonprime_characteristic_rejected():
     with pytest.raises(InputSyntaxError) as err:
         parse_input("field 6\nvars x\n")
     assert err.value.line == 1
+
+
+def test_large_prime_characteristic_parses_quickly():
+    start = time.perf_counter()
+    ring, _ = parse_input("field 1000000000000000003\nvars x\n")
+    assert time.perf_counter() - start < 1
+    assert ring.field.characteristic == 10**18 + 3
+
+
+@pytest.mark.parametrize("ch, prime", [(561, False), (32003, True)])
+def test_characteristic_primality(ch, prime):
+    if prime:
+        assert parse_input(f"field {ch}\nvars x\n")[0].field.characteristic == ch
+    else:
+        with pytest.raises(InputSyntaxError, match="neither 0 nor prime"):
+            parse_input(f"field {ch}\nvars x\n")
+
+
+def test_characteristic_beyond_the_primality_bound_rejected():
+    with pytest.raises(InputSyntaxError, match=str(PRIMALITY_BOUND)) as err:
+        parse_input(f"vars x\nfield {2**89 - 1}\n")
+    assert err.value.line == 2
 
 
 def test_unknown_variable_has_line_number():

@@ -4,17 +4,21 @@
 ``modules.block_columns(matrix, r)`` replaced several hand-written copies
 in the homological layer.  The old bodies are kept here as references.
 The block layouts must be equal term for term; the kernel routine, which
-tags only the columns, must generate the same module as the old cut of
-the syzygies of columns and relations together (equal reduced Groebner
-bases).  Inputs are seeded and homogeneous, over GF(2), GF(101) and QQ,
-with and without ring relations, zero entries, zero rows and zero columns.
+tags only the columns and returns Schreyer generators, must generate the
+same module as the old cut of the full reduced Groebner basis of columns
+and relations tagged together (equal reduced Groebner bases).  Inputs are
+seeded and homogeneous, over GF(2), GF(101) and QQ, with and without ring
+relations, zero entries, zero rows and zero columns.
 """
 
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soclelab import modgb, modules
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, minimal_generators
 from soclelab.linalg import rank
@@ -26,7 +30,9 @@ from soclelab.modules import (
     block_columns,
     free_piece_basis,
     matrix_from_vectors,
+    minimalize_presentation,
     nakayama_minimal_subset,
+    quotient_module,
     syzygies_over,
     vec_reduce_components,
 )
@@ -223,13 +229,39 @@ def test_hom_free_into_and_shifted_sum_match_the_copy_loops():
 # The kernel routine.
 
 
+class _FullBasisOrder:
+    """A tag-block order that does not declare its tag block: the engine
+    then pairs every element and returns the full reduced basis."""
+
+    def __init__(self, order):
+        self.rank, self.split = order.rank, None
+
+
 def _reference_kernel_block(ring, phi_cols, dst_twists, dst_rels):
-    """The old two-step cut: syzygies of columns + rels, then the head."""
-    width = len(phi_cols)
-    syz = syzygies_over(ring, phi_cols + list(dst_rels), dst_twists)
+    """The old cut: the reduced Groebner basis of columns and rels tagged
+    together (and the ring relations untagged), its elements supported on
+    the tags, then their head at the columns' positions."""
+    m, width = len(dst_twists), len(phi_cols)
+    cols = list(phi_cols) + list(dst_rels)
+    zero = (0,) * ring.n
+    tagged = [col | {(m + i, zero): ring.field.one} for i, col in enumerate(cols)]
+    extra = [
+        {(i, mm): c for mm, c in rel.terms.items()}
+        for rel in ring.relations
+        for i in range(m)
+    ]
+    degs = [vec_degree(v, dst_twists) or 0 for v in cols]
+    order = VectorOrder(
+        ring.ambient.order.key,
+        twists=tuple(dst_twists) + tuple(degs),
+        degree_aware=True,
+        split=m,
+    )
     out = []
-    for v in syz:
-        head = {t: c for t, c in v.items() if t[0] < width}
+    for g in buchberger_vectors(tagged + extra, _FullBasisOrder(order), ring.field):
+        if any(pos < m for pos, _ in g):
+            continue
+        head = {(pos - m, e): c for (pos, e), c in g.items() if pos - m < width}
         head = vec_reduce_components(ring, head)
         if head:
             out.append(head)
@@ -339,6 +371,11 @@ def test_syzygies_over_generators_span_the_kernel_in_low_degrees():
         _check_spans_the_kernel(ring, cols, twists, rels, gens)
 
 
+# Examples of the differential test below; derandomized, so every run
+# draws the same ones.  They cost about 2 s of tier-1 (at most 3 s).
+MAX_EXAMPLES = 300
+
+
 # Seconds the QQ case below is budgeted; the assert allows ten times that,
 # so only a return of the coefficient blow-up (over 20 s when the engine
 # also computed the syzygies among the relations) can fail it.
@@ -359,6 +396,102 @@ def test_syzygies_over_qq_quotient_four_columns_three_relations():
     assert elapsed < 10 * QQ_CASE_BUDGET_S
     assert _check_lands_in_relations(ring, cols, target, rels, gens)
     _check_spans_the_kernel(ring, cols, target, rels, gens)
+
+
+@settings(derandomize=True, max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    char=st.sampled_from(CHARS),
+    quotient=st.booleans(),
+    nvars=st.integers(1, 3),
+    target=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    ncols=st.integers(1, 3),
+    nrels=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_syzygies_over_differential(char, quotient, nvars, target, ncols, nrels, seed):
+    """Random homogeneous columns and relations, in at most 3 variables
+    (3 with the relation xy - z^2): the Schreyer generators land in the
+    relations and span the module the full reduced basis cuts out."""
+    if quotient:
+        ring = _ring(char, True)
+    else:
+        ring = RingPresentation(PolyRing(field_of(char), ("x", "y", "z")[:nvars]), [])
+    rng = random.Random(seed)
+    cols = block_columns(_random_matrix(rng, ring, target, ncols))
+    rels = block_columns(_random_matrix(rng, ring, target, nrels))
+    gens = syzygies_over(ring, cols, target, rels)
+    _check_lands_in_relations(ring, cols, target, rels, gens)
+    src = _column_twists(cols, target)
+    ref = _reference_kernel_block(ring, cols, target, rels)
+    assert _canonical_span(ring, gens, src) == _canonical_span(ring, ref, src)
+
+
+def _count_kernel_work(monkeypatch):
+    """Count normal forms and returned vectors inside syzygies_vectors."""
+    seen = {"normal_forms": 0, "vectors": 0, "inside": False}
+    normal_form, kernel = modgb.normal_form_vec, modules.syzygies_vectors
+
+    def counted_normal_form(*args):
+        seen["normal_forms"] += seen["inside"]
+        return normal_form(*args)
+
+    def counted_kernel(*args):
+        seen["inside"] = True
+        try:
+            out = kernel(*args)
+        finally:
+            seen["inside"] = False
+        seen["vectors"] += len(out)
+        return out
+
+    monkeypatch.setattr(modgb, "normal_form_vec", counted_normal_form)
+    monkeypatch.setattr(modules, "syzygies_vectors", counted_kernel)
+    return seen
+
+
+def test_relations_of_four_quadrics_are_the_four_s_pair_remainders(monkeypatch):
+    """S/(q1..q4): the kernel of the column e_0 modulo the quadrics is
+    generated by the 4 remainders of the S-pairs of e_0 with each q_i; no
+    Groebner basis of the quadrics is built on the tag block."""
+    S = PolyRing(field_of(32003), ("a", "b", "c", "d", "e"))
+    monos = list(monomials_of_degree(S.n, 2))
+    rng = random.Random(4)
+    quads = [
+        S.from_terms((m, S.field.of(rng.randrange(1, 32003))) for m in monos)
+        for _ in range(4)
+    ]
+    seen = _count_kernel_work(monkeypatch)
+    pres = minimalize_presentation(quotient_module(RingPresentation(S, []), quads))
+    assert pres.matrix.source == (2, 2, 2, 2)
+    assert seen["normal_forms"] == 4
+    assert seen["vectors"] == 4
+
+
+# Seconds the cyclic-5 presentation below is budgeted; the assert allows
+# five times that.  With the tag remainders paired into a full reduced
+# basis of cyclic-5, it did not finish in 300 s.
+CYCLIC5_BUDGET_S = 1.0
+
+
+def test_minimal_presentation_of_homogenized_cyclic5():
+    S = PolyRing(field_of(32003), ("a", "b", "c", "d", "e", "h"))
+    v = S.gens()[:5]
+    gens = [
+        sum((_cyclic_product(v, i, k) for i in range(5)), S.zero) for k in range(1, 5)
+    ]
+    gens.append(_cyclic_product(v, 0, 5) - S.gens()[5] ** 5)
+    start = time.perf_counter()
+    pres = minimalize_presentation(quotient_module(RingPresentation(S, []), gens))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5 * CYCLIC5_BUDGET_S
+    assert pres.matrix.source == (1, 2, 3, 4, 5)
+
+
+def _cyclic_product(v, start, k):
+    out = v[start]
+    for j in range(1, k):
+        out = out * v[(start + j) % len(v)]
+    return out
 
 
 # ---------------------------------------------------------------------------
