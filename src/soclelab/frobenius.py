@@ -14,12 +14,12 @@ unchanged everywhere.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 from .errors import DomainError
-from .groebner import Ideal, frobenius_power, ideal_colon, minimal_generators
+from .groebner import Ideal, frobenius_power, ideal_colon
 from .localcoh import canonical_ideal, ideal_as_module, socle_begin
-from .monomials import hilbert_coefficient
+from .modgb import poly_to_vec
+from .modules import nakayama_minimal_subset
 from .rings import RingPresentation, memoized
 
 
@@ -53,11 +53,14 @@ class GaugeRecord:
 def fedder_module(ring, e):
     """Minimal generator degrees of (a^[q] : a)/a^[q], with the colon ideal.
 
-    Defined over the ambient polynomial ring; the degrees are computed by
-    graded Nakayama, as the t^d coefficients of the difference of the
-    Hilbert–Poincaré series of m*colon + a^[q] and of the colon.  The
-    report is memoized on ``ring`` under ("fedder", e), so a scan and its
-    identity check share one colon computation per exponent.
+    Defined over the ambient polynomial ring.  By graded Nakayama the
+    minimal generators of big/small are those of big/(m*big + small):
+    ``nakayama_minimal_subset`` keeps, degree by degree, the colon
+    generators outside the span of a^[q] and of the multiples of those
+    already kept, and the kept degrees come out in increasing order.
+    Without relations the colon is the unit ideal, with degrees (0,).
+    The report is memoized on ``ring`` under ("fedder", e), so a scan and
+    its identity check share one colon computation per exponent.
     """
     p = ring.field.characteristic
     if p == 0:
@@ -70,43 +73,15 @@ def fedder_module(ring, e):
 def _fedder_report(ring, e, q):
     amb = RingPresentation(ring.ambient, ())
     a_ideal = Ideal(amb, list(ring.relations))
-    if not ring.relations:
-        colon = Ideal(amb, [ring.ambient.one])
-        return FedderReport(e=e, q=q, colon=colon, generator_degrees=(0,), mu=1)
     a_q = frobenius_power(a_ideal, q)
     colon = ideal_colon(a_q, a_ideal)
-    degrees = _quotient_generator_degrees(amb, colon, a_q)
+    gens = colon.generators
+    rels = [poly_to_vec(g) for g in a_q.generators]
+    kept = nakayama_minimal_subset(amb, (0,), [poly_to_vec(f) for f in gens], rels)
+    degrees = tuple(gens[i].degree() for i in kept)
     return FedderReport(
         e=e, q=q, colon=colon, generator_degrees=degrees, mu=len(degrees)
     )
-
-
-def _quotient_generator_degrees(amb, big, small):
-    """Minimal generator degree multiset of big/small for nested ideals.
-
-    The count in degree d is H(S/(m*big + small), d) - H(S/big, d): the
-    t^d coefficient of the difference of the two series numerators over
-    (1-t)^n.
-    """
-    big_gens = minimal_generators(big)
-    if not big_gens:
-        return ()
-    top = max(f.degree() for f in big_gens)
-    mgens = []
-    for f in big_gens:
-        for v in amb.ambient.gens():
-            mgens.append(v * f)
-    denominator = Ideal(amb, mgens + list(small.generators))
-    diff = [
-        a - b
-        for a, b in zip_longest(
-            denominator.hilbert_numerator(), big.hilbert_numerator(), fillvalue=0
-        )
-    ]
-    out = []
-    for ell in range(0, top + 1):
-        out.extend([ell] * hilbert_coefficient(diff, amb.n, ell))
-    return tuple(out)
 
 
 def cartier_degrees(report, n):

@@ -10,7 +10,7 @@ import itertools
 import warnings
 
 from .errors import DomainError, StructuralError
-from .modgb import groebner_polys, poly_normal_form, vec_to_poly
+from .modgb import groebner_polys, poly_normal_form, poly_to_vec, vec_to_poly
 from .modules import nakayama_minimal_subset, syzygies_over
 from .monomials import hilbert_coefficient, hilbert_numerator, series_dimension
 from .rings import RingPresentation, memoized
@@ -123,16 +123,11 @@ def frobenius_power(ideal, q):
     if p == 0:
         raise DomainError("Frobenius powers need positive characteristic")
     m = q
-    while m % p == 0:
+    while m > 1 and m % p == 0:
         m //= p
-    if m != 1 or q < 1:
+    if m != 1:
         raise DomainError(f"{q} is not a power of the characteristic {p}")
     return Ideal(ideal.ring, [f**q for f in ideal.generators])
-
-
-def _at(i, f):
-    """The polynomial f as the vector f*e_i."""
-    return {(i, m): c for m, c in f.terms.items()}
 
 
 def ideal_intersection(a, b):
@@ -149,7 +144,7 @@ def ideal_intersection(a, b):
     amb = ring.ambient
     gens = a.generators
     kernel = syzygies_over(
-        ring, [_at(0, f) for f in gens], (0,), [_at(0, g) for g in b.generators]
+        ring, [poly_to_vec(f) for f in gens], (0,), [poly_to_vec(g) for g in b.generators]
     )
     out = []
     for v in kernel:
@@ -175,8 +170,8 @@ def ideal_colon(a, b):
     gens = b.generators
     if not gens:
         return Ideal(ring, [ring.ambient.one])
-    column = {t: c for i, g in enumerate(gens) for t, c in _at(i, g).items()}
-    rels = [_at(i, f) for i in range(len(gens)) for f in a.generators]
+    column = {t: c for i, g in enumerate(gens) for t, c in poly_to_vec(g, i).items()}
+    rels = [poly_to_vec(f, i) for i in range(len(gens)) for f in a.generators]
     twists = tuple(-g.degree() for g in gens)
     kernel = syzygies_over(ring, [column], twists, rels)
     return Ideal(ring, [vec_to_poly(ring.ambient, v) for v in kernel])
@@ -194,7 +189,7 @@ def minimal_generators(ideal):
     """
     ring = ideal.ring
     gens = ideal.generators
-    vectors = [{(0, m): c for m, c in f.terms.items()} for f in gens]
+    vectors = [poly_to_vec(f) for f in gens]
     return [ring.nf(gens[i]) for i in nakayama_minimal_subset(ring, (0,), vectors)]
 
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .groebner import Ideal, minimal_generator_degrees
 from .linalg import Span, nullspace, rank, transpose
+from .modgb import poly_to_vec
 from .modules import (
     GradedMatrix,
     ModulePresentation,
@@ -266,6 +267,8 @@ class _KoszulPiece:
     """Cohomology of Hom(Koszul(x_1^s..x_n^s), M) in one internal degree."""
 
     def __init__(self, module, j, ell, s):
+        if j < 0:
+            raise DomainError(f"cohomological index must be >= 0, got {j}")
         self.module = module
         self.j = j
         self.ell = ell
@@ -596,7 +599,7 @@ def canonical_ideal(ring, random_tries=32):
 
 def ideal_as_module(ideal):
     """The ideal as a graded module over its ring, minimally presented."""
-    gens = [{(0, m): c for m, c in f.terms.items()} for f in ideal.generators]
+    gens = [poly_to_vec(f) for f in ideal.generators]
     return present_subquotient(ideal.ring, (0,), gens)[0]
 
 

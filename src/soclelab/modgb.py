@@ -5,7 +5,8 @@ field coefficient; ideals are the rank-one case.  The same loop serves
 three jobs:
 
 * reduced Groebner bases of ideals (with the coprimality and chain
-  criteria for pair pruning),
+  criteria for pair pruning; an input with no tag block and every term
+  in position 0 is an ideal),
 * reduced Groebner bases of submodules of free modules (chain criterion
   only; the coprimality shortcut is unsound beyond rank one),
 * syzygies modulo a submodule (Macaulay2's and Singular's ``modulo``):
@@ -38,9 +39,8 @@ class VectorOrder:
 
     ``split`` marks the boundary of the tag block: positions >= split are
     strictly smaller than every untagged term (only ``syzygies_vectors``
-    sets it).  ``degree_aware`` inserts
-    the twisted degree as the leading comparison so homogeneous work
-    proceeds by degree.
+    sets it).  Given ``twists``, the order compares the twisted degree
+    first, so homogeneous work proceeds by degree.
 
     ``rank(term)`` is the sort key: a flat tuple of ints in which a larger
     term has a smaller rank, so ``min`` and a ``heapq`` heap both yield the
@@ -55,10 +55,9 @@ class VectorOrder:
     only terms below that lead.
     """
 
-    def __init__(self, mono_key, twists=None, degree_aware=False, split=None):
+    def __init__(self, mono_key, twists=None, split=None):
         self.mono_key = mono_key
         self.twists = twists
-        self.degree_aware = degree_aware
         self.split = split
         self._ranks = {}
 
@@ -67,7 +66,7 @@ class VectorOrder:
         if r is None:
             pos, e = term
             head = (-1,) if (self.split is None or pos < self.split) else (0,)
-            if self.degree_aware:
+            if self.twists is not None:
                 head += (-mono_degree(e) - self.twists[pos],)
             # Splicing the monomial key in keeps its comparison: within one
             # run, every key from ``mono_key`` has the same length.
@@ -161,20 +160,21 @@ def _push_pairs(heap, basis, new_idx, order):
         heapq.heappush(heap, (tuple(-k for k in order.rank((pos, lcm))), i, new_idx, lcm))
 
 
-def buchberger_vectors(vectors, order, field, use_product=False):
+def buchberger_vectors(vectors, order, field):
     """Reduced Groebner basis of the submodule generated by ``vectors``.
 
     With a tag block in ``order``, elements led there (no untagged terms)
     reduce later tag parts but get no S-pairs, and the run returns exactly
     them, unreduced: by Schreyer's theorem they generate the submodule's
     part on the tag block, and they are no basis to minimalize against.
-    The coprimality criterion is applied only when the caller vouches for
-    it (plain rank-one ideals); the chain criterion is always safe.
+    The coprimality criterion is applied exactly when the input is an
+    ideal: no tag block and every term in position 0.  The chain
+    criterion is always safe.
     """
+    vectors = [v for v in vectors if v]
+    use_product = order.split is None and all(pos == 0 for v in vectors for pos, _ in v)
     basis = []
     for v in vectors:
-        if not v:
-            continue
         lt = vec_lead(v, order)
         c = v[lt]
         if c != field.one:
@@ -244,8 +244,9 @@ def _reduce_basis(basis, order, field):
 # Polynomial-level wrappers (rank one).
 
 
-def poly_to_vec(f):
-    return {(0, m): c for m, c in f.terms.items()}
+def poly_to_vec(f, pos=0):
+    """The polynomial f as the vector f*e_pos."""
+    return {(pos, m): c for m, c in f.terms.items()}
 
 
 def vec_to_poly(ring, vec):
@@ -261,8 +262,7 @@ def groebner_polys(polys):
         return []
     ring = live[0].ring
     vorder = VectorOrder(ring.order.key)
-    gb = buchberger_vectors([poly_to_vec(f) for f in live], vorder, ring.field,
-                            use_product=True)
+    gb = buchberger_vectors([poly_to_vec(f) for f in live], vorder, ring.field)
     rank = vorder.rank
     gb.sort(key=lambda v: rank(vec_lead(v, vorder)), reverse=True)
     return [vec_to_poly(ring, v) for v in gb]
@@ -301,11 +301,6 @@ def syzygies_vectors(ring, columns, twists, extra=()):
         v = dict(col)
         v[(m + i, zero_exps)] = ring.field.one
         tagged.append(v)
-    order = VectorOrder(
-        ring.order.key,
-        twists=tuple(twists) + tuple(degs),
-        degree_aware=True,
-        split=m,
-    )
-    gens = buchberger_vectors(tagged + list(extra), order, ring.field, use_product=False)
+    order = VectorOrder(ring.order.key, twists=tuple(twists) + tuple(degs), split=m)
+    gens = buchberger_vectors(tagged + list(extra), order, ring.field)
     return [{(pos - m, e): c for (pos, e), c in g.items()} for g in gens]

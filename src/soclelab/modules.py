@@ -10,7 +10,7 @@ quotient ring.
 
 from .errors import StructuralError
 from .linalg import Span
-from .modgb import syzygies_vectors, vec_degree
+from .modgb import poly_to_vec, syzygies_vectors, vec_degree
 from .monomials import mono_mul
 from .poly import Polynomial
 from .rings import RingPresentation, memoized
@@ -346,7 +346,7 @@ def syzygies_over(ring, columns, twists, rels=()):
     extra = list(rels)
     for rel in ring.relations:
         for i in range(len(twists)):
-            extra.append({(i, m): c for m, c in rel.terms.items()})
+            extra.append(poly_to_vec(rel, i))
     raw = syzygies_vectors(ring.ambient, columns, tuple(twists), extra)
     out = []
     for v in raw:

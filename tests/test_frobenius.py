@@ -222,6 +222,50 @@ def test_fedder_module_is_computed_once_per_exponent(monkeypatch):
     assert len(calls) == 2
 
 
+def test_fedder_module_is_one_kernel_and_one_nakayama_pass(monkeypatch):
+    # The degrees come from graded Nakayama on the colon's generators over
+    # a^[q]: no Groebner basis or Hilbert series of its own, so the one
+    # engine run is the colon's kernel.
+    import sys
+
+    import soclelab.modgb
+    import soclelab.modules
+
+    calls = {}
+
+    def count(name, original, modules):
+        calls[name] = 0
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+
+    package = [m for k, m in list(sys.modules.items()) if k.split(".")[0] == "soclelab"]
+    # Ideal.groebner's runs; the ambient ring's empty relation basis in
+    # ``rings`` never reaches the engine.
+    count("groebner_polys", soclelab.modgb.groebner_polys, [soclelab.groebner])
+    count("buchberger_vectors", soclelab.modgb.buchberger_vectors, package)
+    count("syzygies_over", soclelab.modules.syzygies_over, package)
+    count("nakayama_minimal_subset", soclelab.modules.nakayama_minimal_subset, package)
+    S = PolyRing(field_of(2), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    tc = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+    for e in (1, 2, 3):
+        calls.update(dict.fromkeys(calls, 0))
+        fedder_module(tc, e)
+        assert calls == {
+            "groebner_polys": 0,
+            "buchberger_vectors": 1,
+            "syzygies_over": 1,
+            "nakayama_minimal_subset": 1,
+        }
+
+
 def test_fedder_module_e5_on_the_twisted_cubic():
     # (a^[32] : a) on the GF(2) twisted cubic: one kernel call, three
     # minimal generators of degree 104 over a^[32].

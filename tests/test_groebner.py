@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from soclelab.groebner import (
     minimal_generators,
     normal_form,
 )
-from soclelab.frobenius import _quotient_generator_degrees, fedder_module
+from soclelab.frobenius import fedder_module
 from soclelab.linalg import Span
 from soclelab.modgb import (
     VectorOrder,
@@ -168,6 +169,17 @@ def test_frobenius_power_domain_errors(S7, R7):
         frobenius_power(Ideal(RingPresentation(SQ), [SQ.var(0)]), 2)
 
 
+@pytest.mark.parametrize("q", [0, -2])
+def test_frobenius_power_rejects_exponents_below_one(q, S7, R7):
+    # q = 0 used to loop forever dividing 0 by the characteristic.
+    x, y = S7.gens()
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        frobenius_power(Ideal(R7, [x, y]), q)
+    assert time.perf_counter() - start < 1
+    assert frobenius_power(Ideal(R7, [x, y]), 1).generators == (x, y)
+
+
 def test_colon_examples(S7, R7):
     x, y = S7.gens()
     col = ideal_colon(Ideal(R7, [x**2 * y]), Ideal(R7, [x * y]))
@@ -284,7 +296,7 @@ def _reference_key(order, term):
     """The term order as a tuple key, bigger key meaning bigger term."""
     pos, e = term
     flag = 1 if (order.split is None or pos < order.split) else 0
-    if order.degree_aware:
+    if order.twists is not None:
         return (flag, sum(e) + order.twists[pos], order.mono_key(e), -pos)
     return (flag, order.mono_key(e), -pos)
 
@@ -335,7 +347,7 @@ def test_normal_form_matches_scan_reference(char, tagged):
     rng = random.Random(20 + char + tagged)
     if tagged:
         positions = range(4)
-        order = VectorOrder(DEGREVLEX.key, twists=(0, 1, 2, 1), degree_aware=True, split=2)
+        order = VectorOrder(DEGREVLEX.key, twists=(0, 1, 2, 1), split=2)
     else:
         positions = (0,)
         order = VectorOrder(DEGREVLEX.key)
@@ -360,6 +372,13 @@ def test_normal_form_matches_scan_reference(char, tagged):
         assert {t: c for t, c in total.items() if not F.is_zero(c)} == vec
 
 
+def test_vector_order_compares_twisted_degree_exactly_when_given_twists():
+    x2, x = (0, (2, 0, 0)), (1, (1, 0, 0))
+    assert vec_lead({x2: 1, x: 1}, VectorOrder(DEGREVLEX.key)) == x2
+    # Twisted degrees 2 + 0 and 1 + 2: the second term leads.
+    assert vec_lead({x2: 1, x: 1}, VectorOrder(DEGREVLEX.key, twists=(0, 2))) == x
+
+
 def test_buchberger_computes_each_term_key_once():
     F = field_of(32003)
     rng = random.Random(5)
@@ -371,7 +390,7 @@ def test_buchberger_computes_each_term_key_once():
         seen.append(e)
         return DEGREVLEX.key(e)
 
-    gb = buchberger_vectors(quads, VectorOrder(recorder), F, use_product=True)
+    gb = buchberger_vectors(quads, VectorOrder(recorder), F)
     assert len(gb) > 4
     assert seen and len(seen) == len(set(seen))
 
@@ -545,28 +564,49 @@ def test_ring_hilbert_and_dimension_match_references(char, twisted_cubic):
 
 
 def _reference_quotient_generator_degrees(amb, big, small):
-    """The old loop: two enumerated Hilbert functions per degree 0..top."""
+    """The old route: H(S/(m*big + small), d) - H(S/big, d) generators in
+    degree d, both Hilbert functions enumerated.  The count is zero where
+    big has no minimal generator, so only those degrees are enumerated."""
     big_gens = minimal_generators(big)
-    top = max(f.degree() for f in big_gens)
     mgens = [v * f for f in big_gens for v in amb.ambient.gens()]
     denominator = Ideal(amb, mgens + list(small.generators))
     den_leads = [g.lead_monomial() for g in denominator.groebner()]
     big_leads = [g.lead_monomial() for g in big.groebner()]
     out = []
-    for ell in range(0, top + 1):
+    for ell in sorted({f.degree() for f in big_gens}):
         count = _reference_hilbert(den_leads, amb.n, ell) - _reference_hilbert(big_leads, amb.n, ell)
         out.extend([ell] * count)
     return tuple(sorted(out))
 
 
-@pytest.mark.parametrize("e", [1, 2, 3])
-def test_quotient_generator_degrees_match_enumeration(e, twisted_cubic_gf2):
-    amb = RingPresentation(twisted_cubic_gf2.ambient)
-    report = fedder_module(twisted_cubic_gf2, e)
-    a_q = frobenius_power(Ideal(amb, list(twisted_cubic_gf2.relations)), report.q)
-    expected = _reference_quotient_generator_degrees(amb, report.colon, a_q)
-    assert _quotient_generator_degrees(amb, report.colon, a_q) == expected
-    assert report.generator_degrees == expected
+# (characteristic, variables, relations, largest e) of the rings the
+# Fedder degrees are checked on.
+FEDDER_CASES = {
+    "twisted-cubic-gf2": (
+        2, "abcd", lambda a, b, c, d: [a * c - b**2, a * d - b * c, b * d - c**2], 4
+    ),
+    "fermat-cubic-gf2": (2, "xyz", lambda x, y, z: [x**3 + y**3 + z**3], 4),
+    "fermat-cubic-gf3": (3, "xyz", lambda x, y, z: [x**3 + y**3 + z**3], 3),
+    "xyz-gf7": (7, "xyz", lambda x, y, z: [x * y * z], 2),
+    "plane-gf2": (2, "xy", lambda x, y: [], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(FEDDER_CASES))
+def test_fedder_degrees_match_the_series_reference(case):
+    char, names, relations, e_max = FEDDER_CASES[case]
+    S = PolyRing(field_of(char), tuple(names))
+    ring = RingPresentation(S, relations(*S.gens()))
+    amb = RingPresentation(S)
+    a = Ideal(amb, list(ring.relations))
+    for e in range(e_max + 1):
+        report = fedder_module(ring, e)
+        a_q = frobenius_power(a, report.q)
+        expected = _reference_quotient_generator_degrees(amb, report.colon, a_q)
+        assert report.generator_degrees == expected, e
+        assert report.mu == len(expected)
+        if not ring.relations:
+            assert expected == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +632,7 @@ def _reference_intersection(a, b):
     gens += [(ext.one - u) * _reference_embed(ext, g) for g in b.generators + ring.relations]
     out = []
     gb = buchberger_vectors(
-        [poly_to_vec(f) for f in gens], VectorOrder(EliminationOrder(1).key), ext.field,
-        use_product=True,
+        [poly_to_vec(f) for f in gens], VectorOrder(EliminationOrder(1).key), ext.field
     )
     for v in gb:
         h = vec_to_poly(ext, v)

@@ -254,7 +254,6 @@ def _reference_kernel_block(ring, phi_cols, dst_twists, dst_rels):
     order = VectorOrder(
         ring.ambient.order.key,
         twists=tuple(dst_twists) + tuple(degs),
-        degree_aware=True,
         split=m,
     )
     out = []
@@ -301,7 +300,7 @@ def _canonical_span(ring, vectors, twists):
     for rel in ring.relations:
         for i in range(len(twists)):
             gens.append({(i, m): c for m, c in rel.terms.items()})
-    order = VectorOrder(ring.ambient.order.key, twists=tuple(twists), degree_aware=True)
+    order = VectorOrder(ring.ambient.order.key, twists=tuple(twists))
     gb = buchberger_vectors(gens, order, ring.field)
     return sorted(sorted(g.items()) for g in gb)
 

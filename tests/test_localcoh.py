@@ -217,6 +217,13 @@ def test_oracle_rejects_s_max_below_three(presentation_xy, oracle, s_max):
         oracle(2, S_mod, -2, s_max=s_max)
 
 
+@pytest.mark.parametrize("oracle", [koszul_piece, socle_piece])
+def test_oracle_rejects_a_negative_cohomological_index(presentation_xy, oracle):
+    S_mod = free_module(presentation_xy, (0,))
+    with pytest.raises(DomainError, match="cohomological index"):
+        oracle(-1, S_mod, 0)
+
+
 # -- Ext against k --------------------------------------------------------------
 
 
