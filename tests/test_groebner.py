@@ -579,6 +579,16 @@ def _reference_quotient_generator_degrees(amb, big, small):
     return tuple(sorted(out))
 
 
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_quotient_generator_degrees_match_enumeration(e, twisted_cubic_gf2):
+    amb = RingPresentation(twisted_cubic_gf2.ambient)
+    report = fedder_module(twisted_cubic_gf2, e)
+    a_q = frobenius_power(Ideal(amb, list(twisted_cubic_gf2.relations)), report.q)
+    expected = _reference_quotient_generator_degrees(amb, report.colon, a_q)
+    assert report.generator_degrees == expected
+    assert report.mu == len(expected)
+
+
 # (characteristic, variables, relations, largest e) of the rings the
 # Fedder degrees are checked on.
 FEDDER_CASES = {
