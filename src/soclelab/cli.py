@@ -9,7 +9,7 @@ error (including bad usage and parse errors).
 import argparse
 import sys
 
-from .errors import AlgebraError, HypothesisError, InputSyntaxError
+from .errors import AlgebraError, DomainError, HypothesisError, InputSyntaxError
 from .frobenius import fedder_module, gauge_scan
 from .inputfile import parse_input_file
 from .localcoh import (
@@ -183,6 +183,8 @@ def cmd_canonical(args, ring, ideals):
 
 
 def cmd_fedder(args, ring, ideals):
+    if args.e_max < 1:
+        raise DomainError("e_max must be >= 1")
     rows = []
     for e in range(1, args.e_max + 1):
         rep = fedder_module(ring, e)

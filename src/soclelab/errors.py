@@ -18,7 +18,7 @@ class TruncationError(AlgebraError):
 
 
 class UnstableLimitError(AlgebraError):
-    """The Koszul-limit oracle did not stabilize; increase sMax."""
+    """The Koszul stage that equals the limit is at or above sMax; increase sMax."""
 
 
 class HypothesisError(AlgebraError):

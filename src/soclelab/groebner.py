@@ -69,11 +69,6 @@ class Ideal:
         gb = self.groebner()
         return any(g.degree() == 0 for g in gb)
 
-    def quotient_ring(self):
-        """R/I, as a ring presentation of the same ambient ring."""
-        rels = [g for g in self.groebner() if g.degree() >= 1]
-        return RingPresentation(self.ring.ambient, rels)
-
 
 def normal_form(f, basis):
     """Remainder of f modulo a Groebner basis (or any monic reducer list)."""

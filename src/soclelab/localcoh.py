@@ -3,16 +3,42 @@
 The fast route dualizes a minimal free resolution into S(-n): the end
 degree of H^j is minus the least generator degree of the dual Ext
 module, and the least socle degree is minus its largest generator
-degree.  The slow route computes stabilized pieces of the Koszul-limit
-system on powers of the variables and never returns a silently
-unstabilized value.  Canonical modules, canonical ideals, alpha
-invariants, and regularity all hang off these two routes.
+degree.  The slow route computes pieces of the Koszul-limit system on
+powers of the variables, at a stage proved equal to the limit.
+Canonical modules, canonical ideals, alpha invariants, and regularity
+all hang off these two routes.
 
 Each Koszul stage, and ``ext_k_piece``'s direct check of Ext^i_R(k, M),
 is the cohomology of Hom(F_., M) in one internal degree for a complex
 F_. of graded free modules: one coboundary builder (``_hom_map``) and
-one ker/im routine (``_hom_cohomology``) serve both.  One stabilization
-test (``_stable_stage``) serves ``koszul_piece`` and ``socle_piece``.
+one ker/im routine (``_hom_cohomology``) serve both.
+
+Which Koszul stage equals the limit.  Stage s is H^j(x^s; M), the
+cohomology of the Koszul complex on x_1^s, ..., x_n^s with coefficients
+in M; H^j_m(M) is its direct limit, the map from stage s to stage s + 1
+multiplying block T by x_T, the product of the x_i with i in T.  That
+Koszul complex resolves A_s = S/m^[s] and is self-dual, so
+H^j(x^s; M)_ell = Tor^S_{n-j}(A_s, M)_{ell+ns} (Bruns-Herzog,
+Cohen-Macaulay Rings, 1.6 and 3.5), and the transition becomes the map
+on Tor induced by multiplication by x_1...x_n from A_s(-n) to A_{s+1}.
+Compute that Tor as the homology of F_. (x) A_s, with F_. the minimal
+free resolution of M over S.  In degree ell + ns a summand S(-b) of F_i
+contributes the piece of A_s that lies c = b - n - ell below its top
+degree n(s-1).  Its monomials are x^(s-1)/v, for v of degree c with
+every exponent below s; once c <= s - 1 that is every monomial v of
+degree c.  A monomial w sends x^(s-1)/v to x^(s-1)/(v/w) when w divides
+v and to zero otherwise, whatever s is, and multiplication by
+x_1...x_n sends x^(s-1)/v in A_s to x^s/v in A_{s+1}.  So in the basis
+v, F_. (x) A_s in degree ell + ns does not depend on s once s - 1 >= c
+for every twist of F_{n-j-1}, F_{n-j} and F_{n-j+1}, the terms that
+H_{n-j} reads, and the transition maps there are the identity.  Every
+stage s >= s0 = max(2, 1 + b - n - ell), with b the largest of those
+twists, therefore equals the limit; the least stage used is 2.
+Multiplication by a variable commutes with the transitions, and s0
+for ell + 1 is at most s0 for ell, so the socle maps from degree ell
+to ell + 1 are read at stage s0(ell) on both sides.  The resolution is
+the one the duality route memoizes; it is the only thing the two
+routes share.
 """
 
 import itertools
@@ -27,7 +53,7 @@ from .errors import (
     UnstableLimitError,
 )
 from .groebner import Ideal, minimal_generator_degrees
-from .linalg import Span, nullspace, rank, transpose
+from .linalg import Span, nullspace, transpose
 from .modgb import poly_to_vec
 from .modules import (
     GradedMatrix,
@@ -267,8 +293,6 @@ class _KoszulPiece:
     """Cohomology of Hom(Koszul(x_1^s..x_n^s), M) in one internal degree."""
 
     def __init__(self, module, j, ell, s):
-        if j < 0:
-            raise DomainError(f"cohomological index must be >= 0, got {j}")
         self.module = module
         self.j = j
         self.ell = ell
@@ -276,19 +300,6 @@ class _KoszulPiece:
         ring = module.ring
         self.subsets = list(itertools.combinations(range(ring.ambient.n), j))
         self.block_dim = module.piece(ell + j * s).dim
-
-        # A zero piece is only evidence when the window has reached the
-        # module: for j >= 1 the relevant degrees climb with s, and below
-        # the least generator degree the whole complex is trivially zero
-        # and says nothing about the limit.  For j = 0 the stage space
-        # embeds in M itself, so a zero block is conclusive.
-        if module.is_zero() or j == 0:
-            self.informative = True
-        else:
-            self.informative = (
-                self.block_dim > 0 or ell + j * s >= min(module.generator_degrees)
-            )
-
         self.quotient = _hom_cohomology(
             module,
             (j * s,) * len(self.subsets),
@@ -332,82 +343,60 @@ def _koszul_stage(module, j, ell, s):
     )
 
 
-def _stable_stage(module, j, ell, s):
-    """Stage s of the Koszul limit when stages s and s + 1 agree, else None.
+def _limit_stage(j, module, ell, s_max):
+    """The stage s0 = max(2, 1 + b - n - ell) of the module docstring.
 
-    They agree when their dimensions are equal and either the comparison
-    map between them is an isomorphism or both are zero and informative.
-    """
-    a, b = _koszul_stage(module, j, ell, s), _koszul_stage(module, j, ell, s + 1)
-    if a.dim != b.dim:
-        return None
-    if a.dim == 0:
-        return a if a.informative and b.informative else None
-    return a if _transition_is_iso(module.ring, a, b) else None
-
-
-def koszul_piece(j, module, ell, s_max=10):
-    """dim H^j_m(M) in one degree, from the stabilized Koszul limit.
-
-    Accepts a value only when two consecutive stages have equal dimension
-    and the comparison map between them is an isomorphism; otherwise
-    raises UnstableLimitError asking for a larger s_max.  Returns
-    (dimension, stage at which it stabilized).
+    b is the largest twist of F_{n-j-1}, F_{n-j} and F_{n-j+1} in the
+    minimal free resolution of M over S.  Raises UnstableLimitError when
+    s0 >= s_max.
     """
     if s_max < 3:
         raise DomainError("s_max must be at least 3")
-    for s in range(2, s_max):
-        a = _stable_stage(module, j, ell, s)
-        if a is not None:
-            return a.dim, s
-    raise UnstableLimitError(
-        f"H^{j} piece in degree {ell} did not stabilize by s_max={s_max}; increase sMax"
-    )
+    if j < 0:
+        raise DomainError(f"cohomological index must be >= 0, got {j}")
+    n = ambient_var_count(module)
+    res = minimal_free_resolution(module)
+    twists = [b for k in (n - j - 1, n - j, n - j + 1) for b in res.module_twists(k)]
+    s0 = max([2] + [1 + b - n - ell for b in twists])
+    if s0 >= s_max:
+        raise UnstableLimitError(
+            f"H^{j} piece in degree {ell} is stable only from Koszul stage {s0}, "
+            f"not below s_max={s_max}; increase sMax"
+        )
+    return s0
 
 
-def _transition_is_iso(ring, a, b):
-    gens = ring.ambient.gens()
+def koszul_piece(j, module, ell, s_max=10):
+    """dim H^j_m(M) in one degree, from Koszul stage s0.
 
-    def multiplier(T):
-        f = ring.ambient.one
-        for i in T:
-            f = f * gens[i]
-        return f
-
-    cols = a.map_blockwise(multiplier, b)
-    if not cols:
-        return b.dim == 0
-    return rank(ring.field, cols, b.dim) == b.dim
+    s0 is read off the twists of M's minimal free resolution (module
+    docstring), and stage s0 equals the limit.  Raises
+    UnstableLimitError when s0 >= s_max.  Returns (dimension, s0).
+    """
+    s = _limit_stage(j, module, ell, s_max)
+    return _koszul_stage(module, j, ell, s).dim, s
 
 
 def socle_piece(j, module, ell, s_max=10):
     """dim of the socle of H^j_m(M) in one degree, by brute force.
 
-    The joint kernel of the variable multiplications out of the
-    stabilized piece; both source and target pieces must stabilize at a
-    common stage.
+    The joint kernel of the variable multiplications from stage s0 of
+    degree ell to the same stage of degree ell + 1.  s0 for ell is at
+    least s0 for ell + 1, so both stages equal their limits and the
+    multiplications are those of H^j_m(M).  Raises UnstableLimitError
+    when s0 >= s_max.  Returns (dimension, s0).
     """
-    if s_max < 3:
-        raise DomainError("s_max must be at least 3")
+    s = _limit_stage(j, module, ell, s_max)
+    a0 = _koszul_stage(module, j, ell, s)
+    if a0.dim == 0:
+        return 0, s
+    b0 = _koszul_stage(module, j, ell + 1, s)
     ring = module.ring
-
-    for s in range(2, s_max):
-        a0 = _stable_stage(module, j, ell, s)
-        if a0 is None:
-            continue
-        b0 = _stable_stage(module, j, ell + 1, s)
-        if b0 is None:
-            continue
-        if a0.dim == 0:
-            return 0, s
-        rows = []
-        for var in ring.ambient.gens():
-            cols = a0.map_blockwise(lambda T, f=var: f, b0)
-            rows.extend(transpose(cols, b0.dim))
-        return len(nullspace(ring.field, rows, a0.dim)), s
-    raise UnstableLimitError(
-        f"socle piece of H^{j} in degree {ell} did not stabilize; increase sMax"
-    )
+    rows = []
+    for var in ring.ambient.gens():
+        cols = a0.map_blockwise(lambda T, f=var: f, b0)
+        rows.extend(transpose(cols, b0.dim))
+    return len(nullspace(ring.field, rows, a0.dim)), s
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,6 @@ class BettiTable:
     def beta(self, i, j):
         return self.entries.get((i, j), 0)
 
-    def max_step(self):
-        return max((i for i, _ in self.entries), default=-1)
-
     def regularity(self):
         """max(j - i) over nonzero entries; the Betti-side regularity."""
         return max(j - i for (i, j) in self.entries)

@@ -180,6 +180,14 @@ def test_fedder_subcommand(twisted_file):
     assert lines[2] == "2,4,1,10"
 
 
+@pytest.mark.parametrize("e_max", ["0", "-1"])
+def test_fedder_rejects_e_max_below_one(twisted_file, e_max):
+    out = run_cli("fedder", twisted_file, "--e-max", e_max)
+    assert out.returncode == 1
+    assert "e_max must be >= 1" in out.stderr
+    assert out.stdout == ""
+
+
 def test_gauge_subcommand(twisted_file):
     out = run_cli("gauge", twisted_file, "--e-max", "2")
     assert out.returncode == 0

@@ -5,7 +5,7 @@ import pytest
 
 from soclelab.errors import DomainError, UnstableLimitError
 from soclelab.fields import field_of
-from soclelab.groebner import Ideal, minimal_generator_degrees
+from soclelab.groebner import Ideal, ideal_power, minimal_generator_degrees
 import soclelab.localcoh as localcoh
 import soclelab.resolutions as resolutions
 from soclelab.localcoh import (
@@ -191,6 +191,9 @@ def test_oracle_matches_duality_on_window(presentation_xy, ring_xy):
     M = quotient_module(presentation_xy, [x * y])
     j = 1
     sb, le = socle_begin(j, M), lc_end(j, M)
+    dual = ext_dual(2 - j, M)
+    for ell in range(sb - 2, le + 3):
+        assert koszul_piece(j, M, ell)[0] == module_hilbert(dual, -ell), ell
     koszul_nonzero = [
         ell for ell in range(sb - 2, le + 3) if koszul_piece(j, M, ell)[0] > 0
     ]
@@ -204,9 +207,34 @@ def test_oracle_matches_duality_on_window(presentation_xy, ring_xy):
 def test_oracle_unstable_raises(presentation_xy):
     S_mod = free_module(presentation_xy, (0,))
     with pytest.raises(UnstableLimitError):
-        # s_max too small to certify two agreeing consecutive stages at a
-        # degree that keeps moving with s.
+        # The limit is reached only at stage 1 + 0 - 2 + 7 = 6 >= s_max.
         koszul_piece(2, S_mod, -7, s_max=3)
+
+
+def _twisted_cubic_cube():
+    """S/I^3 for the twisted cubic I = (ac - b^2, ad - bc, bd - c^2) over
+    GF(32003): dim H^2_m in degree ell is 18 per step down for ell << 0."""
+    S = PolyRing(field_of(32003), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    R = RingPresentation(S)
+    I = Ideal(R, [a * c - b**2, a * d - b * c, b * d - c**2])
+    return quotient_module(R, ideal_power(I, 3).generators)
+
+
+def test_koszul_piece_on_the_cube_of_the_twisted_cubic():
+    # The old rule accepted two agreeing zero stages below the limit and
+    # returned 0 at ell = -4 and -3; the stage dimensions at ell = -4
+    # read 0, 0, 0, 26, 74, 106, 118, 106, ... for s = 2, 3, ...
+    M = _twisted_cubic_cube()
+    dual = ext_dual(2, M)
+    expected = {-4: 106, -3: 88, -2: 70, -1: 52, 0: 35, 1: 20, 2: 8}
+    for ell, dim in expected.items():
+        assert module_hilbert(dual, -ell) == dim
+        assert koszul_piece(2, M, ell) == (dim, 5 - ell)
+    assert _reference_koszul_piece(2, M, -4) == (0, 2)
+    assert _reference_koszul_piece(2, M, -3) == (0, 2)
+    with pytest.raises(UnstableLimitError, match="stage 10"):
+        koszul_piece(2, M, -5)
 
 
 @pytest.mark.parametrize("oracle", [koszul_piece, socle_piece])
@@ -513,12 +541,6 @@ class _ReferenceKoszulPiece:
         self.subsets = list(itertools.combinations(range(n), j))
         self.block_dim = module.piece(ell + j * s).dim
         width = len(self.subsets) * self.block_dim
-        if module.is_zero() or j == 0:
-            self.informative = True
-        else:
-            self.informative = (
-                self.block_dim > 0 or ell + j * s >= min(module.generator_degrees)
-            )
         up_subsets = list(itertools.combinations(range(n), j + 1))
         up_dim = module.piece(ell + (j + 1) * s).dim
         powers = {}
@@ -663,7 +685,6 @@ def test_koszul_stage_matches_the_old_loops(char):
                     new = localcoh._KoszulPiece(M, j, ell, s)
                     ref = _ReferenceKoszulPiece(M, j, ell, s)
                     assert new.dim == ref.dim
-                    assert new.informative == ref.informative
                     assert (new.subsets, new.block_dim) == (ref.subsets, ref.block_dim)
                     assert new.quotient.reps == ref.quotient.reps
                     twists = (j * s,) * len(new.subsets)
@@ -727,3 +748,73 @@ def test_koszul_stage_builds_n_multiplication_matrices_per_differential(
         builds.clear()
         localcoh._KoszulPiece(M, j, 0, 2)
         assert len(builds) == n * ((j > 0) + (j < n))
+
+
+# -- the stage s0, against the search it replaced -----------------------------
+
+
+def _reference_informative(module, j, ell, s):
+    """The old guard: a zero stage counted as evidence only for j = 0 or
+    once degree ell + j*s reached the module's least generator degree."""
+    if module.is_zero() or j == 0:
+        return True
+    block_dim = module.piece(ell + j * s).dim
+    return block_dim > 0 or ell + j * s >= min(module.generator_degrees)
+
+
+def _reference_transition_is_iso(ring, a, b):
+    """Is the transition from stage a to stage b, block T times x_T, an
+    isomorphism?"""
+    gens = ring.ambient.gens()
+
+    def multiplier(T):
+        f = ring.ambient.one
+        for i in T:
+            f = f * gens[i]
+        return f
+
+    cols = a.map_blockwise(multiplier, b)
+    if not cols:
+        return b.dim == 0
+    return rank(ring.field, cols, b.dim) == b.dim
+
+
+def _reference_stable_stage(module, j, ell, s):
+    """The old acceptance: stages s and s + 1 agree."""
+    a, b = _koszul_stage(module, j, ell, s), _koszul_stage(module, j, ell, s + 1)
+    if a.dim != b.dim:
+        return None
+    if a.dim == 0:
+        both = _reference_informative(module, j, ell, s) and _reference_informative(
+            module, j, ell, s + 1
+        )
+        return a if both else None
+    return a if _reference_transition_is_iso(module.ring, a, b) else None
+
+
+def _reference_koszul_piece(j, module, ell, s_max=10):
+    """The old koszul_piece: the first stage that agrees with the next."""
+    for s in range(2, s_max):
+        a = _reference_stable_stage(module, j, ell, s)
+        if a is not None:
+            return a.dim, s
+    raise UnstableLimitError(f"no two agreeing stages below s_max={s_max}")
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_stage_s0_is_not_too_small(char):
+    # A too small s0 shows as a later stage of another dimension, or as a
+    # transition that is not an isomorphism.
+    rng = random.Random(9000 + char)
+    nonzero = 0
+    for ring, M in _hom_complex_modules(char):
+        n = ring.ambient.n
+        for j in range(n + 1):
+            for ell in sorted(rng.sample(range(-n - 2, 3), 3)):
+                s0 = koszul_piece(j, M, ell, s_max=12)[1]
+                stages = [_koszul_stage(M, j, ell, s) for s in (s0, s0 + 1, s0 + 2)]
+                assert len({st.dim for st in stages}) == 1, (j, ell, s0)
+                for a, b in zip(stages, stages[1:]):
+                    assert _reference_transition_is_iso(ring, a, b), (j, ell, s0)
+                nonzero += stages[0].dim > 0
+    assert nonzero >= 10
