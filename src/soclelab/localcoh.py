@@ -33,7 +33,10 @@ v, F_. (x) A_s in degree ell + ns does not depend on s once s - 1 >= c
 for every twist of F_{n-j-1}, F_{n-j} and F_{n-j+1}, the terms that
 H_{n-j} reads, and the transition maps there are the identity.  Every
 stage s >= s0 = max(2, 1 + b - n - ell), with b the largest of those
-twists, therefore equals the limit; the least stage used is 2.
+twists, therefore equals the limit; the least stage used is 2.  For
+j = 0 every stage is the piece of (0 :_M (x^s)) in degree ell, inside
+M_ell, so where M_ell = 0 every stage is 0 and stage 2 is the limit
+whatever the twists say.
 Multiplication by a variable commutes with the transitions, and s0
 for ell + 1 is at most s0 for ell, so the socle maps from degree ell
 to ell + 1 are read at stage s0(ell) on both sides.  The resolution is
@@ -347,13 +350,16 @@ def _limit_stage(j, module, ell, s_max):
     """The stage s0 = max(2, 1 + b - n - ell) of the module docstring.
 
     b is the largest twist of F_{n-j-1}, F_{n-j} and F_{n-j+1} in the
-    minimal free resolution of M over S.  Raises UnstableLimitError when
-    s0 >= s_max.
+    minimal free resolution of M over S.  For j = 0 with M_ell = 0, read
+    off the oracle's own piece of M, it is 2.  Raises UnstableLimitError
+    when s0 >= s_max.
     """
     if s_max < 3:
         raise DomainError("s_max must be at least 3")
     if j < 0:
         raise DomainError(f"cohomological index must be >= 0, got {j}")
+    if j == 0 and module.piece(ell).dim == 0:
+        return 2
     n = ambient_var_count(module)
     res = minimal_free_resolution(module)
     twists = [b for k in (n - j - 1, n - j, n - j + 1) for b in res.module_twists(k)]
@@ -370,8 +376,9 @@ def koszul_piece(j, module, ell, s_max=10):
     """dim H^j_m(M) in one degree, from Koszul stage s0.
 
     s0 is read off the twists of M's minimal free resolution (module
-    docstring), and stage s0 equals the limit.  Raises
-    UnstableLimitError when s0 >= s_max.  Returns (dimension, s0).
+    docstring), and stage s0 equals the limit; for j = 0 and M_ell = 0
+    the answer is (0, 2).  Raises UnstableLimitError when s0 >= s_max.
+    Returns (dimension, s0).
     """
     s = _limit_stage(j, module, ell, s_max)
     return _koszul_stage(module, j, ell, s).dim, s
@@ -383,8 +390,9 @@ def socle_piece(j, module, ell, s_max=10):
     The joint kernel of the variable multiplications from stage s0 of
     degree ell to the same stage of degree ell + 1.  s0 for ell is at
     least s0 for ell + 1, so both stages equal their limits and the
-    multiplications are those of H^j_m(M).  Raises UnstableLimitError
-    when s0 >= s_max.  Returns (dimension, s0).
+    multiplications are those of H^j_m(M).  For j = 0 and M_ell = 0 the
+    answer is (0, 2).  Raises UnstableLimitError when s0 >= s_max.
+    Returns (dimension, s0).
     """
     s = _limit_stage(j, module, ell, s_max)
     a0 = _koszul_stage(module, j, ell, s)

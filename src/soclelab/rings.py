@@ -7,7 +7,7 @@ polynomial ring itself.
 """
 
 from .errors import StructuralError
-from .modgb import groebner_polys, poly_normal_form
+from .modgb import PolyReducer, groebner_polys
 from .monomials import (
     hilbert_coefficient,
     hilbert_numerator,
@@ -25,9 +25,10 @@ class RingPresentation:
     which keeps what is computed on first use: the relation Groebner
     basis ("gb"), the numerator of the Hilbert–Poincaré series
     ("hilbert_numerator"), the standard monomials of each degree
-    (("std", d)), the truncated residue-field resolution ("kres") and
-    the Fedder report of each Frobenius exponent (("fedder", e)).  No
-    lock guards it.
+    (("std", d)), the truncated residue-field resolution ("kres"), the
+    Fedder report of each Frobenius exponent (("fedder", e)) and the
+    reducer behind ``nf`` ("nf"), which keeps the term order and the
+    coded relation basis.  No lock guards it.
 
     ``hilbert`` and ``dimension`` read the series: H(d) is its t^d
     coefficient, the dimension its pole order at t = 1.
@@ -84,7 +85,10 @@ class RingPresentation:
         """Normal form of f modulo the relation ideal."""
         if not self.relations:
             return f
-        return poly_normal_form(f, self.relations_groebner())
+        reducer = memoized(
+            self, "nf", lambda: PolyReducer(self.ambient, self.relations_groebner())
+        )
+        return reducer.reduce(f)
 
     def is_zero_in_quotient(self, f):
         return self.nf(f).is_zero()

@@ -65,6 +65,20 @@ def test_gb_subcommand(demo_file):
     assert len(lines) == 4
 
 
+def test_gb_keeps_an_exponent_past_any_fixed_field_width(tmp_path):
+    # 10^20 needs 67 bits: the engine's exponent fields are sized from the
+    # input, so the basis comes back exact.
+    path = tmp_path / "huge.ring"
+    path.write_text('field 101\nvars x, y\nideal I = "x^100000000000000000000*y", "y^2"\n')
+    out = run_cli("gb", str(path), "--ideal", "I")
+    assert out.returncode == 0
+    assert out.stdout.strip().split("\n") == [
+        "index,degree,polynomial",
+        "0,2,y^2",
+        "1,100000000000000000001,x^100000000000000000000*y",
+    ]
+
+
 def test_resolve_subcommand(twisted_file):
     out = run_cli("resolve", twisted_file)
     assert out.returncode == 0

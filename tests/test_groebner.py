@@ -29,7 +29,6 @@ from soclelab.modgb import (
     buchberger_vectors,
     normal_form_vec,
     poly_to_vec,
-    vec_lead,
     vec_scale,
     vec_to_poly,
 )
@@ -301,6 +300,15 @@ def _reference_key(order, term):
     return (flag, order.mono_key(e), -pos)
 
 
+def _reference_lead(vec, order):
+    return max(vec, key=lambda t: _reference_key(order, t))
+
+
+def _packed_lead(vec, order):
+    """The lead term as the engine finds it: the least code."""
+    return min(vec, key=order.table([vec]).encode)
+
+
 def _reference_normal_form(vec, basis, order, F):
     """Reduction that rescans the work vector for its largest term each step."""
     work = dict(vec)
@@ -356,11 +364,14 @@ def test_normal_form_matches_scan_reference(char, tagged):
         for _ in range(3):
             g = _random_vector(rng, F, n, positions, 4)
             if g:
-                lt = vec_lead(g, order)
+                lt = _reference_lead(g, order)
                 basis.append((vec_scale(g, F.inv(g[lt]), F), lt))
         vec = _random_vector(rng, F, n, positions, 10)
         rem, quotients = _reference_normal_form(vec, basis, order, F)
-        assert normal_form_vec(vec, basis, order, F) == rem
+        # The engine reduces coded vectors: convert through the order.
+        table = order.table([vec] + [g for g, _ in basis])
+        coded = [(table.encode_vec(g), table.encode(lt)) for g, lt in basis]
+        assert table.decode_vec(normal_form_vec(table.encode_vec(vec), coded, table, F)) == rem
         for (pos, m) in rem:
             assert not any(lp == pos and mono_divides(lm, m) for _, (lp, lm) in basis)
         total = dict(rem)
@@ -374,9 +385,9 @@ def test_normal_form_matches_scan_reference(char, tagged):
 
 def test_vector_order_compares_twisted_degree_exactly_when_given_twists():
     x2, x = (0, (2, 0, 0)), (1, (1, 0, 0))
-    assert vec_lead({x2: 1, x: 1}, VectorOrder(DEGREVLEX.key)) == x2
+    assert _packed_lead({x2: 1, x: 1}, VectorOrder(DEGREVLEX.key)) == x2
     # Twisted degrees 2 + 0 and 1 + 2: the second term leads.
-    assert vec_lead({x2: 1, x: 1}, VectorOrder(DEGREVLEX.key, twists=(0, 2))) == x
+    assert _packed_lead({x2: 1, x: 1}, VectorOrder(DEGREVLEX.key, twists=(0, 2))) == x
 
 
 def test_buchberger_computes_each_term_key_once():
@@ -392,7 +403,10 @@ def test_buchberger_computes_each_term_key_once():
 
     gb = buchberger_vectors(quads, VectorOrder(recorder), F)
     assert len(gb) > 4
-    assert seen and len(seen) == len(set(seen))
+    # The code table needs the key at the zero vector and the 5 unit
+    # vectors only, each once.
+    assert 0 < len(seen) <= 5 + 1
+    assert len(seen) == len(set(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ class _FullBasisOrder:
     then pairs every element and returns the full reduced basis."""
 
     def __init__(self, order):
-        self.rank, self.split = order.rank, None
+        self.table, self.split = order.table, None
 
 
 def _reference_kernel_block(ring, phi_cols, dst_twists, dst_rels):

@@ -238,6 +238,22 @@ def test_koszul_piece_on_the_cube_of_the_twisted_cubic():
 
 
 @pytest.mark.parametrize("oracle", [koszul_piece, socle_piece])
+def test_h0_piece_is_zero_where_the_module_is(oracle):
+    """H^0_m(M)_ell lies in M_ell.  On S/(xy, yz, zx)^4 the twist 10 of F_3
+    puts s0 at 10..14 for ell = -6..-2, where M itself is zero: every
+    stage is zero, so the answer is (0, 2) and nothing raises."""
+    S = PolyRing(field_of(101), ("x", "y", "z"))
+    x, y, z = S.gens()
+    R = RingPresentation(S)
+    M = quotient_module(R, ideal_power(Ideal(R, [x * y, y * z, z * x]), 4).generators)
+    for ell in range(-6, -1):
+        assert M.piece(ell).dim == 0
+        assert oracle(0, M, ell) == (0, 2)
+    # Where M is not zero the twists decide the stage, as before.
+    assert oracle(0, M, 0)[1] == 8
+
+
+@pytest.mark.parametrize("oracle", [koszul_piece, socle_piece])
 @pytest.mark.parametrize("s_max", [2, 0, -1])
 def test_oracle_rejects_s_max_below_three(presentation_xy, oracle, s_max):
     S_mod = free_module(presentation_xy, (0,))
