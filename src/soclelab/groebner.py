@@ -175,12 +175,14 @@ def ideal_colon(a, b):
 def minimal_generators(ideal):
     """A minimal homogeneous generating subset, greedily by degree.
 
-    Degree by degree, a candidate is kept iff it falls outside the span
-    of R-multiples of the generators already kept (graded Nakayama, by
-    ``nakayama_minimal_subset`` on the generators as vectors of R^1).
-    The survivors are returned as normal forms modulo the relations, in
-    (degree, input index) order; their degrees are a canonical multiset
-    even though the survivors themselves depend on the input order.
+    Degree by degree, a candidate is kept iff it falls outside the ideal
+    generated by the generators already kept (and the relations): graded
+    Nakayama, by ``nakayama_minimal_subset`` on the generators as vectors
+    of R^1, which decides each candidate by its normal form against a
+    degree-truncated Groebner basis of the kept ones.  The survivors are
+    returned as normal forms modulo the relations, in (degree, input
+    index) order; their degrees are a canonical multiset even though the
+    survivors themselves depend on the input order.
     """
     ring = ideal.ring
     gens = ideal.generators

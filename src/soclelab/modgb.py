@@ -1,7 +1,8 @@
 """Buchberger engine for submodules of free modules over a polynomial ring.
 
 At the boundary (``buchberger_vectors``, ``syzygies_vectors``,
-``groebner_polys`` and ``poly_normal_form``) a vector is a dict mapping
+``graded_minimal_subset``, ``groebner_polys`` and ``poly_normal_form``)
+a vector is a dict mapping
 ``(position, exponent tuple)`` to a nonzero field coefficient; ideals are
 the rank-one case.  Inside the engine every term is one Python int, its
 code under the run's ``VectorOrder`` (see there): a smaller code is a
@@ -9,7 +10,7 @@ larger term, and multiplying a term by a monomial adds one int.
 Coefficients are plain field elements, reduced ``% p`` in the loop over
 GF(p) and left as Fractions over QQ, as ``linalg.Span`` does.
 
-The same loop serves three jobs:
+The same pair step serves four jobs:
 
 * reduced Groebner bases of ideals (with the coprimality and chain
   criteria for pair pruning; an input with no tag block and every term
@@ -22,7 +23,9 @@ The same loop serves three jobs:
   untagged one.  By Schreyer's theorem the remainders of the S-pairs of
   untagged-led elements, which live on the tag block, generate
   {v : sum_j v_j col_j in the submodule}: a generating set, not a
-  reduced Groebner basis.
+  reduced Groebner basis,
+* graded Nakayama (``graded_minimal_subset``): a run truncated at each
+  degree in turn decides which candidates are minimal generators.
 
 Orders on module terms put heavier positions first through an optional
 degree component so that graded inputs are processed degree by degree.
@@ -34,7 +37,8 @@ from itertools import chain
 from operator import itemgetter, mul
 
 from .errors import AlgebraError, StructuralError
-from .monomials import mono_coprime, mono_degree, mono_lcm
+from .linalg import Span
+from .monomials import mono_coprime, mono_lcm
 
 # Exponent fields hold at least this many bits.  A run whose input has a
 # larger exponent gets wider fields from the start, and a run in which a
@@ -66,8 +70,8 @@ class VectorOrder:
     kinds, with or without a permutation, and ``EliminationOrder`` are
     linear.  Then in one position every rank field is an affine function
     of e, and ``mono_key`` is needed at the zero vector and the n unit
-    vectors only: n + 1 calls per order and variable count, whatever the
-    run does.  This is also a term order: multiplying two terms in one
+    vectors only: n + 1 calls per code table built, whatever the run
+    does.  This is also a term order: multiplying two terms in one
     position by the same monomial adds the same amount to both ranks, so
     keeps their comparison, through the tag-block split and the twist
     too.  Reduction relies on it: subtracting a multiple of a basis
@@ -78,14 +82,17 @@ class VectorOrder:
     the rank tuple of a term into one int, the fields most significant
     first, each at a fixed bit place and biased to be nonnegative:
     code(pos, e) = sum_f (rank_f(pos, e) + bias_f) << place_f.  A table
-    is a function of ``mono_key`` at the zero and unit vectors, the
-    twists, the split and its sizes.  One process-wide cache keyed by
-    exactly those keeps the last 256 tables, because syzygies and colons
-    make a fresh order per call and most calls repeat an earlier one's
-    twists: ``gauge`` to e = 3 on the twisted cubic looks up 283 tables
-    and builds 30.  No benchmark workload uses more than 58 distinct
-    tables, so 256 keeps all of them while bounding what a long scan with
-    ever new twists can hold.
+    is a function of ``mono_key``, the variable count, the twists, the
+    split and its sizes.  One process-wide cache keyed by exactly those
+    keeps the last 256 tables, because syzygies, colons and Nakayama
+    passes make a fresh order per call and most calls repeat an earlier
+    one's twists: one ``gauge_scan`` to e = 3 on the twisted cubic looks
+    up 159 tables and builds 49.  The key function is a bound method of
+    the ring's order, which the cache compares by identity; every ring
+    read from an input file shares the one ``DEGREVLEX``.  No benchmark
+    workload uses more than 91 distinct tables (cli-corpus; scan-oracle
+    63, gauge-tc2 49, resolve-quadrics 9), so 256 keeps all of them while
+    bounding what a long scan with ever new twists can hold.
 
     **Why integer order is term order.**  The widths are sized so that
     every field's biased value lies in [0, 2^width) for every term the
@@ -118,7 +125,6 @@ class VectorOrder:
         self.mono_key = mono_key
         self.twists = None if twists is None else tuple(twists)
         self.split = split
-        self._keys = {}  # n -> mono_key at the zero and the n unit vectors
 
     def table(self, vectors, bits=EXP_BITS):
         """The code table for the terms of ``vectors`` (tuple-term dicts).
@@ -127,27 +133,22 @@ class VectorOrder:
         of the input; its positions are the twists' or, without twists,
         those up to the next power of two above the input's largest.
         """
-        terms = list(chain.from_iterable(vectors))
-        exps = list(map(itemgetter(1), terms))
+        exps = [e for v in vectors for _, e in v]
         n = len(exps[0]) if exps else 0
-        top = max(map(max, exps)) if n else 0
+        top = max(chain.from_iterable(exps), default=0)
         if self.twists is not None:
             npos = len(self.twists)
         else:
-            npos = 1 << max(map(itemgetter(0), terms), default=0).bit_length()
-        keys = self._keys.get(n)
-        if keys is None:
-            zero = (0,) * n
-            units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
-            keys = self._keys[n] = (
-                tuple(self.mono_key(zero)),
-                tuple(tuple(self.mono_key(u)) for u in units),
-            )
-        return _code_table(keys, self.twists, self.split, max(bits, top.bit_length()), npos)
+            npos = 1 << max((pos for v in vectors for pos, _ in v), default=0).bit_length()
+        bits = max(bits, top.bit_length())
+        return _code_table(self.mono_key, n, self.twists, self.split, bits, npos)
 
 
 @functools.lru_cache(maxsize=256)
-def _code_table(keys, twists, split, bits, npos):
+def _code_table(mono_key, n, twists, split, bits, npos):
+    zero = (0,) * n
+    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
+    keys = (tuple(mono_key(zero)), tuple(tuple(mono_key(u)) for u in units))
     return CodeTable(keys, twists, split, bits, npos)
 
 
@@ -168,12 +169,13 @@ class CodeTable:
         n = len(unit_keys)
         nothing = (0,) * n
         # [role, constant per position, coefficient per variable]; the role
-        # is "rank", "pos" or the index of the variable the field holds.
+        # is "rank", "degree" (the twisted degree), "pos" or the index of
+        # the variable the field holds.
         fields = []
         if split is not None:
             fields.append(["rank", [-(p < split) for p in range(npos)], nothing])
         if twists is not None:
-            fields.append(["rank", [-t for t in twists], (-1,) * n])
+            fields.append(["degree", [-t for t in twists], (-1,) * n])
         for j, k0 in enumerate(zero_key):
             fields.append(["rank", [-k0] * npos, tuple(k0 - k[j] for k in unit_keys)])
         if npos > 1:
@@ -193,12 +195,15 @@ class CodeTable:
         self.bits = bits
         self.offsets, self.steps, self.places = [0] * npos, [0] * n, [0] * n
         self.guard = self.absorb = self.pos_place = self.pos_mask = 0
+        self.degree_place = self.degree_bias = 0
         place = 0
         for role, const, coef in reversed(fields):
-            if role == "rank":
+            if role in ("rank", "degree"):
                 k = (max(map(abs, const)) + most * sum(map(abs, coef))).bit_length()
                 bias, width = 1 << k, k + 2
                 self.absorb += 2 << (k + place)
+                if role == "degree":
+                    self.degree_place, self.degree_bias = place, bias
             elif role == "pos":
                 bias, width = 0, (npos - 1).bit_length()
                 self.pos_place, self.pos_mask = place, (1 << width) - 1
@@ -211,6 +216,15 @@ class CodeTable:
             place += width
         self.mask = self.guard | (self.pos_mask << self.pos_place)
         self.exp_mask = (2 << bits) - 1
+
+    def degree_floor(self, d):
+        """The least code of a term of twisted degree <= d.
+
+        Without a split the twisted degree is the most significant field,
+        stored as bias - degree: a term has degree <= d exactly when its
+        code is at least this one.
+        """
+        return self.degree_bias - d << self.degree_place
 
     def step(self, e):
         """The code difference of multiplying a term by x^e."""
@@ -229,7 +243,7 @@ class CodeTable:
 
     def encode_vec(self, vec):
         offsets, steps = self.offsets, self.steps
-        return {offsets[pos] + sum(map(mul, e, steps)): c for (pos, e), c in vec.items()}
+        return {sum(map(mul, e, steps), offsets[pos]): c for (pos, e), c in vec.items()}
 
     def decode_vec(self, vec):
         decode = self.decode
@@ -275,7 +289,7 @@ def _sub_multiple(work, g, c, step, p):
 
 def vec_degree(vec, twists):
     """Common twisted degree of a homogeneous vector (None for zero)."""
-    degs = {mono_degree(m) + twists[pos] for (pos, m) in vec}
+    degs = {sum(m) + twists[pos] for (pos, m) in vec}
     if not degs:
         return None
     if len(degs) > 1:
@@ -297,8 +311,11 @@ def normal_form_vec(vec, basis, table, field):
     heap yields the same leads in the same order as a scan for the largest
     remaining term.  A popped term with an exponent past the table's
     fields raises ``_Outgrown``; every lead and remainder term is checked
-    so, which keeps each shifted term within twice the fields.
+    so, which keeps each shifted term within twice the fields.  With no
+    basis the vector is its own normal form.
     """
+    if not basis:
+        return dict(vec)
     p = field.characteristic
     guard, mask, absorb = table.guard, table.mask, table.absorb
     work = dict(vec)
@@ -325,17 +342,86 @@ def normal_form_vec(vec, basis, table, field):
     return rem
 
 
-def _push_pairs(heap, heads, new_idx, table, split):
-    pos_new, lm_new = heads[new_idx]
-    if split is not None and pos_new >= split:
-        return
-    for i in range(new_idx):
-        pos, lm = heads[i]
-        if pos != pos_new:
-            continue
-        lcm = table.encode((pos, mono_lcm(lm, lm_new)))
-        # Pairs leave the heap smallest lcm first: the largest code.
-        heapq.heappush(heap, (-lcm, i, new_idx, lcm))
+class _Basis:
+    """The growing basis of one engine run and its pending S-pairs.
+
+    ``elements`` holds (coded vector, lead code) pairs, every vector
+    monic, and ``heads`` the lead of each as (position, exponents).  A
+    pair leaves the heap smallest lcm first, that is largest code first,
+    so under a degree-first order in increasing lcm degree.  Pairs whose
+    lcm code is below ``cap`` are never pushed, nor pairs of an element
+    led in the tag block (position >= ``split``).  Both drivers,
+    ``_buchberger`` and ``graded_minimal_subset``, take their pairs through
+    ``reduce_pairs``: the coprimality criterion when ``use_product`` is
+    set, the chain criterion always, then the S-vector and its normal form.
+    """
+
+    def __init__(self, table, field, split=None, use_product=False, cap=0):
+        self.table = table
+        self.field = field
+        self.split = split
+        self.use_product = use_product
+        self.cap = cap
+        self.elements = []
+        self.heads = []
+        self.heap = []  # (-lcm code, i, j, lcm code)
+        self.treated = set()
+
+    def append(self, v, pairs=True):
+        """Add the coded vector v, made monic, with its S-pairs unless
+        ``pairs`` is false."""
+        field = self.field
+        lt = min(v)
+        c = v[lt]
+        if c != field.one:
+            v = vec_scale(v, field.inv(c), field)
+        self.elements.append((v, lt))
+        pos_new, lm_new = head = self.table.decode(lt)
+        self.heads.append(head)
+        if not pairs or (self.split is not None and pos_new >= self.split):
+            return
+        encode, heap, cap = self.table.encode, self.heap, self.cap
+        new_idx = len(self.heads) - 1
+        for i, (pos, lm) in enumerate(self.heads[:new_idx]):
+            if pos != pos_new:
+                continue
+            lcm = encode((pos, mono_lcm(lm, lm_new)))
+            if lcm >= cap:
+                heapq.heappush(heap, (-lcm, i, new_idx, lcm))
+
+    def reduce_pairs(self, floor=0):
+        """Reduce every pending pair whose lcm code is >= ``floor`` (every
+        code is >= 0), appending each nonzero remainder."""
+        heap = self.heap
+        while heap and heap[0][3] >= floor:
+            _, i, j, lcm = heapq.heappop(heap)
+            rem = self._remainder(i, j, lcm)
+            if rem:
+                self.append(rem)
+
+    def _remainder(self, i, j, lcm):
+        """The normal form of the S-vector of elements i and j, or None when
+        a criterion shows that it reduces to zero."""
+        basis, heads, treated = self.elements, self.heads, self.treated
+        treated.add((i, j))
+        if self.use_product and mono_coprime(heads[i][1], heads[j][1]):
+            return None
+        lcm_abs = lcm + self.table.absorb
+        mask = self.table.mask
+        for k, (_, lead) in enumerate(basis):
+            if k == i or k == j or (lcm_abs - lead) & mask:
+                continue
+            a = (i, k) if i < k else (k, i)
+            b = (j, k) if j < k else (k, j)
+            if a in treated and b in treated:
+                return None
+        field = self.field
+        p = field.characteristic
+        (gi, lti), (gj, ltj) = basis[i], basis[j]
+        spoly = {}
+        _sub_multiple(spoly, gi, field.neg(field.one), lcm - lti, p)
+        _sub_multiple(spoly, gj, field.one, lcm - ltj, p)
+        return normal_form_vec(spoly, basis, self.table, field)
 
 
 def buchberger_vectors(vectors, order, field):
@@ -367,55 +453,90 @@ def buchberger_vectors(vectors, order, field):
 
 def _buchberger(vectors, table, split, use_product, field):
     """The run of ``buchberger_vectors`` on coded vectors."""
-    p = field.characteristic
-    mask, absorb = table.mask, table.absorb
-    basis = []  # (coded vector, lead code)
-    heads = []  # the lead of basis[i] as (position, exponents)
-
-    def append(v):
-        lt = min(v)
-        c = v[lt]
-        if c != field.one:
-            v = vec_scale(v, field.inv(c), field)
-        basis.append((v, lt))
-        heads.append(table.decode(lt))
-
+    run = _Basis(table, field, split, use_product)
     for v in vectors:
-        append(v)
-    heap = []
-    for idx in range(len(basis)):
-        _push_pairs(heap, heads, idx, table, split)
-    treated = set()
-
-    while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        treated.add((i, j))
-        if use_product and mono_coprime(heads[i][1], heads[j][1]):
-            continue
-        lcm_abs = lcm + absorb
-        skip = False
-        for k, (_, lead) in enumerate(basis):
-            if k == i or k == j or (lcm_abs - lead) & mask:
-                continue
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a in treated and b in treated:
-                skip = True
-                break
-        if skip:
-            continue
-        (gi, lti), (gj, ltj) = basis[i], basis[j]
-        spoly = {}
-        _sub_multiple(spoly, gi, field.neg(field.one), lcm - lti, p)
-        _sub_multiple(spoly, gj, field.one, lcm - ltj, p)
-        rem = normal_form_vec(spoly, basis, table, field)
-        if rem:
-            append(rem)
-            _push_pairs(heap, heads, len(basis) - 1, table, split)
-
+        run.append(v)
+    run.reduce_pairs()
     if split is not None:
-        return [g for (g, _), (pos, _) in zip(basis, heads) if pos >= split]
-    return _reduce_basis(basis, table, field)
+        return [g for (g, _), (pos, _) in zip(run.elements, run.heads) if pos >= split]
+    return _reduce_basis(run.elements, table, field)
+
+
+def graded_minimal_subset(candidates, rels, order, field, fixed=()):
+    """Indices of the candidates that graded Nakayama keeps: in increasing
+    degree, then in index order, a candidate is kept exactly when it lies
+    outside the submodule generated by ``fixed``, ``rels`` and the
+    candidates kept before it.
+
+    All vectors are homogeneous under ``order``, a degree-first order with
+    twists and no tag block.  ``fixed`` is a Groebner basis (over a
+    quotient ring, the multiples g*e_i of the relation basis): its
+    elements enter the basis first, with no S-pairs among themselves.
+    Neither ``rels`` nor ``fixed`` are ever candidates, and rels above the
+    top candidate degree are dropped.
+
+    One degree-truncated Buchberger run (Macaulay2's ``mingens``/``trim``,
+    Singular's ``minbase``).  For each degree d in increasing order:
+    reduce the pending S-pairs of lcm degree <= d, take the normal forms
+    of the degree-d rels and then of the degree-d candidates against the
+    basis, insert them one by one into a ``Span`` whose columns are term
+    codes, keep a candidate exactly when it enlarges the span, and append
+    the span's rows to the basis.
+
+    **Why the kept list is the graded Nakayama one.**  Let M_<d be the
+    submodule generated by ``fixed`` and by the rels and kept candidates
+    of degree < d.  When degree d begins, the basis holds generators of
+    M_<d and every S-pair of lcm degree <= d has been reduced, so it is a
+    Groebner basis of M_<d up to degree d.  Hence in degree d the normal
+    form is a linear map on the degree-d piece F_d whose kernel is
+    (M_<d)_d, and v lies in M_<d + span(earlier degree-d vectors) exactly
+    when its normal form lies in the span of the earlier normal forms of
+    degree d: ``Span.add`` returns False.  That is the criterion of a
+    degree piece of F_d modulo all multiples, so the kept lists are the
+    same.  Each span row is monic with its pivot as its lead code (a
+    smaller code is a larger term), the leads are distinct, and no
+    earlier lead divides any of their terms, so the new basis again
+    generates M_<d' for the next degree d', and every new S-pair has lcm
+    degree > d.  Pairs above the top candidate degree are never pushed.
+    """
+    twists = order.twists
+    steps = {}  # degree -> (rels, candidate indices)
+    for i, v in enumerate(candidates):
+        d = vec_degree(v, twists)
+        if d is not None:
+            steps.setdefault(d, ([], []))[1].append(i)
+    if not steps:
+        return []
+    top = max(steps)
+    for v in rels:
+        d = vec_degree(v, twists)
+        if d is not None and d <= top:
+            steps.setdefault(d, ([], []))[0].append(v)
+
+    def run(table):
+        encode = table.encode_vec
+        basis = _Basis(table, field, cap=table.degree_floor(top))
+        for v in fixed:
+            basis.append(encode(v), pairs=False)
+        kept = []
+        for d in sorted(steps):
+            rels_d, idxs = steps[d]
+            basis.reduce_pairs(table.degree_floor(d))
+            forms = [
+                normal_form_vec(encode(v), basis.elements, table, field)
+                for v in rels_d + [candidates[i] for i in idxs]
+            ]
+            span = Span(field, len(set().union(*forms)))
+            # k < 0 for the rels, else the candidate's place in idxs.
+            for k, form in enumerate(forms, -len(rels_d)):
+                if form and span.add(form) and k >= 0:
+                    kept.append(idxs[k])
+            if d < top:
+                for piv, row in span.rows.items():
+                    basis.append({piv: field.one, **row})
+        return kept
+
+    return _run_packed(order, [*candidates, *rels, *fixed], run)[1]
 
 
 def _reduce_basis(basis, table, field):

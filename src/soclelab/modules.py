@@ -10,7 +10,13 @@ quotient ring.
 
 from .errors import StructuralError
 from .linalg import Span
-from .modgb import poly_to_vec, syzygies_vectors, vec_degree
+from .modgb import (
+    VectorOrder,
+    graded_minimal_subset,
+    poly_to_vec,
+    syzygies_vectors,
+    vec_degree,
+)
 from .monomials import mono_mul
 from .poly import Polynomial
 from .rings import RingPresentation, memoized
@@ -359,35 +365,19 @@ def syzygies_over(ring, columns, twists, rels=()):
 def nakayama_minimal_subset(ring, twists, vectors, rels=()):
     """Indices of a minimal generating subset of <vectors> + <rels> / <rels>.
 
-    Degree by degree, a vector is kept iff it lies outside the span of
-    ring multiples of earlier kept vectors and of the auxiliary vectors.
+    Graded Nakayama: in increasing degree, then in index order, a vector
+    is kept exactly when it lies outside the submodule generated by the
+    relation vectors and the vectors kept before it, over R = S/a also by
+    a*e_i.  It is one ``modgb.graded_minimal_subset`` run, which decides
+    each vector by its normal form against a degree-truncated Groebner
+    basis of that submodule.  Over R the multiples g*e_i of the relation
+    basis enter that run as a fixed Groebner basis, so the normal form
+    also reduces modulo a and the vectors need no reduction beforehand.
+    No degree piece of the free module is built.
     """
-    reduced = []
-    for v in vectors:
-        red = vec_reduce_components(ring, v)
-        reduced.append((red, vec_degree(red, twists)))
-    rel_pairs = []
-    for v in rels:
-        red = vec_reduce_components(ring, v)
-        d = vec_degree(red, twists)
-        if d is not None:
-            rel_pairs.append((red, d))
-    order = sorted(
-        (d, i) for i, (red, d) in enumerate(reduced) if d is not None
-    )
-    kept = []
-    pos = 0
-    while pos < len(order):
-        degree = order[pos][0]
-        _, index, span = multiples_span(
-            ring, twists, degree, rel_pairs + [reduced[i] for i in kept]
-        )
-        while pos < len(order) and order[pos][0] == degree:
-            i = order[pos][1]
-            if span.add(vec_coords(reduced[i][0], index)):
-                kept.append(i)
-            pos += 1
-    return kept
+    order = VectorOrder(ring.ambient.order.key, twists=twists)
+    fixed = [poly_to_vec(g, i) for g in ring.relations_groebner() for i in range(len(twists))]
+    return graded_minimal_subset(vectors, rels, order, ring.field, fixed)
 
 
 def present_subquotient(ring, twists, gens, rels=()):

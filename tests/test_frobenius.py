@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -274,3 +275,32 @@ def test_fedder_module_e5_on_the_twisted_cubic():
     tc = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
     report = fedder_module(tc, 5)
     assert (report.q, report.generator_degrees, report.mu) == (32, (104, 104, 104), 3)
+
+
+# Seconds budgeted for fedder_module at e = 6 and 7 on the GF(2) twisted
+# cubic; the asserts allow five times that.  Before the degree-truncated
+# Nakayama run they took 6.7 s and 37 s (5.3 GB), building the degree-210
+# and degree-424 pieces of S.
+FEDDER6_BUDGET_S = 0.3
+FEDDER7_BUDGET_S = 1.0
+
+
+def _timed_fedder(e):
+    S = PolyRing(field_of(2), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    tc = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+    start = time.perf_counter()
+    report = fedder_module(tc, e)
+    return report, time.perf_counter() - start
+
+
+def test_fedder_module_e6_on_the_twisted_cubic():
+    report, elapsed = _timed_fedder(6)
+    assert elapsed < 5 * FEDDER6_BUDGET_S
+    assert (report.q, report.generator_degrees, report.mu) == (64, (210,), 1)
+
+
+def test_fedder_module_e7_on_the_twisted_cubic():
+    report, elapsed = _timed_fedder(7)
+    assert elapsed < 5 * FEDDER7_BUDGET_S
+    assert (report.q, report.generator_degrees, report.mu) == (128, (424, 424, 424), 3)

@@ -38,7 +38,7 @@ from soclelab.modules import (
 )
 from soclelab.monomials import mono_mul, monomials_of_degree
 from soclelab.poly import PolyRing
-from soclelab.resolutions import _hom_free_into
+from soclelab.resolutions import _hom_free_into, syzygy
 from soclelab.rings import RingPresentation
 
 CHARS = [2, 101, 0]
@@ -484,6 +484,27 @@ def test_minimal_presentation_of_homogenized_cyclic5():
     elapsed = time.perf_counter() - start
     assert elapsed < 5 * CYCLIC5_BUDGET_S
     assert pres.matrix.source == (1, 2, 3, 4, 5)
+
+
+# Seconds budgeted for the first syzygy step of the same presentation:
+# 64 raw Schreyer syzygies, of which graded Nakayama keeps 10.  With the
+# degree-piece Span route, its minimalization alone took 148.8 s.
+CYCLIC5_SYZYGY_BUDGET_S = 1.0
+
+
+def test_first_syzygy_of_homogenized_cyclic5_keeps_ten():
+    S = PolyRing(field_of(32003), ("a", "b", "c", "d", "e", "h"))
+    v = S.gens()[:5]
+    gens = [
+        sum((_cyclic_product(v, i, k) for i in range(5)), S.zero) for k in range(1, 5)
+    ]
+    gens.append(_cyclic_product(v, 0, 5) - S.gens()[5] ** 5)
+    pres = minimalize_presentation(quotient_module(RingPresentation(S, []), gens))
+    start = time.perf_counter()
+    first = syzygy(pres.matrix)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5 * CYCLIC5_SYZYGY_BUDGET_S
+    assert first.cols == 10
 
 
 def _cyclic_product(v, start, k):
