@@ -7,6 +7,7 @@ error (including bad usage and parse errors).
 """
 
 import argparse
+import functools
 import sys
 
 from .errors import AlgebraError, DomainError, HypothesisError, InputSyntaxError
@@ -287,10 +288,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: ``parse_args`` reads it and
+    leaves it as it was, so every call can share it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         ring, ideals = parse_input_file(args.input)
         return _COMMANDS[args.command](args, ring, ideals)
     except HypothesisError as exc:

@@ -33,15 +33,26 @@ v, F_. (x) A_s in degree ell + ns does not depend on s once s - 1 >= c
 for every twist of F_{n-j-1}, F_{n-j} and F_{n-j+1}, the terms that
 H_{n-j} reads, and the transition maps there are the identity.  Every
 stage s >= s0 = max(2, 1 + b - n - ell), with b the largest of those
-twists, therefore equals the limit; the least stage used is 2.  For
-j = 0 every stage is the piece of (0 :_M (x^s)) in degree ell, inside
-M_ell, so where M_ell = 0 every stage is 0 and stage 2 is the limit
-whatever the twists say.
+twists, therefore equals the limit; the least stage used is 2.
+
+Two rules answer 0 with no stage.  For j = 0 every stage is the piece
+of (0 :_M (x^s)) in degree ell, inside M_ell, so where M_ell = 0 the
+limit is 0 whatever the twists say.  For j > dim M, H^j_m(M) = 0 by
+Grothendieck's vanishing theorem (Bruns-Herzog 3.5.7), although a stage
+below s0 need not be 0.
 Multiplication by a variable commutes with the transitions, and s0
 for ell + 1 is at most s0 for ell, so the socle maps from degree ell
-to ell + 1 are read at stage s0(ell) on both sides.  The resolution is
-the one the duality route memoizes; it is the only thing the two
-routes share.
+to ell + 1 are read at stage s0(ell) on both sides.
+
+What the two routes share.  s0 reads only twists of the minimal free
+resolution that the duality route memoizes.  The oracle's degree pieces
+of M, and dim M for the vanishing rule, come from one reduced Groebner
+basis of M's relations (``ModulePresentation.relation_basis``), reduced
+by the same ``modgb`` normal-form engine that computes the resolution's
+syzygies and minimal generators on the duality route.  The Hom complexes,
+their kernels and images and the socle maps are the oracle's own dense
+linear algebra (``linalg``).  The tests keep the Span-based pieces, which
+use no module Groebner basis, as an independent reference.
 """
 
 import itertools
@@ -225,16 +236,16 @@ def _hom_map(module, d, ell):
 
     Block u of Hom(F, M)_ell is M_{ell + a_u}, for the twist a_u of F; it
     goes to block v of Hom(G, M)_ell through multiplication by entry
-    (u, v) of d.  Each multiplication matrix is built once per (twist,
-    monic entry) and scaled by the entry's lead coefficient, so entries
-    that differ by a unit share one.  Returns the sparse columns, block by
-    block, and the width of Hom(G, M)_ell.
+    (u, v) of d.  The piece keeps the multiplication matrix of each monic
+    entry, scaled here by the entry's lead coefficient, so entries that
+    differ by a unit, and every map through the same piece, share one.
+    Returns the sparse columns, block by block, and the width of
+    Hom(G, M)_ell.
     """
     F = module.ring.field
     offsets = [0]
     for b in d.source:
         offsets.append(offsets[-1] + module.piece(ell + b).dim)
-    mults = {}
     cols = []
     for u, a in enumerate(d.target):
         piece = module.piece(ell + a)
@@ -242,14 +253,12 @@ def _hom_map(module, d, ell):
         for v, f in enumerate(d.entries[u]):
             if f.is_zero():
                 continue
-            lc, monic = f.lead_coeff(), f.monic()
-            key = (a, monic)
-            if key not in mults:
-                mults[key] = piece.multiplication_matrix(monic)
+            lc = f.lead_coeff()
+            unit = lc == F.one
             base = offsets[v]
-            for b, col in enumerate(mults[key]):
+            for b, col in enumerate(piece.multiplication_matrix(f.monic())):
                 for r, c in col.items():
-                    vecs[b][base + r] = c if lc == F.one else F.mul(lc, c)
+                    vecs[b][base + r] = c if unit else F.mul(lc, c)
         cols.extend(vecs)
     return cols, offsets[-1]
 
@@ -347,19 +356,21 @@ def _koszul_stage(module, j, ell, s):
 
 
 def _limit_stage(j, module, ell, s_max):
-    """The stage s0 = max(2, 1 + b - n - ell) of the module docstring.
+    """The stage s0 = max(2, 1 + b - n - ell) of the module docstring, or
+    None where H^j_m(M)_ell vanishes by a rule that needs no stage.
 
     b is the largest twist of F_{n-j-1}, F_{n-j} and F_{n-j+1} in the
-    minimal free resolution of M over S.  For j = 0 with M_ell = 0, read
-    off the oracle's own piece of M, it is 2.  Raises UnstableLimitError
-    when s0 >= s_max.
+    minimal free resolution of M over S.  The two rules read the oracle's
+    own data: j = 0 with M_ell = 0, and j > dim M, with dim M read off the
+    relation basis behind the pieces (``ModulePresentation.krull_dimension``).
+    Raises UnstableLimitError when s0 >= s_max.
     """
     if s_max < 3:
         raise DomainError("s_max must be at least 3")
     if j < 0:
         raise DomainError(f"cohomological index must be >= 0, got {j}")
-    if j == 0 and module.piece(ell).dim == 0:
-        return 2
+    if (j == 0 and module.piece(ell).dim == 0) or j > module.krull_dimension():
+        return None
     n = ambient_var_count(module)
     res = minimal_free_resolution(module)
     twists = [b for k in (n - j - 1, n - j, n - j + 1) for b in res.module_twists(k)]
@@ -376,11 +387,13 @@ def koszul_piece(j, module, ell, s_max=10):
     """dim H^j_m(M) in one degree, from Koszul stage s0.
 
     s0 is read off the twists of M's minimal free resolution (module
-    docstring), and stage s0 equals the limit; for j = 0 and M_ell = 0
-    the answer is (0, 2).  Raises UnstableLimitError when s0 >= s_max.
-    Returns (dimension, s0).
+    docstring), and stage s0 equals the limit.  The answer is (0, 2),
+    with no stage built, for j = 0 where M_ell = 0 and for every j > dim M.
+    Raises UnstableLimitError when s0 >= s_max.  Returns (dimension, s0).
     """
     s = _limit_stage(j, module, ell, s_max)
+    if s is None:
+        return 0, 2
     return _koszul_stage(module, j, ell, s).dim, s
 
 
@@ -390,11 +403,13 @@ def socle_piece(j, module, ell, s_max=10):
     The joint kernel of the variable multiplications from stage s0 of
     degree ell to the same stage of degree ell + 1.  s0 for ell is at
     least s0 for ell + 1, so both stages equal their limits and the
-    multiplications are those of H^j_m(M).  For j = 0 and M_ell = 0 the
-    answer is (0, 2).  Raises UnstableLimitError when s0 >= s_max.
+    multiplications are those of H^j_m(M).  The answer is (0, 2) where
+    ``koszul_piece`` gives it.  Raises UnstableLimitError when s0 >= s_max.
     Returns (dimension, s0).
     """
     s = _limit_stage(j, module, ell, s_max)
+    if s is None:
+        return 0, 2
     a0 = _koszul_stage(module, j, ell, s)
     if a0.dim == 0:
         return 0, s

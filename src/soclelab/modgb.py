@@ -581,42 +581,67 @@ def groebner_polys(polys):
     return [vec_to_poly(ring, v) for v in gb]
 
 
-class PolyReducer:
-    """Normal forms modulo fixed monic polynomials of one ring.
+class VectorReducer:
+    """Normal forms modulo a fixed monic Groebner basis under one order.
 
-    It keeps the term order and the coded basis, one per field width,
-    so that repeated reductions (``RingPresentation.nf``) build them
-    once.
+    It keeps the basis coded, with the lead codes grouped by position,
+    once per field width, so that repeated reductions under equal tables
+    (``RingPresentation.nf``, the pieces of a ``ModulePresentation``)
+    encode the basis once.
     """
 
-    def __init__(self, ring, basis_polys):
-        self.ring = ring
-        self.basis_polys = tuple(basis_polys)
-        self.order = VectorOrder(ring.order.key)
-        self._gens = [poly_to_vec(g) for g in self.basis_polys]
-        self._bits = self.order.table(self._gens).bits if self._gens else EXP_BITS
-        self._coded = {}  # field width -> coded basis
+    def __init__(self, basis, order, field):
+        self.basis = tuple(basis)
+        self.order = order
+        self.field = field
+        self.bits = order.table(self.basis).bits if self.basis else EXP_BITS
+        self._coded = {}  # field width -> (coded basis, lead codes by position)
 
-    def _coded_basis(self, table):
-        basis = self._coded.get(table.bits)
-        if basis is None:
-            basis = self._coded[table.bits] = [
-                (table.encode_vec(v), table.encode((0, g.lead_monomial())))
-                for v, g in zip(self._gens, self.basis_polys)
-            ]
-        return basis
+    def coded(self, table):
+        """The basis as (coded vector, lead code) pairs under ``table``, and
+        a dict from each position to the lead codes there."""
+        entry = self._coded.get(table.bits)
+        if entry is None:
+            basis, by_pos = [], {}
+            for v in self.basis:
+                g = table.encode_vec(v)
+                lead = min(g)
+                basis.append((g, lead))
+                by_pos.setdefault(table.decode(lead)[0], []).append(lead)
+            entry = self._coded[table.bits] = (basis, by_pos)
+        return entry
+
+    def lead_terms(self):
+        """The lead of each basis element, as (position, exponents)."""
+        if not self.basis:
+            return []
+        table = self.order.table(self.basis, self.bits)
+        return [table.decode(lead) for _, lead in self.coded(table)[0]]
+
+    def normal_form(self, vec, bits=EXP_BITS):
+        """``(table, remainder)``: the coded normal form of the nonzero
+        tuple-term vector ``vec`` under a table that holds it and the
+        basis, with exponent fields of at least ``bits`` bits; a run that
+        outgrows its table starts over on wider fields."""
+
+        def run(table):
+            return normal_form_vec(table.encode_vec(vec), self.coded(table)[0], table, self.field)
+
+        return _run_packed(self.order, [vec], run, max(bits, self.bits))
+
+
+class PolyReducer(VectorReducer):
+    """Normal forms modulo fixed monic polynomials of one ring."""
+
+    def __init__(self, ring, basis_polys):
+        super().__init__([poly_to_vec(g) for g in basis_polys], VectorOrder(ring.order.key), ring.field)
+        self.ring = ring
 
     def reduce(self, f):
         """Remainder of f on division by the basis."""
-        if f.is_zero() or not self.basis_polys:
+        if f.is_zero() or not self.basis:
             return f
-        vec = poly_to_vec(f)
-
-        def run(table):
-            coded = table.encode_vec(vec)
-            return normal_form_vec(coded, self._coded_basis(table), table, self.ring.field)
-
-        table, rem = _run_packed(self.order, [vec], run, self._bits)
+        table, rem = self.normal_form(poly_to_vec(f))
         return vec_to_poly(self.ring, table.decode_vec(rem))
 
 

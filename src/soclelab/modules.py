@@ -3,21 +3,26 @@
 Twist lists (a_1, ..., a_r) denote direct sums of S(-a_i) (or R(-a_i)
 over a quotient).  A module is the cokernel of a homogeneous matrix;
 entry (i, j) is zero or homogeneous of degree source[j] - target[i].
-Graded pieces are exact finite linear algebra over the coefficient
-field, with normal forms against the relation ideal when working over a
-quotient ring.
+Graded pieces are read off one reduced Groebner basis of the relations
+(over a quotient ring, together with the ring relations): standard terms
+for a basis, normal forms for coordinates.
 """
 
+from operator import mul
+
 from .errors import StructuralError
-from .linalg import Span
 from .modgb import (
+    EXP_BITS,
     VectorOrder,
+    VectorReducer,
+    buchberger_vectors,
     graded_minimal_subset,
+    normal_form_vec,
     poly_to_vec,
     syzygies_vectors,
     vec_degree,
 )
-from .monomials import mono_mul
+from .monomials import hilbert_numerator, series_dimension
 from .poly import Polynomial
 from .rings import RingPresentation, memoized
 
@@ -133,9 +138,12 @@ def matrix_from_vectors(ring, target, vectors, source=None):
 class ModulePresentation:
     """A finitely generated graded module as a matrix cokernel.
 
-    Objects derived from the module (its graded pieces, fold over S,
-    resolution, Ext duals, Koszul stages) are kept in its memo (see
-    :func:`~soclelab.rings.memoized`).
+    Objects derived from the module are kept in its memo (see
+    :func:`~soclelab.rings.memoized`): the reduced Groebner basis of its
+    relation submodule ("relation_gb", a ``modgb.VectorReducer`` that
+    keeps the basis coded once per field width), its graded pieces
+    (("piece", d)), its Krull dimension ("dimension"), its fold over S,
+    resolution, Ext duals and Koszul stages.
     """
 
     def __init__(self, ring, matrix):
@@ -176,8 +184,49 @@ class ModulePresentation:
         )
         return ModulePresentation(self.ring, shifted)
 
+    def relation_basis(self):
+        """The reduced Groebner basis of the relation submodule N.
+
+        N lies in F = sum_i S(-a_i), a_i the generator degrees, and is
+        generated by the matrix columns and, over R = S/a, by g*e_i for g
+        in the relation basis of a; so M = F/N over S.  The order is
+        ``VectorOrder(key, twists=generator degrees)``.  Returned as a
+        ``modgb.VectorReducer``, built once.
+        """
+
+        def build():
+            twists = self.matrix.target
+            order = VectorOrder(self.ring.ambient.order.key, twists=twists)
+            gens = block_columns(self.matrix) + _ring_multiples(self.ring, len(twists))
+            return VectorReducer(buchberger_vectors(gens, order, self.ring.field), order, self.ring.field)
+
+        return memoized(self, "relation_gb", build)
+
     def piece(self, degree):
         return memoized(self, ("piece", degree), lambda: GradedPiece(self, degree))
+
+    def krull_dimension(self):
+        """Krull dimension of M, -1 for the zero module, read off the
+        relation basis.
+
+        F/N has the Hilbert function of sum_i S(-a_i)/(L_i), L_i the
+        monomial ideal of the leads in position i (Macaulay).  Written
+        with its pole at t = 1 cancelled down, each summand's series has
+        a positive numerator there (its multiplicity), so no leading
+        terms cancel and the pole order of the sum is the largest of
+        theirs.
+        """
+
+        def build():
+            n = self.ring.n
+            leads = [[] for _ in self.matrix.target]
+            for pos, e in self.relation_basis().lead_terms():
+                leads[pos].append(e)
+            return max(
+                (series_dimension(hilbert_numerator(ls, n), n) for ls in leads), default=-1
+            )
+
+        return memoized(self, "dimension", build)
 
     def __repr__(self):
         return (
@@ -201,15 +250,6 @@ def quotient_module(ring, ideal_gens):
     )
 
 
-def free_piece_basis(ring, twists, degree):
-    """Basis (component, monomial) of the degree piece of a free module."""
-    basis = []
-    for i, a in enumerate(twists):
-        for m in ring.standard_monomials(degree - a):
-            basis.append((i, m))
-    return basis
-
-
 def vec_reduce_components(ring, vec):
     """Normal form of each polynomial component modulo the relations."""
     if ring.is_polynomial_ring:
@@ -226,80 +266,98 @@ def vec_reduce_components(ring, vec):
     return out
 
 
-def vec_coords(vec, index):
-    """The vector as a sparse row over the basis positions in ``index``."""
-    return {index[t]: c for t, c in vec.items()}
-
-
-def vec_shift(vec, m):
-    """The vector times the monomial x^m."""
-    return {(pos, mono_mul(mm, m)): c for (pos, mm), c in vec.items()}
-
-
-def multiples_span(ring, twists, degree, vector_degree_pairs):
-    """The monomial multiples of vectors in one degree of a free module.
-
-    Each (vector, d) pair contributes its multiples by the standard
-    monomials of degree ``degree - d`` (none when d > degree), reduced
-    modulo the ring relations and inserted in the order given.  Returns
-    the piece's (component, monomial) basis, its index and the ``Span``.
-    """
-    basis = free_piece_basis(ring, twists, degree)
-    index = {t: k for k, t in enumerate(basis)}
-    span = Span(ring.field, len(basis))
-    for vec, d in vector_degree_pairs:
-        for m in ring.standard_monomials(degree - d):
-            span.add(vec_coords(vec_reduce_components(ring, vec_shift(vec, m)), index))
-    return basis, index, span
-
-
 class GradedPiece:
-    """The degree piece of a presented module, as explicit linear algebra.
+    """The degree piece (F/N)_d of a presented module M = F/N.
 
-    Ambient basis: (component, standard monomial) pairs.  The relation
-    span is generated by monomial multiples of the presentation columns,
-    reduced modulo the ring relations.
+    F is the free module on the generators, F = sum_i S(-a_i), and N is
+    generated by the presentation columns and, over R = S/a, by g*e_i for
+    g in the relation basis of a, so that M = F/N over S as well.  By
+    Macaulay's basis theorem (Eisenbud, Commutative Algebra, 15.3) the
+    standard terms of degree d, the (i, m) that no lead of the reduced
+    Groebner basis of N (``ModulePresentation.relation_basis``) divides,
+    are a basis of (F/N)_d, and the normal form of a vector is the one
+    representative of its class supported on them.  ``terms`` is that
+    basis, by position and then in the order of
+    ``RingPresentation.standard_monomials``, and ``codes`` their codes
+    under ``table``; ``project`` reads coordinates off the normal form.
+    The table holds every term of degree d, so normal forms in this
+    degree never outgrow it.
     """
 
     def __init__(self, module, degree):
         self.module = module
         self.degree = degree
-        mat = module.matrix
-        self.basis, self.index, self.span = multiples_span(
-            module.ring, mat.target, degree, zip(block_columns(mat), mat.source)
-        )
-        self.free_positions = [
-            k for k in range(len(self.basis)) if k not in self.span.rows
-        ]
-        self.free_index = {k: i for i, k in enumerate(self.free_positions)}
+        self._memo = {}  # ("mult", f) -> multiplication matrix
+        ring, twists = module.ring, module.matrix.target
+        reducer = module.relation_basis()
+        self.terms, self.codes, self.table = [], [], None
+        candidates = [(i, ring.standard_monomials(degree - a)) for i, a in enumerate(twists)]
+        if any(monos for _, monos in candidates):
+            bits = max(reducer.bits, (degree - min(twists)).bit_length())
+            # One term tells the table the variable count; bits holds
+            # every exponent of degree d.
+            probe = [(i, monos[0]) for i, monos in candidates if monos]
+            table = self.table = reducer.order.table([probe], bits)
+            leads = reducer.coded(table)[1]
+            offsets, steps, mask = table.offsets, table.steps, table.mask
+            for i, monos in candidates:
+                # lead l divides code t in position i iff (t + absorb - l) & mask == 0
+                divisors = [lead - table.absorb for lead in leads.get(i, ())]
+                for m in monos:
+                    code = sum(map(mul, m, steps), offsets[i])
+                    if all(map(mask.__and__, map(code.__sub__, divisors))):
+                        self.terms.append((i, m))
+                        self.codes.append(code)
+        self.slots = {code: k for k, code in enumerate(self.codes)}
 
     @property
     def dim(self):
-        return len(self.free_positions)
+        return len(self.terms)
 
     def project(self, vec):
-        """Sparse coordinates of an ambient vector in the quotient basis."""
-        red = vec_reduce_components(self.module.ring, vec)
-        rem = self.span.reduce(vec_coords(red, self.index))
-        return {self.free_index[k]: c for k, c in rem.items()}
+        """Sparse coordinates of an ambient vector of this degree.
 
-    def representative(self, k):
-        """Ambient vector representing the k-th quotient basis element."""
-        i, m = self.basis[self.free_positions[k]]
-        return {(i, m): self.module.ring.field.one}
+        Its normal form runs on this piece's table (a vector of degree d
+        fits it, so the run never restarts wider) and lies on the
+        standard terms, whose places are ``slots``.
+        """
+        if not vec:
+            return {}
+        bits = self.table.bits if self.table else EXP_BITS
+        _, rem = self.module.relation_basis().normal_form(vec, bits)
+        slots = self.slots
+        return {slots[t]: c for t, c in rem.items()}
 
     def multiplication_matrix(self, f):
-        """Columns: images of the quotient basis under multiplication by f.
+        """Columns: images of the basis under multiplication by f.
 
         Returns a list of sparse coordinate columns in the piece of
-        degree (this degree + deg f).
+        degree (this degree + deg f).  Built once per f and kept on the
+        piece, so every stage and Hom map that multiplies this piece by f
+        shares it.
         """
+        return memoized(self, ("mult", f), lambda: self._multiplication_columns(f))
+
+    def _multiplication_columns(self, f):
+        """The columns of ``multiplication_matrix``, shifted in code space
+        on the target's table.  A vector whose terms are all standard is
+        its own normal form."""
         target = self.module.piece(self.degree + f.degree())
+        if not (self.terms and target.terms):
+            return [{} for _ in self.terms]
+        table, slots = target.table, target.slots
+        codes = self.codes
+        if self.table.bits != table.bits:
+            codes = [table.encode(t) for t in self.terms]
+        shifts = [(table.step(e), c) for e, c in f.terms.items()]
+        reducer = self.module.relation_basis()
+        basis, field = reducer.coded(table)[0], reducer.field
         cols = []
-        for k in self.free_positions:
-            i, m = self.basis[k]
-            vec = {(i, mono_mul(mm, m)): c for mm, c in f.terms.items()}
-            cols.append(target.project(vec))
+        for u in codes:
+            vec = {u + step: c for step, c in shifts}
+            if not all(map(slots.__contains__, vec)):
+                vec = normal_form_vec(vec, basis, table, field)
+            cols.append({slots[t]: c for t, c in vec.items()})
         return cols
 
 
@@ -376,8 +434,14 @@ def nakayama_minimal_subset(ring, twists, vectors, rels=()):
     No degree piece of the free module is built.
     """
     order = VectorOrder(ring.ambient.order.key, twists=twists)
-    fixed = [poly_to_vec(g, i) for g in ring.relations_groebner() for i in range(len(twists))]
+    fixed = _ring_multiples(ring, len(twists))
     return graded_minimal_subset(vectors, rels, order, ring.field, fixed)
+
+
+def _ring_multiples(ring, rank):
+    """g*e_i for g in the relation basis of R = S/a and i < rank: a
+    Groebner basis of aF in a free module of that rank."""
+    return [poly_to_vec(g, i) for g in ring.relations_groebner() for i in range(rank)]
 
 
 def present_subquotient(ring, twists, gens, rels=()):

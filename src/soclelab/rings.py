@@ -130,8 +130,9 @@ class RingPresentation:
 def memoized(obj, key, build):
     """The object derived from ``obj`` under ``key``: built once, then kept.
 
-    ``obj`` is a ring presentation, an ideal or a module presentation;
-    its ``_memo`` dict lives as long as ``obj`` does.
+    ``obj`` is a ring presentation, an ideal, a module presentation or
+    one of its graded pieces; its ``_memo`` dict lives as long as ``obj``
+    does.
     """
     memo = obj._memo
     if key not in memo:

@@ -239,3 +239,40 @@ def test_every_subcommand_writes_versioned_json(command, demo_file, twisted_file
     assert main([command, path, *rest, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == SCHEMA
+
+
+def test_one_parser_serves_every_call_in_a_process(demo_file, twisted_file, capsys):
+    # main() builds its parser once per process.  Calls with other
+    # subcommands, options left out after being given, and usage errors in
+    # between must parse and print exactly as with a fresh parser.
+    from soclelab import cli
+
+    calls = [
+        ["gb", demo_file, "--ideal", "I", "--format", "json"],
+        ["scan-powers", demo_file, "--ideal", "J", "--t-max", "2", "--oracle"],
+        ["socle", demo_file, "--ideal", "I", "--oracle"],
+        ["resolve", demo_file, "--ideal", "I", "--bogus"],
+        ["socle", demo_file, "--ideal", "I"],
+        ["scan-powers", demo_file, "--ideal", "J"],
+        ["fedder", twisted_file, "--e-max", "2", "--format", "json"],
+        ["resolve", demo_file, "--ideal", "I"],
+        ["gb", demo_file, "--ideal", "J"],
+    ]
+
+    def run(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            out.append((code, strip_elapsed(captured.out), captured.err))
+        return out
+
+    cli._parser.cache_clear()
+    shared = run(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert shared == run(fresh=True)
+    assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+    for argv in calls[:3] + calls[4:]:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))

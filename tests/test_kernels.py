@@ -28,7 +28,6 @@ from soclelab.modules import (
     GradedMatrix,
     ModulePresentation,
     block_columns,
-    free_piece_basis,
     matrix_from_vectors,
     minimalize_presentation,
     nakayama_minimal_subset,
@@ -40,6 +39,7 @@ from soclelab.monomials import mono_mul, monomials_of_degree
 from soclelab.poly import PolyRing
 from soclelab.resolutions import _hom_free_into, syzygy
 from soclelab.rings import RingPresentation
+from span_reference import ReferencePiece, free_piece_basis
 
 CHARS = [2, 101, 0]
 
@@ -325,7 +325,8 @@ def _column_twists(cols, twists):
 
 def _check_lands_in_relations(ring, cols, twists, rels, gens):
     """Every generator v has sum_j v_j col_j in <rels> + ring relations;
-    returns the number of generators checked."""
+    returns the number of generators checked.  Decided in the Span-based
+    reference piece, which uses no module Groebner basis."""
     F = ring.field
     target = ModulePresentation(ring, matrix_from_vectors(ring, twists, rels))
     for v in gens:
@@ -333,25 +334,28 @@ def _check_lands_in_relations(ring, cols, twists, rels, gens):
         combo = {t: F.of(c) for t, c in _combination(v, cols).items()}
         combo = {t: c for t, c in combo.items() if not F.is_zero(c)}
         if combo:
-            assert not target.piece(vec_degree(combo, twists)).project(combo)
+            assert not ReferencePiece(target, vec_degree(combo, twists)).project(combo)
     return len(gens)
 
 
 def _check_spans_the_kernel(ring, cols, twists, rels, gens):
     """In each of three degrees, the generators' multiples span the whole
-    kernel of (free module on the columns) -> (target free module / rels)."""
+    kernel of (free module on the columns) -> (target free module / rels).
+    Both sides are Span-based reference pieces, with no module Groebner
+    basis."""
     F = ring.field
     target = ModulePresentation(ring, matrix_from_vectors(ring, twists, rels))
     src = _column_twists(cols, twists)
     kernel_span = ModulePresentation(ring, matrix_from_vectors(ring, src, gens))
     for d in range(min(src), min(src) + 3):
         basis = free_piece_basis(ring, src, d)
+        target_d = ReferencePiece(target, d)
         images = []
         for j, m in basis:
             vec = {(pos, mono_mul(mm, m)): c for (pos, mm), c in cols[j].items()}
-            images.append(target.piece(d).project(vec) if vec else {})
-        kernel_dim = len(basis) - rank(F, images, target.piece(d).dim)
-        assert len(basis) - kernel_span.piece(d).dim == kernel_dim
+            images.append(target_d.project(vec) if vec else {})
+        kernel_dim = len(basis) - rank(F, images, target_d.dim)
+        assert len(basis) - ReferencePiece(kernel_span, d).dim == kernel_dim
 
 
 def test_syzygies_over_generators_land_in_the_relations():

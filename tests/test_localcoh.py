@@ -172,18 +172,26 @@ def test_map_blockwise_builds_each_multiplication_matrix_once(
     M = quotient_module(presentation_xy, [x * y])
     a, b = _koszul_stage(M, 1, -1, 2), _koszul_stage(M, 1, -1, 3)
     assert a.dim == b.dim == 2 and len(a.subsets) == 2
-    builds = []
-    original = GradedPiece.multiplication_matrix
-
-    def counting(piece, f):
-        builds.append(f)
-        return original(piece, f)
-
-    monkeypatch.setattr(GradedPiece, "multiplication_matrix", counting)
+    builds = _count_multiplication_builds(monkeypatch)
     cols = a.map_blockwise(lambda T: x if T == (0,) else y, b)
     # One matrix per subset, shared by every quotient representative.
     assert len(builds) == len(a.subsets)
     assert len(cols) == a.dim
+    assert a.map_blockwise(lambda T: x if T == (0,) else y, b) == cols
+    assert len(builds) == len(a.subsets)
+
+
+def _count_multiplication_builds(monkeypatch):
+    """Record each multiplication matrix a piece builds (a miss of its memo)."""
+    builds = []
+    original = GradedPiece._multiplication_columns
+
+    def counting(piece, f):
+        builds.append((piece.degree, f))
+        return original(piece, f)
+
+    monkeypatch.setattr(GradedPiece, "_multiplication_columns", counting)
+    return builds
 
 
 def test_oracle_matches_duality_on_window(presentation_xy, ring_xy):
@@ -750,20 +758,22 @@ def test_koszul_stage_builds_n_multiplication_matrices_per_differential(
 ):
     # One matrix per variable and differential: the signs and the repeated
     # x_i^s entries share it.  A cache per row or per signed entry builds more.
-    M = free_module(presentation_xyz, (0,))
     n = 3
-    builds = []
-    original = GradedPiece.multiplication_matrix
-
-    def counting(piece, f):
-        builds.append(f)
-        return original(piece, f)
-
-    monkeypatch.setattr(GradedPiece, "multiplication_matrix", counting)
+    builds = _count_multiplication_builds(monkeypatch)
     for j in range(n + 1):
         builds.clear()
-        localcoh._KoszulPiece(M, j, 0, 2)
+        localcoh._KoszulPiece(free_module(presentation_xyz, (0,)), j, 0, 2)
         assert len(builds) == n * ((j > 0) + (j < n))
+    # The pieces keep their matrices: a second stage whose differential
+    # multiplies the same degree by the same x_i^s builds none, and one
+    # that shares one of its two differentials builds only the other's.
+    M = free_module(presentation_xyz, (0,))
+    localcoh._KoszulPiece(M, 1, 0, 2)
+    builds.clear()
+    localcoh._KoszulPiece(M, 0, 2, 2)
+    assert builds == []
+    localcoh._KoszulPiece(M, 2, 0, 2)
+    assert sorted(d for d, _ in builds) == [4] * n
 
 
 # -- the stage s0, against the search it replaced -----------------------------
@@ -820,17 +830,32 @@ def _reference_koszul_piece(j, module, ell, s_max=10):
 @pytest.mark.parametrize("char", [2, 101, 0])
 def test_stage_s0_is_not_too_small(char):
     # A too small s0 shows as a later stage of another dimension, or as a
-    # transition that is not an isomorphism.
+    # transition that is not an isomorphism.  For j > dim M the oracle
+    # answers (0, 2) with no stage; there the stage the twists give must
+    # pass the same checks and be 0.
     rng = random.Random(9000 + char)
-    nonzero = 0
+    nonzero = vanishing = 0
     for ring, M in _hom_complex_modules(char):
         n = ring.ambient.n
         for j in range(n + 1):
             for ell in sorted(rng.sample(range(-n - 2, 3), 3)):
-                s0 = koszul_piece(j, M, ell, s_max=12)[1]
+                dim, s0 = koszul_piece(j, M, ell, s_max=12)
+                if j > module_dimension(M):
+                    assert (dim, s0) == (0, 2)
+                    s0 = _twist_stage(j, M, ell)
+                    vanishing += 1
                 stages = [_koszul_stage(M, j, ell, s) for s in (s0, s0 + 1, s0 + 2)]
                 assert len({st.dim for st in stages}) == 1, (j, ell, s0)
                 for a, b in zip(stages, stages[1:]):
                     assert _reference_transition_is_iso(ring, a, b), (j, ell, s0)
+                assert stages[0].dim == dim, (j, ell, s0)
                 nonzero += stages[0].dim > 0
-    assert nonzero >= 10
+    assert nonzero >= 10 and vanishing >= 5
+
+
+def _twist_stage(j, module, ell):
+    """s0 = max(2, 1 + b - n - ell) from the resolution's twists alone."""
+    n = module.ring.ambient.n
+    res = resolutions.minimal_free_resolution(module)
+    twists = [b for k in (n - j - 1, n - j, n - j + 1) for b in res.module_twists(k)]
+    return max([2] + [1 + b - n - ell for b in twists])

@@ -19,15 +19,11 @@ from soclelab import modgb, modules
 from soclelab.fields import field_of
 from soclelab.frobenius import fedder_module
 from soclelab.modgb import VectorOrder, poly_to_vec, vec_degree
-from soclelab.modules import (
-    multiples_span,
-    nakayama_minimal_subset,
-    vec_coords,
-    vec_reduce_components,
-)
+from soclelab.modules import nakayama_minimal_subset, vec_reduce_components
 from soclelab.monomials import monomials_of_degree
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
+from span_reference import multiples_span, vec_coords
 
 CHARS = [2, 101, 0]
 
@@ -208,9 +204,11 @@ def test_wide_exponents_restart_on_wider_fields(monkeypatch):
 
 def test_no_degree_piece_inside_nakayama(monkeypatch):
     # fedder_module(tc, 5) decides its three generators of degree 104
-    # without enumerating a degree piece of the free module.
+    # without enumerating a degree piece: no standard monomials of a
+    # degree and no module piece are built inside Nakayama.
     inside = {"now": False, "pieces": 0, "calls": 0}
-    nakayama, piece = modules.nakayama_minimal_subset, modules.free_piece_basis
+    nakayama = modules.nakayama_minimal_subset
+    standard, graded_piece = RingPresentation.standard_monomials, modules.GradedPiece.__init__
 
     def counted_nakayama(*args, **kwargs):
         inside["now"] = True
@@ -220,12 +218,16 @@ def test_no_degree_piece_inside_nakayama(monkeypatch):
         finally:
             inside["now"] = False
 
-    def counted_piece(*args):
-        inside["pieces"] += inside["now"]
-        return piece(*args)
+    def counted(build):
+        def wrapper(*args):
+            inside["pieces"] += inside["now"]
+            return build(*args)
+
+        return wrapper
 
     monkeypatch.setattr("soclelab.frobenius.nakayama_minimal_subset", counted_nakayama)
-    monkeypatch.setattr(modules, "free_piece_basis", counted_piece)
+    monkeypatch.setattr(RingPresentation, "standard_monomials", counted(standard))
+    monkeypatch.setattr(modules.GradedPiece, "__init__", counted(graded_piece))
     report = fedder_module(_twisted_cubic(2), 5)
     assert report.generator_degrees == (104, 104, 104)
     assert inside == {"now": False, "pieces": 0, "calls": 1}

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from soclelab.errors import HypothesisError
@@ -5,7 +7,7 @@ from soclelab.fields import field_of
 from soclelab.groebner import Ideal
 from soclelab.localcoh import lc_end, socle_begin
 from soclelab.modules import quotient_module
-from soclelab.poly import NEG_INF, PolyRing
+from soclelab.poly import NEG_INF, POS_INF, PolyRing
 from soclelab.rings import RingPresentation
 from soclelab.scans import criterion_check, lemma37_scan, scan_powers
 
@@ -119,3 +121,33 @@ def test_lemma37_accepts_hypersurface():
     R = RingPresentation(S, [x * y])
     rows, summary = lemma37_scan(R, Ideal(R, [x]), 2)
     assert len(rows) == 2
+
+
+# Seconds budgeted for the oracle scan of the twisted cubic's powers to
+# t = 3 over GF(32003); the assert allows five times that.  It is the one
+# tier-1 run of the oracle on a non-monomial ideal: about 0.58 s on the
+# Span-based pieces and 0.30-0.35 s on pieces read off the relation
+# basis (2 cores, CPython 3.11.7).
+CURVE_ORACLE_BUDGET_S = 0.4
+
+
+def test_oracle_scan_of_the_twisted_cubic_powers():
+    S = PolyRing(field_of(32003), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    R = RingPresentation(S)
+    curve = Ideal(R, [a * c - b**2, a * d - b * c, b * d - c**2])
+    start = time.perf_counter()
+    rows, _ = scan_powers(R, curve, 3, oracle=True)
+    elapsed = time.perf_counter() - start
+    assert [(r.t, r.j, r.lc_end, r.socle_beg, r.oracle_checked) for r in rows] == [
+        (1, 0, NEG_INF, POS_INF, True),
+        (1, 1, NEG_INF, POS_INF, True),
+        (1, 2, -1, -1, True),
+        (2, 0, NEG_INF, POS_INF, True),
+        (2, 1, 2, 2, True),
+        (2, 2, 1, 1, True),
+        (3, 0, NEG_INF, POS_INF, True),
+        (3, 1, 4, 4, True),
+        (3, 2, 2, 2, True),
+    ]
+    assert elapsed < 5 * CURVE_ORACLE_BUDGET_S
