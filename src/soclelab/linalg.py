@@ -8,6 +8,8 @@ Over QQ the same code runs on Fractions with no modulus.
 
 from heapq import heapify, heappop, heappush
 
+from .errors import AlgebraError
+
 
 class Span:
     """A growing row space kept in sparse semi-echelon form.
@@ -18,8 +20,8 @@ class Span:
     is reduced over its pivot columns in increasing order.
 
     Supports membership tests, incremental insertion, the canonical
-    remainder of a vector, and expressing a vector in terms of the
-    inserted generators (when tracking is on).
+    remainder of a vector, the kernel of the rows, and expressing a
+    vector in terms of the inserted generators (when tracking is on).
     """
 
     def __init__(self, field, width, track=False):
@@ -104,6 +106,26 @@ class Span:
             self.history[piv] = self._scaled(comb, c)
         return True
 
+    def kernel(self):
+        """Basis of {v : r . v = 0 for every row r}, v of length ``width``.
+
+        One basis vector per non-pivot column j of the reduced row echelon
+        form, in increasing j: a 1 at j and minus the rows' entries in
+        column j at their pivots.
+        """
+        field = self.field
+        # Back-substitute from the highest pivot down: every row already in
+        # rref is fully reduced, so reducing a row's tail against them gives
+        # its reduced row echelon tail.
+        rref = Span(field, self.width)
+        for piv in sorted(self.rows, reverse=True):
+            rref.rows[piv] = rref.reduce(self.rows[piv])
+        basis = {j: {j: field.one} for j in range(self.width) if j not in self.rows}
+        for piv, row in rref.rows.items():
+            for j, c in row.items():
+                basis[j][piv] = field.neg(c)
+        return list(basis.values())
+
     def _scaled(self, vec, c):
         p = self.p
         return {j: v * c % p if p else v * c for j, v in vec.items() if v}
@@ -126,23 +148,73 @@ def rank(field, rows, width):
 
 
 def nullspace(field, rows, width):
-    """Basis of {v : A v = 0} for the matrix with the given rows.
-
-    One basis vector per non-pivot column j of the reduced row echelon
-    form of A, in increasing j: a 1 at j and minus the rows' entries in
-    column j at their pivots.
-    """
+    """Basis of {v : A v = 0} for the matrix with the given rows; see
+    ``Span.kernel``."""
     sp = Span(field, width)
     for r in rows:
         sp.add(r)
-    # Back-substitute from the highest pivot down: every row already in
-    # rref is fully reduced, so reducing a row's tail against them gives
-    # its reduced row echelon tail.
-    rref = Span(field, width)
-    for piv in sorted(sp.rows, reverse=True):
-        rref.rows[piv] = rref.reduce(sp.rows[piv])
-    basis = {j: {j: field.one} for j in range(width) if j not in sp.rows}
-    for piv, row in rref.rows.items():
-        for j, c in row.items():
-            basis[j][piv] = field.neg(c)
-    return list(basis.values())
+    return sp.kernel()
+
+
+class QuotientSpace:
+    """H = ker A / im B for matrices with AB = 0, from two ranks.
+
+    ``image`` is an untracked echelon basis of im B.  Its non-pivot
+    columns, ``free``, index a complement C of im B, and ker A is im B
+    plus ker A on C, so H is ker(A|C) and dim H = #free - rank(A|C);
+    ``restricted`` holds the rows of A|C.  The representatives, the
+    reduced kernel basis of A|C, are built on first use.  The argument
+    is written out in the ``soclelab.localcoh`` docstring, whose Hom
+    complexes are the callers.
+
+    B is given by its columns ``image_vectors`` and A by its columns
+    ``out_cols`` of length ``out_width``, one per column of V (width
+    ``width``); ``out_cols`` is empty when A is zero.
+    """
+
+    def __init__(self, field, width, image_vectors, out_cols, out_width):
+        self.image = Span(field, width)
+        for v in image_vectors:
+            self.image.add(v)
+        self.free = [k for k in range(width) if k not in self.image.rows]
+        self.restricted = Span(field, len(self.free))
+        if out_cols:
+            for row in transpose([out_cols[k] for k in self.free], out_width):
+                self.restricted.add(row)
+        self.dim = len(self.free) - self.restricted.rank
+        self._reps = self.unit = None
+
+    @property
+    def reps(self):
+        """Cocycles whose classes form a basis of H: rep h is 1 at its own
+        free column (``unit`` maps it to h), 0 at every other rep's, and
+        otherwise lives on the pivots of A|C."""
+        if self._reps is None:
+            free, rows = self.free, self.restricted.rows
+            self._reps = [
+                {free[k]: c for k, c in z.items()} for z in self.restricted.kernel()
+            ]
+            self.unit = {
+                free[k]: h
+                for h, k in enumerate(k for k in range(len(free)) if k not in rows)
+            }
+        return self._reps
+
+    def coords(self, vec):
+        """Sparse coordinates {rep index: coefficient} of a cocycle.
+
+        Its remainder modulo im B lies in C and in ker A, so it is the
+        combination of the reps read off at their unit columns; raises
+        AlgebraError when it is not.
+        """
+        reps = self.reps
+        rem = self.image.reduce(vec)
+        unit, p = self.unit, self.image.p
+        out = {unit[k]: c for k, c in rem.items() if k in unit}
+        for h, c in out.items():
+            for k, a in reps[h].items():
+                v = rem.get(k, 0) - c * a
+                rem[k] = v % p if p else v
+        if any(rem.values()):
+            raise AlgebraError("vector escapes the cohomology subquotient")
+        return out

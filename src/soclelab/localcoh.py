@@ -13,6 +13,30 @@ is the cohomology of Hom(F_., M) in one internal degree for a complex
 F_. of graded free modules: one coboundary builder (``_hom_map``) and
 one ker/im routine (``_hom_cohomology``) serve both.
 
+Cohomology on a complement of the image.  In one degree let V be
+Hom(F, M)_ell at the middle term, A = Hom(d_out, M)_ell leaving V and
+B = Hom(d_in, M)_ell entering it, so that AB = 0.  Keep an echelon
+basis of im B: each basis vector has a 1 at its pivot and nothing to
+its left.  On the pivot columns these vectors form a unit triangular
+matrix, so no nonzero vector of im B vanishes at every pivot; as im B
+has one dimension per pivot, the unit vectors at the other ("free")
+columns span a complement C of im B in V.  As im B lies in ker A,
+ker A = im B + (ker A meet C), a direct sum: write v in ker A as b + c
+with b in im B and c in C; then c = v - b lies in ker A.  Hence
+H = ker A / im B is isomorphic to ker A meet C, the kernel of A
+restricted to the columns of C, and dim H = #free - rank(A restricted
+to C).  So a dimension costs two ranks and no kernel basis.
+
+Representatives, which only the socle maps need, are built on first
+use as the reduced kernel basis of A restricted to C: one vector per
+non-pivot column u of that restriction, 1 at u and 0 at every other
+such column.  Coordinates need no tracked span: the remainder of a
+cocycle modulo im B (echelon reduction, zero at every pivot of im B) is
+its component in C, which lies in ker A and so is the combination of
+the representatives with its own entries at their columns u.  A vector
+whose remainder is not that combination is no cocycle, and raises
+AlgebraError.
+
 Which Koszul stage equals the limit.  Stage s is H^j(x^s; M), the
 cohomology of the Koszul complex on x_1^s, ..., x_n^s with coefficients
 in M; H^j_m(M) is its direct limit, the map from stage s to stage s + 1
@@ -50,9 +74,12 @@ of M, and dim M for the vanishing rule, come from one reduced Groebner
 basis of M's relations (``ModulePresentation.relation_basis``), reduced
 by the same ``modgb`` normal-form engine that computes the resolution's
 syzygies and minimal generators on the duality route.  The Hom complexes,
-their kernels and images and the socle maps are the oracle's own dense
-linear algebra (``linalg``).  The tests keep the Span-based pieces, which
-use no module Groebner basis, as an independent reference.
+the two ranks of each stage (``linalg.QuotientSpace``), the
+representatives and the socle maps are the oracle's own sparse linear
+algebra.  The tests keep the Span-based pieces, which use no module
+Groebner basis, and the old cohomology route (a kernel basis from
+``nullspace`` inserted after the image into one tracked Span), as
+independent references.
 """
 
 import itertools
@@ -67,7 +94,7 @@ from .errors import (
     UnstableLimitError,
 )
 from .groebner import Ideal, minimal_generator_degrees
-from .linalg import Span, nullspace, transpose
+from .linalg import QuotientSpace, rank, transpose
 from .modgb import poly_to_vec
 from .modules import (
     GradedMatrix,
@@ -201,36 +228,6 @@ def socle_report(module, label=""):
 # The Koszul-limit oracle.
 
 
-class _QuotientSpace:
-    """ker/im quotient with coordinates, for one cohomology piece.
-
-    Vectors are sparse; ``reps`` are the kernel vectors that enlarged the
-    span of the image, and coordinates are taken on them.
-    """
-
-    def __init__(self, fieldobj, width, image_vectors, kernel_vectors):
-        self.span = Span(fieldobj, width, track=True)
-        for v in image_vectors:
-            self.span.add(v)
-        self.reps = []
-        self.rep_slots = []
-        for v in kernel_vectors:
-            if self.span.add(v):
-                self.reps.append(v)
-                self.rep_slots.append(self.span.n_inserted - 1)
-
-    @property
-    def dim(self):
-        return len(self.reps)
-
-    def coords(self, vec):
-        """Sparse coordinates {rep index: coefficient} of a kernel vector."""
-        combo = self.span.coordinates(vec)
-        if combo is None:
-            raise AlgebraError("vector escapes the cohomology subquotient")
-        return {h: combo[k] for h, k in enumerate(self.rep_slots) if k in combo}
-
-
 def _hom_map(module, d, ell):
     """Hom(d, M) in degree ell, for a map d: G -> F of graded free modules.
 
@@ -270,14 +267,10 @@ def _hom_cohomology(module, twists, d_in, d_out, ell):
     complex and d_out the next one to F.  Either map is None at an end
     of the complex.
     """
-    F = module.ring.field
     width = sum(module.piece(ell + a).dim for a in twists)
-    if not width:
-        return _QuotientSpace(F, 0, [], [])
-    rows = transpose(*_hom_map(module, d_out, ell)) if d_out is not None else []
-    kernel = nullspace(F, rows, width)
-    image = _hom_map(module, d_in, ell)[0] if d_in is not None else []
-    return _QuotientSpace(F, width, image, kernel)
+    image = _hom_map(module, d_in, ell)[0] if width and d_in is not None else []
+    out = _hom_map(module, d_out, ell) if width and d_out is not None else ([], 0)
+    return QuotientSpace(module.ring.field, width, image, *out)
 
 
 def _koszul_matrix(ring, s, j):
@@ -285,20 +278,25 @@ def _koszul_matrix(ring, s, j):
 
     Basis elements are the j-subsets, in ``itertools.combinations``
     order; entry (T, U) for U = T + {i} is (-1)^pos x_i^s, with pos the
-    place of i in U.
+    place of i in U.  Memoized on the ring, so every stage and piece
+    with the same s and j shares one matrix.
     """
-    amb = ring.ambient
-    rows = list(itertools.combinations(range(amb.n), j - 1))
-    cols = list(itertools.combinations(range(amb.n), j))
-    row_index = {T: k for k, T in enumerate(rows)}
-    entries = [[amb.zero] * len(cols) for _ in rows]
-    for v, U in enumerate(cols):
-        for pos, i in enumerate(U):
-            f = amb.var(i) ** s
-            entries[row_index[U[:pos] + U[pos + 1:]]][v] = -f if pos % 2 else f
-    return GradedMatrix(
-        ring, ((j - 1) * s,) * len(rows), (j * s,) * len(cols), entries, check=False
-    )
+
+    def build():
+        amb = ring.ambient
+        rows = list(itertools.combinations(range(amb.n), j - 1))
+        cols = list(itertools.combinations(range(amb.n), j))
+        row_index = {T: k for k, T in enumerate(rows)}
+        entries = [[amb.zero] * len(cols) for _ in rows]
+        for v, U in enumerate(cols):
+            for pos, i in enumerate(U):
+                f = amb.var(i) ** s
+                entries[row_index[U[:pos] + U[pos + 1:]]][v] = -f if pos % 2 else f
+        return GradedMatrix(
+            ring, ((j - 1) * s,) * len(rows), (j * s,) * len(cols), entries, check=False
+        )
+
+    return memoized(ring, ("koszul_matrix", s, j), build)
 
 
 class _KoszulPiece:
@@ -330,9 +328,9 @@ class _KoszulPiece:
         ``poly_for_subset(T)`` returns the multiplier polynomial for the
         block T; the target piece must have the same subset layout.
         """
-        reps = self.quotient.reps
-        if not reps:
+        if not self.dim:
             return []
+        reps = self.quotient.reps
         src_piece = self.module.piece(self.ell + self.j * self.s)
         mms = [src_piece.multiplication_matrix(poly_for_subset(T)) for T in self.subsets]
         tgt_block = target_piece.block_dim
@@ -401,8 +399,9 @@ def socle_piece(j, module, ell, s_max=10):
     """dim of the socle of H^j_m(M) in one degree, by brute force.
 
     The joint kernel of the variable multiplications from stage s0 of
-    degree ell to the same stage of degree ell + 1.  s0 for ell is at
-    least s0 for ell + 1, so both stages equal their limits and the
+    degree ell to the same stage of degree ell + 1, counted as dim H_ell
+    minus the rank of the stacked multiplication matrices.  s0 for ell is
+    at least s0 for ell + 1, so both stages equal their limits and the
     multiplications are those of H^j_m(M).  The answer is (0, 2) where
     ``koszul_piece`` gives it.  Raises UnstableLimitError when s0 >= s_max.
     Returns (dimension, s0).
@@ -419,7 +418,7 @@ def socle_piece(j, module, ell, s_max=10):
     for var in ring.ambient.gens():
         cols = a0.map_blockwise(lambda T, f=var: f, b0)
         rows.extend(transpose(cols, b0.dim))
-    return len(nullspace(ring.field, rows, a0.dim)), s
+    return a0.dim - rank(ring.field, rows, a0.dim), s
 
 
 # ---------------------------------------------------------------------------

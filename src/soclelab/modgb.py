@@ -382,11 +382,19 @@ class _Basis:
             return
         encode, heap, cap = self.table.encode, self.heap, self.cap
         new_idx = len(self.heads) - 1
+        single = len(v) == 1
+        elements = self.elements
         for i, (pos, lm) in enumerate(self.heads[:new_idx]):
             if pos != pos_new:
                 continue
             lcm = encode((pos, mono_lcm(lm, lm_new)))
-            if lcm >= cap:
+            if lcm < cap:
+                continue
+            if single and len(elements[i][0]) == 1:
+                # Two monic terms: the S-vector is exactly zero.  The pair
+                # counts as treated for the chain criterion.
+                self.treated.add((i, new_idx))
+            else:
                 heapq.heappush(heap, (-lcm, i, new_idx, lcm))
 
     def reduce_pairs(self, floor=0):

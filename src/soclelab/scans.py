@@ -68,7 +68,7 @@ def scan_powers(ring, ideal, t_max, oracle=False, s_max=10):
     def block(t):
         it = ideal_power(ideal, t)
         module = quotient_module(ring, list(it.generators))
-        d = krull_dimension(it)
+        d = module.krull_dimension()
         rows = []
         for j in range(0, max(d, 0) + 1):
             row_start = time.monotonic()

@@ -17,6 +17,7 @@ import pytest
 
 from soclelab import modgb
 from soclelab.fields import field_of
+from soclelab.groebner import Ideal, ideal_power
 from soclelab.modgb import (
     EXP_BITS,
     VectorOrder,
@@ -25,6 +26,7 @@ from soclelab.modgb import (
     syzygies_vectors,
     vec_degree,
 )
+from soclelab.modules import quotient_module
 from soclelab.monomials import (
     mono_coprime,
     mono_degree,
@@ -327,6 +329,56 @@ def test_module_bases_equal_the_reference():
             new = buchberger_vectors(gens, order, F)
             assert new
             assert _items(new) == _items(_reference_buchberger(gens, order, F))
+
+
+def _single_term_runs():
+    """(order, field, generators): seeded inputs whose generators are all
+    single terms, or single terms mixed with longer vectors, over one to
+    three positions, twisted and not."""
+    for char in CHARS:
+        F = field_of(char)
+        for k, mono in enumerate((DEGREVLEX, DEGLEX, MonomialOrder("degrevlex", (2, 0, 1)))):
+            rng = random.Random(1700 + 10 * char + k)
+            for positions, twists in ((1, None), (3, None), (3, (0, 1, 0))):
+                for mixed in (False, True):
+                    gens = []
+                    for _ in range(rng.randint(4, 7)):
+                        pos = rng.randrange(positions)
+                        degree = rng.randint(2, 4) - (twists[pos] if twists else 0)
+                        terms = rng.randint(2, 3) if mixed and rng.random() < 0.4 else 1
+                        vec = _random_poly_vec(rng, F, 3, degree, terms, pos=pos)
+                        if vec:
+                            gens.append(vec)
+                    yield VectorOrder(mono.key, twists=twists), F, gens, mixed
+
+
+def test_single_term_inputs_equal_the_reference():
+    # Two single-term elements in one position get no S-pair: their
+    # S-vector is zero.  The bases stay equal, term for term.
+    runs = mixed_runs = 0
+    for order, F, gens, mixed in _single_term_runs():
+        new = buchberger_vectors(gens, order, F)
+        assert _items(new) == _items(_reference_buchberger(gens, order, F))
+        runs += 1
+        mixed_runs += mixed and any(len(v) > 1 for v in new)
+    assert runs == 72 and mixed_runs >= 20
+
+
+def test_monomial_relation_basis_reduces_no_s_vector(monkeypatch):
+    S = PolyRing(field_of(101), ("x", "y", "z"))
+    x, y, z = S.gens()
+    R = RingPresentation(S)
+    M = quotient_module(R, ideal_power(Ideal(R, [x * y, y * z, z * x]), 3).generators)
+    pairs = []
+    original = modgb._Basis._remainder
+
+    def counting(run, i, j, lcm):
+        pairs.append((i, j))
+        return original(run, i, j, lcm)
+
+    monkeypatch.setattr(modgb._Basis, "_remainder", counting)
+    assert len(M.relation_basis().lead_terms()) == 10
+    assert pairs == []
 
 
 def test_tag_block_runs_equal_the_reference():

@@ -4,7 +4,7 @@ import pytest
 
 from soclelab.errors import HypothesisError
 from soclelab.fields import field_of
-from soclelab.groebner import Ideal
+from soclelab.groebner import Ideal, krull_dimension
 from soclelab.localcoh import lc_end, socle_begin
 from soclelab.modules import quotient_module
 from soclelab.poly import NEG_INF, POS_INF, PolyRing
@@ -48,6 +48,32 @@ def test_scan_rows_match_direct_calls(setting):
     for row in rows:
         assert row.socle_beg == socle_begin(row.j, module)
         assert row.lc_end == lc_end(row.j, module)
+
+
+def _dimension_cases():
+    S3 = PolyRing(field_of(101), ("x", "y", "z"))
+    x, y, z = S3.gens()
+    R3 = RingPresentation(S3)
+    S4 = PolyRing(field_of(101), ("a", "b", "c", "d"))
+    a, b, c, d = S4.gens()
+    curve = [a * c - b**2, a * d - b * c, b * d - c**2]
+    R4 = RingPresentation(S4)
+    tc = RingPresentation(S4, curve)
+    yield "unit", Ideal(R3, [S3.one]), -1
+    yield "zero", Ideal(R3, []), 3
+    yield "m", Ideal(R3, [x, y, z]), 0
+    yield "xy,yz,zx", Ideal(R3, [x * y, y * z, z * x]), 1
+    yield "curve", Ideal(R4, curve), 2
+    yield "(b,c) in S/curve", Ideal(tc, [b, c]), 1
+
+
+@pytest.mark.parametrize("case", list(_dimension_cases()), ids=lambda case: case[0])
+def test_module_dimension_equals_the_ideal_dimension(case):
+    # scan_powers reads dim R/I^t off the module's relation basis, which
+    # the oracle builds anyway, not off a second Groebner run of I^t.
+    _, ideal, expected = case
+    module = quotient_module(ideal.ring, list(ideal.generators))
+    assert krull_dimension(ideal) == module.krull_dimension() == expected
 
 
 def test_scan_powers_oracle_mode(setting):
