@@ -197,8 +197,13 @@ def module_dimension(module):
 
 
 def module_depth(module):
-    """Depth from the length of the minimal free resolution."""
-    return ambient_var_count(module) - minimal_free_resolution(module).length
+    """Depth from the length of the minimal free resolution
+    (Auslander-Buchsbaum); undefined for the zero module, also when it
+    is presented with generators that minimalization removes."""
+    res = minimal_free_resolution(module)
+    if not res.f0_twists:
+        raise DomainError("depth of the zero module is undefined")
+    return ambient_var_count(module) - res.length
 
 
 @dataclass

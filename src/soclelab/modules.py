@@ -13,6 +13,7 @@ from operator import mul
 from .errors import StructuralError
 from .modgb import (
     EXP_BITS,
+    HilbertRun,
     VectorOrder,
     VectorReducer,
     buchberger_vectors,
@@ -22,19 +23,25 @@ from .modgb import (
     syzygies_vectors,
     vec_degree,
 )
-from .monomials import hilbert_numerator, series_dimension
+from .monomials import hilbert_numerator, laurent_add, laurent_coefficients, series_dimension
 from .poly import Polynomial
 from .rings import RingPresentation, memoized
 
 
 class GradedMatrix:
-    """Homogeneous matrix between graded free modules over one ring."""
+    """Homogeneous matrix between graded free modules over one ring.
+
+    Its memo (see :func:`~soclelab.rings.memoized`) holds the Hilbert
+    numerator of its image ("image_numerator") when a resolution knows it
+    (see ``resolutions``).
+    """
 
     def __init__(self, ring, target, source, entries, check=True):
         self.ring = ring
         self.target = tuple(target)
         self.source = tuple(source)
         self.entries = tuple(tuple(row) for row in entries)
+        self._memo = {}
         if check:
             self._validate()
 
@@ -141,9 +148,10 @@ class ModulePresentation:
     Objects derived from the module are kept in its memo (see
     :func:`~soclelab.rings.memoized`): the reduced Groebner basis of its
     relation submodule ("relation_gb", a ``modgb.VectorReducer`` that
-    keeps the basis coded once per field width), its graded pieces
-    (("piece", d)), its Krull dimension ("dimension"), its fold over S,
-    resolution, Ext duals and Koszul stages.
+    keeps the basis coded once per field width), the Hilbert numerator
+    read off it ("hilbert_numerator"), its graded pieces (("piece", d)),
+    its Krull dimension ("dimension"), its fold over S, resolution, Ext
+    duals and Koszul stages.
     """
 
     def __init__(self, ring, matrix):
@@ -191,10 +199,15 @@ class ModulePresentation:
         generated by the matrix columns and, over R = S/a, by g*e_i for g
         in the relation basis of a; so M = F/N over S.  The order is
         ``VectorOrder(key, twists=generator degrees)``.  Returned as a
-        ``modgb.VectorReducer``, built once.
+        ``modgb.VectorReducer``, built once.  A fold over S (see
+        ``s_presentation``) has the same F, N and order, so it shares the
+        basis of the module it folds, as it shares the Hilbert numerator.
         """
 
         def build():
+            unfolded = self._memo.get("unfolded")
+            if unfolded is not None:
+                return unfolded.relation_basis()
             twists = self.matrix.target
             order = VectorOrder(self.ring.ambient.order.key, twists=twists)
             gens = block_columns(self.matrix) + _ring_multiples(self.ring, len(twists))
@@ -205,28 +218,54 @@ class ModulePresentation:
     def piece(self, degree):
         return memoized(self, ("piece", degree), lambda: GradedPiece(self, degree))
 
-    def krull_dimension(self):
-        """Krull dimension of M, -1 for the zero module, read off the
-        relation basis.
+    def hilbert_numerator(self):
+        """Numerator of HS(M) = N(t)/(1-t)^n, n the ambient variable count,
+        read off the relation basis.
 
         F/N has the Hilbert function of sum_i S(-a_i)/(L_i), L_i the
-        monomial ideal of the leads in position i (Macaulay).  Written
-        with its pole at t = 1 cancelled down, each summand's series has
-        a positive numerator there (its multiplicity), so no leading
-        terms cancel and the pole order of the sum is the largest of
-        theirs.
+        monomial ideal of the leads in position i (Macaulay), so N is the
+        sum of t^(a_i) times the numerator of S/L_i.  Twists may be
+        negative, so N is a Laurent polynomial: a dict from exponent to
+        nonzero coefficient (``monomials.laurent_add``); the zero module
+        gives {}.  Built once; callers must not change it.
         """
 
         def build():
-            n = self.ring.n
+            unfolded = self._memo.get("unfolded")
+            if unfolded is not None:
+                return unfolded.hilbert_numerator()
             leads = [[] for _ in self.matrix.target]
             for pos, e in self.relation_basis().lead_terms():
                 leads[pos].append(e)
-            return max(
-                (series_dimension(hilbert_numerator(ls, n), n) for ls in leads), default=-1
-            )
+            out = {}
+            for a, ls in zip(self.matrix.target, leads):
+                laurent_add(out, hilbert_numerator(ls, self.ring.n), a)
+            return out
 
-        return memoized(self, "dimension", build)
+        return memoized(self, "hilbert_numerator", build)
+
+    def known_hilbert_numerator(self):
+        """``hilbert_numerator()`` when no Groebner basis must be built for
+        it (it, or the relation basis, is memoized), else None."""
+        memo = self._memo.get("unfolded", self)._memo
+        if "hilbert_numerator" in memo or "relation_gb" in memo:
+            return self.hilbert_numerator()
+        return None
+
+    def krull_dimension(self):
+        """Krull dimension of M, -1 for the zero module: the pole order at
+        t = 1 of its Hilbert series.
+
+        Written with its pole cancelled down, each summand t^(a_i) HS(S/L_i)
+        of ``hilbert_numerator`` has a positive numerator at t = 1 (its
+        multiplicity), so no leading terms cancel and the pole order of the
+        sum is the largest of theirs.
+        """
+        return memoized(
+            self,
+            "dimension",
+            lambda: series_dimension(laurent_coefficients(self.hilbert_numerator()), self.ring.n),
+        )
 
     def __repr__(self):
         return (
@@ -369,7 +408,9 @@ def s_presentation(module):
     """Fold the ring relations into the matrix: the same module over S.
 
     The fold is memoized on the module, so what is memoized on the fold
-    (its resolution) is found again on the next call.
+    (its resolution) is found again on the next call.  The fold keeps the
+    module in its memo ("unfolded") and takes the module's relation basis
+    and Hilbert numerator from there.
     """
     if module.ring.is_polynomial_ring:
         return module
@@ -390,12 +431,12 @@ def _fold_relations(module):
             cols.append(col)
             source.append(rel.degree() + mat.target[i])
     entries = [[cols[j][i] for j in range(len(cols))] for i in range(mat.rows)]
-    return ModulePresentation(
-        base, GradedMatrix(base, mat.target, tuple(source), entries)
-    )
+    fold = ModulePresentation(base, GradedMatrix(base, mat.target, tuple(source), entries))
+    fold._memo["unfolded"] = module
+    return fold
 
 
-def syzygies_over(ring, columns, twists, rels=()):
+def syzygies_over(ring, columns, twists, rels=(), degree=None):
     """Generators of {v : sum_j v_j columns_j lies in <rels>}, over the ring.
 
     This is the one kernel routine (Macaulay2's ``modulo``): kernels of
@@ -406,18 +447,41 @@ def syzygies_over(ring, columns, twists, rels=()):
     a*e_i enter the engine untagged, so no syzygies among them are
     computed.  Components are reduced to normal form and zero generators
     dropped.
+
+    With ``degree`` (a resolution step) the call returns the tagged run
+    stopped after that degree (``modgb.syzygies_vectors``); the step
+    passes what the run finds through ``reduced_syzygies``.
     """
     extra = list(rels)
     for rel in ring.relations:
         for i in range(len(twists)):
             extra.append(poly_to_vec(rel, i))
-    raw = syzygies_vectors(ring.ambient, columns, tuple(twists), extra)
-    out = []
+    raw = syzygies_vectors(ring.ambient, columns, tuple(twists), extra, degree)
+    if degree is not None:
+        return raw
+    return reduced_syzygies(ring, raw)
+
+
+def reduced_syzygies(ring, raw, out=None):
+    """Append to ``out`` (a new list when None) the nonzero normal forms of
+    the raw generators, componentwise modulo the ring relations, and
+    return it."""
+    out = [] if out is None else out
     for v in raw:
         v = vec_reduce_components(ring, v)
         if v:
             out.append(v)
     return out
+
+
+def hilbert_certificate(ring, twists, kernel):
+    """A ``modgb.HilbertRun`` for a submodule of the free module with the
+    given twists over the ring, whose kernel numerator is ``kernel``; over
+    R = S/a the multiples g*e_i of the relation basis are its fixed
+    Groebner basis, as in ``nakayama_minimal_subset``."""
+    order = VectorOrder(ring.ambient.order.key, twists=twists)
+    fixed = _ring_multiples(ring, len(twists))
+    return HilbertRun(order, ring.field, fixed, kernel, ring.n)
 
 
 def nakayama_minimal_subset(ring, twists, vectors, rels=()):

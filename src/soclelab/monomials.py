@@ -2,7 +2,9 @@
 
 Also the one monomial-ideal kernel: the numerator of the Hilbert–Poincaré
 series of S/(monomials), from which Hilbert functions and Krull
-dimensions are read.
+dimensions are read.  A graded module's numerator is a sum of such
+numerators shifted by the twists, which may be negative: a Laurent
+polynomial, kept as a dict from exponent to nonzero coefficient.
 """
 
 from functools import lru_cache
@@ -55,7 +57,10 @@ def _minimalize(monos):
     """The minimal generators of the monomial ideal (monos), by degree."""
     kept = []
     for m in sorted(set(monos), key=sum):
-        if not any(mono_divides(k, m) for k in kept):
+        for k in kept:
+            if all(map(le, k, m)):
+                break
+        else:
             kept.append(m)
     return kept
 
@@ -77,15 +82,18 @@ def hilbert_numerator(leads, n):
     ends with N = prod(1 - t^deg g).  The branches are summed from a
     stack, so the depth of the recursion costs no Python frames.
     """
+    if not leads:
+        return (1,)
+    if len(leads) == 1:
+        # One monomial of degree d: 1 - t^d, and 0 for the unit ideal.
+        d = sum(leads[0])
+        return (1,) + (0,) * (d - 1) + (-1,) if d else ()
     total = [0]
     stack = [(_minimalize(leads), 0)]
     while stack:
         gens, shift = stack.pop()
-        counts = [0] * n
-        for g in gens:
-            for i, x in enumerate(g):
-                if x:
-                    counts[i] += 1
+        columns = list(zip(*gens))
+        counts = [len(gens) - column.count(0) for column in columns]
         top = max(counts, default=0)
         if top <= 1:
             leaf = [1]
@@ -98,7 +106,7 @@ def hilbert_numerator(leads, n):
                 total[k] += c
             continue
         i = counts.index(top)
-        exps = sorted(g[i] for g in gens if g[i] and g[i] != sum(g))
+        exps = sorted(x for x, g in zip(columns[i], gens) if x and x != sum(g))
         e = exps[len(exps) // 2]
         pivot = tuple(e if k == i else 0 for k in range(n))
         stack.append(([g for g in gens if g[i] < e] + [pivot], shift))
@@ -107,6 +115,34 @@ def hilbert_numerator(leads, n):
     while total and total[-1] == 0:
         total.pop()
     return tuple(total)
+
+
+def laurent_add(into, numerator, shift=0, scale=1):
+    """In place: into += scale * t^shift * numerator, and return ``into``.
+
+    ``into`` is a Laurent polynomial (a dict from exponent to nonzero
+    coefficient); ``numerator`` is a coefficient sequence from t^0 up, as
+    ``hilbert_numerator`` returns, or another such dict.
+    """
+    items = numerator.items() if isinstance(numerator, dict) else enumerate(numerator)
+    for k, c in items:
+        if c:
+            k += shift
+            v = into.get(k, 0) + scale * c
+            if v:
+                into[k] = v
+            else:
+                del into[k]
+    return into
+
+
+def laurent_coefficients(laurent):
+    """The coefficients of a Laurent polynomial from its lowest exponent up
+    to its highest: t^-low times it, as a sequence (empty for zero)."""
+    if not laurent:
+        return ()
+    low = min(laurent)
+    return tuple(laurent.get(k, 0) for k in range(low, max(laurent) + 1))
 
 
 def hilbert_coefficient(numerator, n, d):

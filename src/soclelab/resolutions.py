@@ -11,20 +11,66 @@ Every kernel here (syzygies, Hom, kernel/image, Tor) is one call of
 :func:`~soclelab.modules.syzygies_over` with the downstairs relations as
 ``rels``, on matrix columns laid out by
 :func:`~soclelab.modules.block_columns`.
+
+**Hilbert-driven syzygy steps.**  Step k takes the kernel Z = Z_k of
+d_k : F_k -> F_(k-1).  Hilbert series are Laurent numerators over
+(1-t)^n, n the ambient variable count (``monomials.laurent_add``), and
+over R = S/a the free modules have HS(R(-a)) = t^a HS(R).
+
+* *Exactness gives HS(Z_k).*  0 -> Z_k -> F_k -> im d_k -> 0 is exact,
+  so HS(Z_k) = HS(F_k) - HS(im d_k).  The image of d_1 is the kernel of
+  F_0 -> M, so HS(im d_1) = HS(F_0) - HS(M), and im d_k = Z_(k-1) for
+  k >= 2 once step k-1 is certified.  ``_resolve`` records HS(im d_1)
+  on d_1 when HS(M) is at hand (the module, or the module it folds,
+  has its relation basis), and each step records HS(Z_k) on the matrix
+  it returns.  A step whose HS(Z_k) is 0 builds nothing.
+* *The tagged run stops at D.*  The tag-block run of ``syzygies_over``
+  reduces its pairs in increasing lcm degree; stopped after degree D,
+  its tag-led elements are the first ones of the full run, in the same
+  order, and they generate Z in every degree <= D (Schreyer's theorem,
+  degree by degree).  D is the least degree of Z: the lowest exponent of
+  HS(Z_k), or, with no numerator at hand, the first degree whose pairs
+  leave a syzygy.  Graded Nakayama decides degree by degree, so on this
+  prefix it keeps exactly the syzygies of degree <= D that it keeps on
+  the full list.
+* *A submodule with the series of the module is the module.*  Let N be
+  spanned by the kept syzygies.  N is in Z; if HS(N) = HS(Z), then
+  dim N_d = dim Z_d in every degree d, so N_d = Z_d and N = Z: every
+  syzygy of degree > D lies in the span of those kept, and Nakayama on
+  the full list keeps none of them.  ``modgb.HilbertRun`` takes the
+  syzygies found as candidates, keeps those that Nakayama keeps, and
+  checks HS(N) = HS(Z) on a Groebner basis of N: once the lead terms of
+  a degree reach dim Z_d, every remaining S-pair of that degree reduces
+  to zero and is dropped (Traverso, "Hilbert functions and the
+  Buchberger algorithm", JSC 1996; Bayer-Stillman, "Computation of
+  Hilbert functions", JSC 1992).  Where it falls short, in degree e,
+  the tagged run resumes to e, without starting over, and the new
+  syzygies join the candidates.
+
+So the kept syzygies, and every matrix built from them, are the ones of
+the tagged run taken to its end.  A run that empties its pair heap needs
+no certificate.  With no numerator at hand, a run with no more pending
+pairs than syzygies found also goes to its end, and the next step then
+starts without one; otherwise HS(im d_k) is read off the tagged run
+itself (``TaggedRun.quotient_numerator``), and the kernel's least degree
+must then be D.
 """
 
-from .errors import StructuralError, TruncationError
+from .errors import DomainError, StructuralError, TruncationError
 from .modgb import vec_degree
 from .modules import (
     block_columns,
+    hilbert_certificate,
     matrix_from_vectors,
     minimalize_presentation,
     nakayama_minimal_subset,
     present_subquotient,
     quotient_module,
+    reduced_syzygies,
     s_presentation,
     syzygies_over,
 )
+from .monomials import laurent_add
 from .poly import Polynomial
 from .rings import memoized
 
@@ -47,7 +93,12 @@ class BettiTable:
         return self.entries.get((i, j), 0)
 
     def regularity(self):
-        """max(j - i) over nonzero entries; the Betti-side regularity."""
+        """max(j - i) over nonzero entries; the Betti-side regularity.
+
+        The zero module's table is empty, and its regularity undefined.
+        """
+        if not self.entries:
+            raise DomainError("regularity of the zero module is undefined")
         return max(j - i for (i, j) in self.entries)
 
     def rows(self):
@@ -114,24 +165,105 @@ class Resolution:
 
 
 def syzygy(matrix):
-    """Minimal generators of the kernel of the induced map of free modules."""
-    ring = matrix.ring
-    raw = syzygies_over(ring, block_columns(matrix), matrix.target)
-    keep = nakayama_minimal_subset(ring, matrix.source, raw)
-    return matrix_from_vectors(ring, matrix.source, [raw[i] for i in keep])
+    """Minimal generators of the kernel of the induced map of free modules.
+
+    The step stops its tagged run where the Hilbert series of the kernel
+    proves that no minimal syzygy is left (see the module docstring).
+    That series is HS(F) - HS(image).  The image's numerator is read off
+    the matrix's memo ("image_numerator") when known; ``_resolve``
+    records it on d_1 when the module's series is at hand, and every step
+    records the kernel's on the matrix it returns, as the image of the
+    next differential.  Otherwise the run itself yields it.
+    """
+    ring, source = matrix.ring, matrix.source
+    image = matrix._memo.get("image_numerator")
+    kernel = None
+    if image is not None:
+        kernel = laurent_add(_free_numerator(ring, source), image, scale=-1)
+    raw, keep = [], []
+    if source and kernel != {}:
+        raw, keep, kernel = _kernel_generators(matrix, kernel)
+    out = matrix_from_vectors(ring, source, [raw[i] for i in keep])
+    if kernel is not None:
+        out._memo["image_numerator"] = kernel
+    return out
+
+
+def _kernel_generators(matrix, kernel):
+    """(raw syzygies, the indices Nakayama keeps, the kernel's numerator).
+
+    The tagged run goes through D, the least degree of the kernel: read
+    off ``kernel`` when known, else found by advancing one pair degree at
+    a time until a syzygy appears.  If the run has ended there,
+    ``nakayama_minimal_subset`` takes what it found.  Otherwise the raw
+    syzygies go to a ``HilbertRun``, which keeps the same ones and
+    certifies them, and the run resumes to each degree that falls short.
+
+    Without ``kernel``, a run with no more pending pairs than syzygies
+    found goes to its end instead, which on small kernels costs less than
+    a certificate, and the numerator stays unknown (None, or {} when the
+    run found no syzygy).  Else it is HS(F) - HS(image), the image's from
+    ``TaggedRun.quotient_numerator``, and its least degree must be D.
+    """
+    ring, source, target = matrix.ring, matrix.source, matrix.target
+    start = min(source) if kernel is None else min(kernel)
+    run = syzygies_over(ring, block_columns(matrix), target, degree=start)
+    raw = reduced_syzygies(ring, run.new_syzygies())
+    if kernel is None:
+        while not raw and not run.done:
+            run.resume(run.next_degree())
+            reduced_syzygies(ring, run.new_syzygies(), raw)
+        if not run.done and len(run.basis.heap) <= len(raw):
+            run.resume()
+            reduced_syzygies(ring, run.new_syzygies(), raw)
+        if run.done:
+            return raw, nakayama_minimal_subset(ring, source, raw), None if raw else {}
+        kernel = _free_numerator(ring, source)
+        laurent_add(kernel, _free_numerator(ring, target), scale=-1)
+        laurent_add(kernel, run.quotient_numerator(ring.n))
+        if min(kernel, default=None) != run.degree:
+            raise StructuralError("the kernel's Hilbert series misses its first syzygies")
+    certificate, fed = None, 0
+    while not run.done:
+        if certificate is None:
+            certificate = hilbert_certificate(ring, source, kernel)
+        certificate.add(raw[fed:])
+        fed = len(raw)
+        if certificate.resume().deficient is None:
+            return raw, certificate.kept, kernel
+        run.resume(certificate.deficient)
+        reduced_syzygies(ring, run.new_syzygies(), raw)
+    return raw, nakayama_minimal_subset(ring, source, raw), kernel
+
+
+def _free_numerator(ring, twists):
+    """Hilbert numerator of the free module with these twists over R:
+    sum_a t^a HS(R), as a Laurent polynomial."""
+    out = {}
+    for a in twists:
+        laurent_add(out, ring.hilbert_numerator(), a)
+    return out
 
 
 def _resolve(module, steps=None):
     """Minimalize the presentation, then take syzygies until one vanishes.
 
     With ``steps``, stop once that many differentials are built; the
-    result is then complete only if the chain ended on its own.
+    result is then complete only if the chain ended on its own.  When
+    the module's Hilbert numerator is at hand, the image of d_1 gets
+    HS(F_0) - HS(M) as its numerator, and each step derives its kernel's
+    from it.
     """
     pres = minimalize_presentation(module)
     matrices = []
     complete = pres.matrix.cols == 0
     if pres.matrix.cols and steps != 0:
-        matrices.append(pres.matrix)
+        first = pres.matrix
+        known = module.known_hilbert_numerator()
+        if known is not None:
+            image = _free_numerator(module.ring, first.target)
+            first._memo["image_numerator"] = laurent_add(image, known, scale=-1)
+        matrices.append(first)
         while steps is None or len(matrices) < steps:
             nxt = syzygy(matrices[-1])
             if nxt.cols == 0:
