@@ -26,15 +26,15 @@ The same pair step serves five jobs:
   reduced Groebner basis,
 * graded Nakayama (``graded_minimal_subset``): a run truncated at each
   degree in turn decides which candidates are minimal generators,
-* Hilbert-driven certificates (``HilbertRun``): graded Nakayama on
+* Hilbert-driven certificates (``runs.HilbertRun``): graded Nakayama on
   candidates in a module whose Hilbert series is known, which drops the
   pairs of a degree once the lead terms fill it and says whether the
   candidates span the module.
 
 A resolution step stops its tag-block run after a degree and resumes it
-later (``TaggedRun``); such runs, and the certificates, keep their state
-in a ``Run`` between calls of ``buchberger_vectors``, so that every
-S-pair is reduced inside that function.
+later; such runs, and the certificates, keep their state between calls
+of ``buchberger_vectors`` in the objects of ``soclelab.runs``, so that
+every S-pair is reduced inside that function.
 
 Orders on module terms put heavier positions first through an optional
 degree component so that graded inputs are processed degree by degree.
@@ -47,7 +47,7 @@ from operator import itemgetter, mul
 
 from .errors import AlgebraError, StructuralError
 from .linalg import Span
-from .monomials import hilbert_numerator, laurent_add, mono_coprime, mono_lcm
+from .monomials import mono_coprime, mono_lcm
 
 # Exponent fields hold at least this many bits.  A run whose input has a
 # larger exponent gets wider fields from the start, and a run in which a
@@ -463,23 +463,25 @@ def buchberger_vectors(vectors, order, field, degree=None):
     criterion is always safe.
 
     With a tag block in ``order`` the call returns the run instead, a
-    ``TaggedRun`` taken through ``degree`` (to its end when None).
+    ``runs.TaggedRun`` taken through ``degree`` (to its end when None).
     Elements led in the tag block (no untagged terms) reduce later tag
     parts but get no S-pairs, and the run's ``new_syzygies()`` are exactly
     them, unreduced: by Schreyer's theorem they generate the submodule's
     part on the tag block, and they are no basis to minimalize against.
 
-    ``vectors`` may also be a stopped ``Run`` (``order`` and ``field`` are
-    then its own): the call advances it, through ``degree`` or to its
-    end, and returns it.  Resolution steps resume their tagged runs and
-    ``HilbertRun`` certificates only through this function, so every
-    S-pair of the engine is reduced inside it.
+    ``vectors`` may also be a stopped ``runs.Run`` (``order`` and
+    ``field`` are then its own): the call advances it, through ``degree``
+    or to its end, and returns it.  Resolution steps resume their tagged
+    runs and ``HilbertRun`` certificates only through this function, so
+    every S-pair of the engine is reduced inside it.
     """
-    if isinstance(vectors, Run):
+    if hasattr(vectors, "advance"):  # a stopped run
         vectors.advance(degree)
         return vectors
     vectors = [v for v in vectors if v]
     if order.split is not None:
+        from .runs import TaggedRun
+
         run = TaggedRun(vectors, order, field)
         run.advance(degree)
         return run
@@ -502,287 +504,6 @@ def _new_basis(vectors, table, split, use_product, field):
     for v in vectors:
         basis.append(v)
     return basis
-
-
-class Run:
-    """An engine run that stops and goes on later (see ``buchberger_vectors``).
-
-    It keeps its code table and its ``_Basis`` between calls.  When a term
-    outgrows the table, the run starts over on fields twice as wide and
-    goes as far as it was asked to: pairs leave the heap in the order of
-    their terms, which no table changes, so the new run reduces the same
-    pairs in the same order.  Subclasses build the basis (``_start``) and
-    advance it (``_advance``).
-    """
-
-    def __init__(self, vectors, order, field):
-        self.vectors = list(vectors)
-        self.order = order
-        self.field = field
-        self.bits = EXP_BITS
-        self.table = self.basis = None
-
-    def resume(self, degree=None):
-        """``buchberger_vectors(self, ..., degree)``: advance the run through
-        ``degree``, or to its end, and return it."""
-        return buchberger_vectors(self, self.order, self.field, degree)
-
-    def advance(self, degree=None):
-        while True:
-            if self.basis is None:
-                self.table = self.order.table(self.vectors, self.bits)
-                self.bits = self.table.bits
-                self.basis = self._start()
-            try:
-                return self._advance(degree)
-            except _Outgrown:
-                self.bits = 2 * self.table.bits
-                self.basis = None
-
-
-class TaggedRun(Run):
-    """The tag-block run of ``syzygies_vectors``, stopped by degree.
-
-    ``advance(d)`` reduces every pending pair of lcm degree <= d: the same
-    pairs, in the same order, as the first pairs of the run to the end.
-    """
-
-    def __init__(self, vectors, order, field):
-        super().__init__(vectors, order, field)
-        self.degree = None
-        self._seen = 0
-
-    def _start(self):
-        table = self.table
-        coded = [table.encode_vec(v) for v in self.vectors]
-        return _new_basis(coded, table, self.order.split, False, self.field)
-
-    def _advance(self, degree):
-        self.basis.reduce_pairs(0 if degree is None else self.table.degree_floor(degree))
-        self.degree = degree
-
-    @property
-    def done(self):
-        """True once no pair is pending: the run is at its end."""
-        return not self.basis.heap
-
-    def next_degree(self):
-        """The lcm degree of the next pending pair (None at the end)."""
-        heap = self.basis.heap
-        return self.table.degree_of(heap[0][3]) if heap else None
-
-    def new_syzygies(self):
-        """The elements led in the tag block since the last call, in basis
-        order, with positions counted from the split."""
-        split, basis = self.order.split, self.basis
-        decode, seen = self.table.decode_vec, self._seen
-        self._seen = len(basis.elements)
-        return [
-            {(p - split, e): c for (p, e), c in decode(g).items()}
-            for (g, _), (pos, _) in zip(basis.elements[seen:], basis.heads[seen:])
-            if pos >= split
-        ]
-
-    def quotient_numerator(self, n):
-        """Hilbert numerator of F/U, F the free module outside the tag
-        block and U the submodule that the untagged parts of the inputs
-        generate (the columns and ``extra``).
-
-        Read off the leads in F of a Groebner basis of U: at the run's end
-        its own, else those of an ``_ImageRun`` taken on from it.  The
-        leads in each position give F/U its series (Macaulay), shifted by
-        the twists of F.
-        """
-        basis = self.basis
-        if basis.heap:
-            basis = _ImageRun(self).resume().basis
-        split = self.order.split
-        leads = [[] for _ in range(split)]
-        for pos, e in basis.heads:
-            if pos < split:
-                leads[pos].append(e)
-        out = {}
-        for a, ls in zip(self.order.twists, leads):
-            laurent_add(out, hilbert_numerator(ls, n), a)
-        return out
-
-
-class _ImageRun(Run):
-    """The untagged part of a stopped ``TaggedRun``, taken on to its end.
-
-    The untagged parts of the elements led outside the tag block are what
-    a run on U alone would hold after the same pairs: a term outside the
-    tag block is reduced only by elements led there, and no tag term ever
-    enters F.  So on a copy of the basis with the tag parts dropped, and
-    the same pending pairs and treated set, the rest of the untagged run
-    finds a Groebner basis of U.  The tagged run itself can still resume.
-    When a term outgrows the table, the tagged run starts over on wider
-    fields through its degree, and the copy is taken again.
-    """
-
-    def __init__(self, tagged):
-        super().__init__((), tagged.order, tagged.field)
-        self.tagged = tagged
-
-    def advance(self, degree=None):
-        tagged = self.tagged
-        while True:
-            table, basis = tagged.table, tagged.basis
-            floor = table.tag_floor
-            copy = _Basis(table, self.field, self.order.split)
-            copy.elements = [
-                (g if lead >= floor else {t: c for t, c in g.items() if t < floor}, lead)
-                for g, lead in basis.elements
-            ]
-            copy.heads = list(basis.heads)
-            copy.heap = list(basis.heap)
-            copy.treated = set(basis.treated)
-            try:
-                copy.reduce_pairs()
-            except _Outgrown:
-                tagged.bits = 2 * table.bits
-                tagged.basis = None
-                tagged.advance(tagged.degree)
-                continue
-            self.table, self.basis = table, copy
-            return
-
-
-class HilbertRun(Run):
-    """Graded Nakayama on the candidates of a submodule N of Z, driven by
-    the Hilbert series of Z, and the certificate that N = Z.
-
-    Z lies in a free module F with the twists of ``order`` (degree-first,
-    no tag block); ``fixed`` is a Groebner basis that enters with no pairs
-    among its elements (over R = S/a the multiples g*e_i of the relation
-    basis, which the ring's series accounts for), and ``kernel`` the
-    Hilbert numerator of Z as a Laurent polynomial over (1-t)^n.
-    Candidates, homogeneous vectors of Z, come in through ``add`` and are
-    numbered in that order; N is the submodule they generate.  Then
-    ``buchberger_vectors(run)`` sets ``kept``, the numbers of the
-    candidates that ``graded_minimal_subset`` keeps, in increasing degree
-    and then in order, as far as the run has decided, and ``deficient``:
-    None when N = Z, else the least degree e with N_e != Z_e.  Adding
-    candidates, all of degree >= e, and calling again goes on from there.
-
-    **Why it decides.**  Let L be the monomial submodule of the leads of
-    the basis, fixed elements included, and keep D = HS(F/L) - HS(F/Z),
-    a Laurent numerator over (1-t)^n, starting from D = HS(Z).  A new lead
-    x^m e_i enlarges L by the monomials of x^m (L_i : x^m) e_i, so D falls
-    by t^(a_i + |m|) times the numerator of S/(L_i : x^m), one Bigatti run
-    on the colon.  Always L is in in(N), which is in in(Z), so each
-    coefficient of the series of D is >= 0.  Degrees are taken in
-    increasing order; once every pair and candidate of degree below d is
-    done, the series of D vanishes below d, so its lowest term is that of
-    the numerator: min(D) is the least degree where HF(F/L) still exceeds
-    HF(F/Z), and D[min D] by how much.
-
-    * D = 0: L, in(N) and in(Z) have one series, so they are equal, and
-      N = Z (a submodule with the series of the module is the module; on
-      leads: in(N) in in(Z) with equal dimension in every degree).  Every
-      candidate not yet decided lies in N, so none is kept.
-    * min D = e below the next degree d with a pending pair or candidate:
-      everything of degree <= e is done, so the basis is a Groebner basis
-      of N through degree e and L_e = in(N)_e, which falls short of
-      in(Z)_e: N_e != Z_e.
-    * e > d: L_d = in(Z)_d, so every element of Z of degree d, each
-      remaining S-vector and candidate of degree d among them, reduces to
-      zero modulo the basis (Traverso): they are dropped, and no such
-      candidate is kept.
-    * e = d: the pairs of degree d are reduced first, so the basis is a
-      Groebner basis through degree d of what came before, and then the
-      candidates of degree d in order: one is kept exactly when its normal
-      form is nonzero (it lies outside the span of the basis and the
-      candidates kept before it, as in ``graded_minimal_subset``), and
-      the form joins the basis.  Each new lead lowers D[d] by one; when
-      D[d] reaches 0 the rest of degree d is dropped as above, and if
-      everything of degree d is done first, e is returned.
-    """
-
-    def __init__(self, order, field, fixed, kernel, n):
-        super().__init__(list(fixed), order, field)
-        self.fixed = len(self.vectors)
-        self.kernel = dict(kernel)
-        self.n = n
-        self.deficient = None
-
-    def add(self, vectors):
-        """More candidates, numbered on from the last."""
-        first = len(self.vectors)
-        self.vectors.extend(vectors)
-        if self.basis is not None:
-            top = max((x for v in vectors for _, e in v for x in e), default=0)
-            if top >> self.table.bits:
-                self.basis = None
-            else:
-                self._queue(first)
-
-    def _start(self):
-        table = self.table
-        basis = self.basis = _Basis(table, self.field)
-        self.leads = [[] for _ in self.order.twists]
-        for v in self.vectors[: self.fixed]:
-            basis.append(table.encode_vec(v), pairs=False)
-            pos, e = basis.heads[-1]
-            self.leads[pos].append(e)
-        self.diff = dict(self.kernel)
-        self.pending = {}
-        self.kept = []
-        self._queue(self.fixed)
-        return basis
-
-    def _queue(self, first):
-        """Queue the vectors from place ``first`` on by degree, numbered."""
-        twists, encode, pending = self.order.twists, self.table.encode_vec, self.pending
-        for k in range(first, len(self.vectors)):
-            v = self.vectors[k]
-            if v:  # zero lies in N: never kept
-                pending.setdefault(vec_degree(v, twists), []).append((k - self.fixed, encode(v)))
-
-    def _add(self, rem):
-        """Append a nonzero remainder and lower ``diff`` by its new lead."""
-        basis = self.basis
-        basis.append(rem)
-        pos, m = basis.heads[-1]
-        leads = self.leads[pos]
-        colon = [tuple([x - y if x > y else 0 for x, y in zip(lead, m)]) for lead in leads]
-        degree = self.order.twists[pos] + sum(m)
-        laurent_add(self.diff, hilbert_numerator(colon, self.n), degree, -1)
-        leads.append(m)
-
-    def _advance(self, degree=None):
-        basis, table, field, diff = self.basis, self.table, self.field, self.diff
-        heap, pending = basis.heap, self.pending
-        while diff:
-            e = min(diff)
-            if diff[e] < 0:
-                raise StructuralError("leading terms outgrow the Hilbert series of the kernel")
-            d = min(pending, default=None)
-            if heap:
-                top = table.degree_of(heap[0][3])
-                d = top if d is None else min(d, top)
-            if d is None or e < d:
-                self.deficient = e
-                return
-            # With e > d, D[d] is 0 already and all of degree d is dropped.
-            floor = table.degree_floor(d)
-            while heap and heap[0][3] >= floor and diff.get(d, 0) > 0:
-                _, i, j, lcm = heapq.heappop(heap)
-                rem = basis._remainder(i, j, lcm)
-                if rem:
-                    self._add(rem)
-            for k, v in pending.pop(d, ()):
-                if diff.get(d, 0) > 0:
-                    rem = normal_form_vec(v, basis.elements, table, field)
-                    if rem:
-                        self._add(rem)
-                        self.kept.append(k)
-            if diff.get(d, 0) > 0:
-                self.deficient = d
-                return
-            while heap and heap[0][3] >= floor:
-                heapq.heappop(heap)
-        self.deficient = None
 
 
 def graded_minimal_subset(candidates, rels, order, field, fixed=()):
@@ -988,7 +709,7 @@ def syzygies_vectors(ring, columns, twists, extra=(), degree=None):
     with twists equal to the column degrees.  Correct but not minimal.
 
     With ``degree`` the run stops after the pairs of lcm degree <=
-    ``degree`` and is returned, a ``TaggedRun``: its ``new_syzygies()``
+    ``degree`` and is returned, a ``runs.TaggedRun``: its ``new_syzygies()``
     are then the first generators of the list above, and they generate the
     kernel in every degree <= ``degree`` (Schreyer's theorem holds degree
     by degree: the syzygies of a Groebner basis of degree <= d come from

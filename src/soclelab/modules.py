@@ -13,7 +13,6 @@ from operator import mul
 from .errors import StructuralError
 from .modgb import (
     EXP_BITS,
-    HilbertRun,
     VectorOrder,
     VectorReducer,
     buchberger_vectors,
@@ -26,6 +25,7 @@ from .modgb import (
 from .monomials import hilbert_numerator, laurent_add, laurent_coefficients, series_dimension
 from .poly import Polynomial
 from .rings import RingPresentation, memoized
+from .runs import HilbertRun
 
 
 class GradedMatrix:
@@ -475,7 +475,7 @@ def reduced_syzygies(ring, raw, out=None):
 
 
 def hilbert_certificate(ring, twists, kernel):
-    """A ``modgb.HilbertRun`` for a submodule of the free module with the
+    """A ``runs.HilbertRun`` for a submodule of the free module with the
     given twists over the ring, whose kernel numerator is ``kernel``; over
     R = S/a the multiples g*e_i of the relation basis are its fixed
     Groebner basis, as in ``nakayama_minimal_subset``."""

@@ -37,22 +37,46 @@ over R = S/a the free modules have HS(R(-a)) = t^a HS(R).
   spanned by the kept syzygies.  N is in Z; if HS(N) = HS(Z), then
   dim N_d = dim Z_d in every degree d, so N_d = Z_d and N = Z: every
   syzygy of degree > D lies in the span of those kept, and Nakayama on
-  the full list keeps none of them.  ``modgb.HilbertRun`` takes the
-  syzygies found as candidates, keeps those that Nakayama keeps, and
-  checks HS(N) = HS(Z) on a Groebner basis of N: once the lead terms of
-  a degree reach dim Z_d, every remaining S-pair of that degree reduces
-  to zero and is dropped (Traverso, "Hilbert functions and the
-  Buchberger algorithm", JSC 1996; Bayer-Stillman, "Computation of
-  Hilbert functions", JSC 1992).  Where it falls short, in degree e,
-  the tagged run resumes to e, without starting over, and the new
-  syzygies join the candidates.
+  the full list keeps none of them.
+
+*The certificate* (``runs.HilbertRun``) takes the syzygies found as
+candidates.  Let L be the leads of its Groebner basis, the fixed ones
+included, and D = HS(F/L) - HS(F/Z); D starts at HS(Z), and a new lead
+x^m e_i lowers it by t^(a_i + |m|) times the numerator of S/(L_i : x^m),
+since it adds to L the monomials of x^m (L_i : x^m) e_i.  Always L is in
+in(N), which is in in(Z), so every coefficient of the series of D is
+>= 0.  Degrees are taken in increasing order; once everything of degree
+below d is done, the series of D vanishes below d, so its lowest term is
+that of the numerator: e = min(D) is the least degree where HF(F/L)
+exceeds HF(F/Z), by D[e].
+
+* D = 0: L, in(N) and in(Z) have one series, so they are equal, and
+  N = Z.  No candidate not yet decided is kept.
+* e below the next degree d with a pending pair or candidate: everything
+  of degree <= e is done, so the basis is a Groebner basis of N through
+  degree e and L_e = in(N)_e, which falls short of in(Z)_e: N_e != Z_e.
+  The tagged run resumes to e, without starting over, and the syzygies
+  it finds join the candidates.
+* e > d: L_d = in(Z)_d, so every element of Z of degree d, each S-vector
+  and candidate of degree d among them, reduces to zero modulo the
+  basis: they are dropped, and no such candidate is kept (Traverso,
+  "Hilbert functions and the Buchberger algorithm", JSC 1996;
+  Bayer-Stillman, "Computation of Hilbert functions", JSC 1992).
+* e = d: the pairs of degree d are reduced first, so the basis is a
+  Groebner basis through degree d of what came before; then a candidate
+  of degree d is kept exactly when its normal form is nonzero, that is
+  when it lies outside the span of the basis and the candidates kept
+  before it, which is the criterion of ``graded_minimal_subset``.  Each
+  new lead lowers D[d] by one (x^m itself is new in L_d); at 0 the rest
+  of degree d is dropped as above, and if the degree runs out first,
+  e = d is short.
 
 So the kept syzygies, and every matrix built from them, are the ones of
 the tagged run taken to its end.  A run that empties its pair heap needs
 no certificate.  With no numerator at hand, a run with no more pending
 pairs than syzygies found also goes to its end, and the next step then
 starts without one; otherwise HS(im d_k) is read off the tagged run
-itself (``TaggedRun.quotient_numerator``), and the kernel's least degree
+itself (``runs.TaggedRun.quotient_numerator``), and the kernel's least degree
 must then be D.
 """
 

@@ -6,16 +6,17 @@ Buchberger run to the end (``syzygies_over``) and takes graded Nakayama
 of all it found.  The new steps stop that run where the series proves
 that no minimal syzygy is left, so they must return the same matrices,
 entry for entry.  Also here: the certificate on its own
-(``modgb.HilbertRun``), Hilbert numerators of twisted modules, and the
+(``runs.HilbertRun``), Hilbert numerators of twisted modules, and the
 typed errors of modules that become zero only after minimalization.
 """
 
 import random
+import sys
 from math import comb
 
 import pytest
 
-from soclelab import modgb
+from soclelab import modgb, runs
 from soclelab.errors import DomainError
 from soclelab.fields import QQ, field_of
 from soclelab.frobenius import frobenius_power
@@ -159,7 +160,7 @@ def test_residue_field_over_the_twisted_cubic_truncates_as_before(twisted_cubic)
 def _record_runs(monkeypatch):
     """Every ``Run.resume`` of a step: (kind, degree asked, certificate's answer)."""
     calls = []
-    original = modgb.Run.resume
+    original = runs.Run.resume
 
     def resume(run, degree=None):
         out = original(run, degree)
@@ -167,7 +168,7 @@ def _record_runs(monkeypatch):
         calls.append((type(run).__name__, degree, deficient))
         return out
 
-    monkeypatch.setattr(modgb.Run, "resume", resume)
+    monkeypatch.setattr(runs.Run, "resume", resume)
     return calls
 
 
@@ -190,6 +191,33 @@ def test_a_step_with_syzygies_in_two_degrees_resumes_once(twisted_cubic_gf2, mon
     assert len(resumed) == 1
     monkeypatch.undo()
     _assert_same_matrices(res.matrices, _reference_resolve(s_presentation(M)))
+
+
+def test_stopped_runs_that_outgrow_their_code_tables_start_over(monkeypatch):
+    """Exponents near 2^15: terms outgrow the first code table inside the
+    tagged runs, the image runs and the certificates, which start over on
+    wider fields and still give the reference matrices."""
+    kinds = set()
+    original = modgb._Outgrown.__init__
+
+    def outgrown(error, *args):
+        frame = sys._getframe(1)
+        while frame is not None:
+            kinds.add(type(frame.f_locals.get("self")).__name__)
+            frame = frame.f_back
+        original(error, *args)
+
+    monkeypatch.setattr(modgb._Outgrown, "__init__", outgrown)
+    S = PolyRing(field_of(101), ("x", "y", "z", "w"))
+    x, y, z, w = S.gens()
+    R = RingPresentation(S, [])
+    e = 20000
+    for gens in (
+        [x**e * y + y**e * z, y**e * z + z**e * w, x * z, y * w],
+        [x**e * y**2 + x**2 * y**e, z**e * x + z * y**e, x * y * z * w],
+    ):
+        _assert_resolution_matches(quotient_module(R, gens))
+    assert {"TaggedRun", "_ImageRun", "HilbertRun"} <= kinds
 
 
 def test_the_certificate_names_the_degree_of_a_missing_syzygy():
