@@ -458,41 +458,33 @@ def buchberger_vectors(vectors, order, field, degree=None):
     """Reduced Groebner basis of the submodule generated by ``vectors``,
     smallest lead term first.
 
+    With a tag block in ``order``, elements led there (no untagged terms)
+    reduce later tag parts but get no S-pairs, and the run returns exactly
+    them, unreduced: by Schreyer's theorem they generate the submodule's
+    part on the tag block, and they are no basis to minimalize against.
     The coprimality criterion is applied exactly when the input is an
     ideal: no tag block and every term in position 0.  The chain
     criterion is always safe.
 
-    With a tag block in ``order`` the call returns the run instead, a
-    ``runs.TaggedRun`` taken through ``degree`` (to its end when None).
-    Elements led in the tag block (no untagged terms) reduce later tag
-    parts but get no S-pairs, and the run's ``new_syzygies()`` are exactly
-    them, unreduced: by Schreyer's theorem they generate the submodule's
-    part on the tag block, and they are no basis to minimalize against.
-
     ``vectors`` may also be a stopped ``runs.Run`` (``order`` and
     ``field`` are then its own): the call advances it, through ``degree``
-    or to its end, and returns it.  Resolution steps resume their tagged
-    runs and ``HilbertRun`` certificates only through this function, so
-    every S-pair of the engine is reduced inside it.
+    or to its end, and returns it.  Resolution steps start and resume
+    their tagged runs and ``HilbertRun`` certificates only through this
+    function, so every S-pair of the engine is reduced inside it.
     """
     if hasattr(vectors, "advance"):  # a stopped run
         vectors.advance(degree)
         return vectors
     vectors = [v for v in vectors if v]
-    if order.split is not None:
-        from .runs import TaggedRun
-
-        run = TaggedRun(vectors, order, field)
-        run.advance(degree)
-        return run
     if not vectors:
         return []
-    use_product = all(pos == 0 for v in vectors for pos, _ in v)
+    split = order.split
+    use_product = split is None and all(pos == 0 for v in vectors for pos, _ in v)
 
     def run(table):
-        basis = _new_basis([table.encode_vec(v) for v in vectors], table, None, use_product, field)
-        basis.reduce_pairs()
-        return _reduce_basis(basis.elements, table, field)
+        return _buchberger(
+            [table.encode_vec(v) for v in vectors], table, split, use_product, field
+        )
 
     table, basis = _run_packed(order, vectors, run)
     return [table.decode_vec(g) for g in basis]
@@ -504,6 +496,15 @@ def _new_basis(vectors, table, split, use_product, field):
     for v in vectors:
         basis.append(v)
     return basis
+
+
+def _buchberger(vectors, table, split, use_product, field):
+    """The run of ``buchberger_vectors`` on coded vectors."""
+    run = _new_basis(vectors, table, split, use_product, field)
+    run.reduce_pairs()
+    if split is not None:
+        return [g for (g, _), (pos, _) in zip(run.elements, run.heads) if pos >= split]
+    return _reduce_basis(run.elements, table, field)
 
 
 def graded_minimal_subset(candidates, rels, order, field, fixed=()):
@@ -698,7 +699,7 @@ def poly_normal_form(f, basis_polys):
 # Syzygies via the tag-block construction.
 
 
-def syzygies_vectors(ring, columns, twists, extra=(), degree=None):
+def syzygies_vectors(ring, columns, twists, extra=()):
     """Generators of {v : sum_j v_j columns_j lies in <extra>}.
 
     ``columns`` and ``extra`` are homogeneous vectors in the free module
@@ -707,14 +708,18 @@ def syzygies_vectors(ring, columns, twists, extra=(), degree=None):
     the extra vectors are computed.  The result, a Schreyer generating
     set and not a Groebner basis, lives in positions 0..len(columns)-1
     with twists equal to the column degrees.  Correct but not minimal.
-
-    With ``degree`` the run stops after the pairs of lcm degree <=
-    ``degree`` and is returned, a ``runs.TaggedRun``: its ``new_syzygies()``
-    are then the first generators of the list above, and they generate the
-    kernel in every degree <= ``degree`` (Schreyer's theorem holds degree
-    by degree: the syzygies of a Groebner basis of degree <= d come from
-    its S-pairs of lcm degree <= d).
+    A resolution step runs the same inputs as a ``runs.TaggedRun``.
     """
+    tagged, order = tag_columns(ring, columns, twists)
+    gens = buchberger_vectors(tagged + list(extra), order, ring.field)
+    m = order.split
+    return [{(pos - m, e): c for (pos, e), c in g.items()} for g in gens]
+
+
+def tag_columns(ring, columns, twists):
+    """The columns, each with its unit tag after the ``len(twists)``
+    untagged positions, and the tag-block order that twists each tag by
+    its column's degree."""
     m = len(twists)
     degs = [vec_degree(v, twists) or 0 for v in columns]
     tagged = []
@@ -723,6 +728,4 @@ def syzygies_vectors(ring, columns, twists, extra=(), degree=None):
         v = dict(col)
         v[(m + i, zero_exps)] = ring.field.one
         tagged.append(v)
-    order = VectorOrder(ring.order.key, twists=tuple(twists) + tuple(degs), split=m)
-    run = buchberger_vectors(tagged + list(extra), order, ring.field, degree)
-    return run if degree is not None else run.new_syzygies()
+    return tagged, VectorOrder(ring.order.key, twists=tuple(twists) + tuple(degs), split=m)

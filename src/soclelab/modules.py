@@ -25,7 +25,7 @@ from .modgb import (
 from .monomials import hilbert_numerator, laurent_add, laurent_coefficients, series_dimension
 from .poly import Polynomial
 from .rings import RingPresentation, memoized
-from .runs import HilbertRun
+from .runs import HilbertRun, tagged_run
 
 
 class GradedMatrix:
@@ -449,17 +449,16 @@ def syzygies_over(ring, columns, twists, rels=(), degree=None):
     dropped.
 
     With ``degree`` (a resolution step) the call returns the tagged run
-    stopped after that degree (``modgb.syzygies_vectors``); the step
-    passes what the run finds through ``reduced_syzygies``.
+    stopped after that degree (``runs.tagged_run``); the step passes what
+    the run finds through ``reduced_syzygies``.
     """
     extra = list(rels)
     for rel in ring.relations:
         for i in range(len(twists)):
             extra.append(poly_to_vec(rel, i))
-    raw = syzygies_vectors(ring.ambient, columns, tuple(twists), extra, degree)
     if degree is not None:
-        return raw
-    return reduced_syzygies(ring, raw)
+        return tagged_run(ring.ambient, columns, tuple(twists), extra, degree)
+    return reduced_syzygies(ring, syzygies_vectors(ring.ambient, columns, tuple(twists), extra))
 
 
 def reduced_syzygies(ring, raw, out=None):

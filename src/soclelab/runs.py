@@ -55,8 +55,23 @@ class Run:
                 self.basis = None
 
 
+def tagged_run(ring, columns, twists, extra, degree):
+    """The tag-block run of ``modgb.syzygies_vectors`` on these inputs,
+    stopped after the pairs of lcm degree <= ``degree``.
+
+    Its ``new_syzygies()`` are then the first generators of the list that
+    ``syzygies_vectors`` returns, in its order, and they generate the
+    kernel in every degree <= ``degree`` (Schreyer's theorem holds degree
+    by degree: the syzygies of a Groebner basis through degree d come from
+    its S-pairs of lcm degree <= d).
+    """
+    tagged, order = modgb.tag_columns(ring, columns, twists)
+    vectors = [v for v in tagged + list(extra) if v]
+    return TaggedRun(vectors, order, ring.field).resume(degree)
+
+
 class TaggedRun(Run):
-    """The tag-block run of ``syzygies_vectors``, stopped by degree.
+    """The tag-block run of ``modgb.syzygies_vectors``, stopped by degree.
 
     ``advance(d)`` reduces every pending pair of lcm degree <= d: the same
     pairs, in the same order, as the first pairs of the run to the end.
@@ -130,10 +145,10 @@ class _ImageRun(Run):
     pairs: a term of F is reduced only by elements led in F, and reducing
     a tag term changes no term of F.  So on a copy of the basis with the
     tag parts dropped, and the same pending pairs and treated set, the
-    rest of the untagged run finds a Groebner basis of U.  The tagged run
-    itself can still resume.
-    When a term outgrows the table, the tagged run starts over on wider
-    fields through its degree, and the copy is taken again.
+    rest of the untagged run finds a Groebner basis of U, and the tagged
+    run itself can still resume.  When a term outgrows the table, the
+    tagged run starts over on wider fields through its degree, and the
+    copy is taken again.
     """
 
     def __init__(self, tagged):
@@ -194,7 +209,7 @@ class HilbertRun(Run):
 
     def __init__(self, order, field, fixed, kernel, n):
         super().__init__(list(fixed), order, field)
-        self.fixed = len(self.vectors)
+        self.nfixed = len(self.vectors)
         self.kernel = dict(kernel)
         self.n = n
         self.deficient = None
@@ -214,14 +229,14 @@ class HilbertRun(Run):
         table = self.table
         basis = self.basis = _Basis(table, self.field)
         self.leads = [[] for _ in self.order.twists]
-        for v in self.vectors[: self.fixed]:
+        for v in self.vectors[: self.nfixed]:
             basis.append(table.encode_vec(v), pairs=False)
             pos, e = basis.heads[-1]
             self.leads[pos].append(e)
         self.diff = dict(self.kernel)
         self.pending = {}
         self.kept = []
-        self._queue(self.fixed)
+        self._queue(self.nfixed)
         return basis
 
     def _queue(self, first):
@@ -230,7 +245,7 @@ class HilbertRun(Run):
         for k in range(first, len(self.vectors)):
             v = self.vectors[k]
             if v:  # zero lies in N: never kept
-                pending.setdefault(vec_degree(v, twists), []).append((k - self.fixed, encode(v)))
+                pending.setdefault(vec_degree(v, twists), []).append((k - self.nfixed, encode(v)))
 
     def _add(self, rem):
         """Append a nonzero remainder and lower ``diff`` by its new lead."""
