@@ -371,11 +371,12 @@ class _Basis:
     pair leaves the heap smallest lcm first, that is largest code first,
     so under a degree-first order in increasing lcm degree.  Pairs whose
     lcm code is below ``cap`` are never pushed, nor pairs of an element
-    led in the tag block (position >= ``split``).  The drivers
-    (``buchberger_vectors``, its runs and ``graded_minimal_subset``) take
-    their pairs through ``_remainder``, most through ``reduce_pairs``: the
-    coprimality criterion when ``use_product`` is set, the chain criterion
-    always, then the S-vector and its normal form.
+    led in the tag block (position >= ``split``).  Every run over it
+    (``buchberger_vectors``, the runs of ``soclelab.runs`` and
+    ``graded_minimal_subset``) takes its pairs through ``_remainder``,
+    most through ``reduce_pairs``: the coprimality criterion when
+    ``use_product`` is set, the chain criterion always, then the S-vector
+    and its normal form.
     """
 
     def __init__(self, table, field, split=None, use_product=False, cap=0):
