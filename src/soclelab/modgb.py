@@ -1,40 +1,38 @@
 """Buchberger engine for submodules of free modules over a polynomial ring.
 
-At the boundary (``buchberger_vectors``, ``syzygies_vectors``,
-``graded_minimal_subset``, ``groebner_polys`` and ``poly_normal_form``)
-a vector is a dict mapping
-``(position, exponent tuple)`` to a nonzero field coefficient; ideals are
-the rank-one case.  Inside the engine every term is one Python int, its
+At the boundary (``buchberger_vectors``, ``groebner_polys``,
+``poly_normal_form`` and the runs of ``soclelab.runs``) a vector is a
+dict mapping ``(position, exponent tuple)`` to a nonzero field
+coefficient; ideals are the rank-one case.  Inside the engine every term is one Python int, its
 code under the run's ``VectorOrder`` (see there): a smaller code is a
 larger term, and multiplying a term by a monomial adds one int.
 Coefficients are plain field elements, reduced ``% p`` in the loop over
 GF(p) and left as Fractions over QQ, as ``linalg.Span`` does.
 
-The same pair step serves five jobs:
+The same pair step (``_Basis``) serves four jobs:
 
 * reduced Groebner bases of ideals (with the coprimality and chain
-  criteria for pair pruning; an input with no tag block and every term
-  in position 0 is an ideal),
+  criteria for pair pruning; an input with every term in position 0 is
+  an ideal),
 * reduced Groebner bases of submodules of free modules (chain criterion
   only; the coprimality shortcut is unsound beyond rank one),
-* syzygies modulo a submodule (Macaulay2's and Singular's ``modulo``):
-  each column gets a unit-vector tag, the submodule's generators enter
-  untagged, and in the block order every tagged term is below every
-  untagged one.  By Schreyer's theorem the remainders of the S-pairs of
-  untagged-led elements, which live on the tag block, generate
-  {v : sum_j v_j col_j in the submodule}: a generating set, not a
-  reduced Groebner basis,
-* graded Nakayama (``graded_minimal_subset``): a run truncated at each
-  degree in turn decides which candidates are minimal generators,
-* Hilbert-driven certificates (``runs.HilbertRun``): graded Nakayama on
-  candidates in a module whose Hilbert series is known, which drops the
-  pairs of a degree once the lead terms fill it and says whether the
+* syzygies modulo a submodule (Macaulay2's and Singular's ``modulo``,
+  ``runs.syzygies_vectors``): each column gets a unit-vector tag, the
+  submodule's generators enter untagged, and in the block order every
+  tagged term is below every untagged one.  By Schreyer's theorem the
+  remainders of the S-pairs of untagged-led elements, which live on the
+  tag block, generate {v : sum_j v_j col_j in the submodule}: a
+  generating set, not a reduced Groebner basis,
+* graded Nakayama (``runs.HilbertRun``): a run truncated at each degree
+  in turn decides which candidates are minimal generators; given the
+  Hilbert series of a module that holds them, it also drops the pairs
+  of a degree once the lead terms fill it and says whether the
   candidates span the module.
 
-A resolution step stops its tag-block run after a degree and resumes it
-later; such runs, and the certificates, keep their state between calls
-of ``buchberger_vectors`` in the objects of ``soclelab.runs``, so that
-every S-pair is reduced inside that function.
+The first two are one-shot calls of ``buchberger_vectors``.  The tag
+block and Nakayama runs keep their state in the objects of
+``soclelab.runs``, so that a resolution step can stop its kernel's run
+after a degree and resume it later.
 
 Orders on module terms put heavier positions first through an optional
 degree component so that graded inputs are processed degree by degree.
@@ -46,7 +44,6 @@ from itertools import chain
 from operator import itemgetter, mul
 
 from .errors import AlgebraError, StructuralError
-from .linalg import Span
 from .monomials import mono_coprime, mono_lcm
 
 # Exponent fields hold at least this many bits.  A run whose input has a
@@ -63,7 +60,7 @@ class VectorOrder:
     """Term order on (position, monomial) pairs, and the codes of its terms.
 
     ``split`` marks the boundary of the tag block: positions >= split are
-    strictly smaller than every untagged term (only ``syzygies_vectors``
+    strictly smaller than every untagged term (only ``runs.tag_columns``
     sets it).  Given ``twists``, the order compares the twisted degree
     first, so homogeneous work proceeds by degree.  In all, it compares
     the rank tuples
@@ -372,11 +369,10 @@ class _Basis:
     so under a degree-first order in increasing lcm degree.  Pairs whose
     lcm code is below ``cap`` are never pushed, nor pairs of an element
     led in the tag block (position >= ``split``).  Every run over it
-    (``buchberger_vectors``, the runs of ``soclelab.runs`` and
-    ``graded_minimal_subset``) takes its pairs through ``_remainder``,
-    most through ``reduce_pairs``: the coprimality criterion when
-    ``use_product`` is set, the chain criterion always, then the S-vector
-    and its normal form.
+    (``buchberger_vectors`` and the runs of ``soclelab.runs``) takes its
+    pairs through ``_remainder``, most through ``reduce_pairs``: the
+    coprimality criterion when ``use_product`` is set, the chain
+    criterion always, then the S-vector and its normal form.
     """
 
     def __init__(self, table, field, split=None, use_product=False, cap=0):
@@ -457,21 +453,17 @@ class _Basis:
 
 def buchberger_vectors(vectors, order, field, degree=None):
     """Reduced Groebner basis of the submodule generated by ``vectors``,
-    smallest lead term first.
+    smallest lead term first, under an ``order`` with no tag block.
 
-    With a tag block in ``order``, elements led there (no untagged terms)
-    reduce later tag parts but get no S-pairs, and the run returns exactly
-    them, unreduced: by Schreyer's theorem they generate the submodule's
-    part on the tag block, and they are no basis to minimalize against.
     The coprimality criterion is applied exactly when the input is an
-    ideal: no tag block and every term in position 0.  The chain
-    criterion is always safe.
+    ideal: every term in position 0.  The chain criterion is always safe.
 
     ``vectors`` may also be a stopped ``runs.Run`` (``order`` and
     ``field`` are then its own): the call advances it, through ``degree``
-    or to its end, and returns it.  Resolution steps start and resume
-    their tagged runs and ``HilbertRun`` certificates only through this
-    function, so every S-pair of the engine is reduced inside it.
+    or to its end, and returns it.  Kernels (``runs.TaggedRun``, also
+    when taken to their end) and ``HilbertRun`` certificates are started
+    and resumed only through this function, so every S-pair of theirs is
+    reduced inside it.
     """
     if hasattr(vectors, "advance"):  # a stopped run
         vectors.advance(degree)
@@ -479,13 +471,12 @@ def buchberger_vectors(vectors, order, field, degree=None):
     vectors = [v for v in vectors if v]
     if not vectors:
         return []
-    split = order.split
-    use_product = split is None and all(pos == 0 for v in vectors for pos, _ in v)
+    use_product = all(pos == 0 for v in vectors for pos, _ in v)
 
     def run(table):
-        return _buchberger(
-            [table.encode_vec(v) for v in vectors], table, split, use_product, field
-        )
+        basis = _new_basis([table.encode_vec(v) for v in vectors], table, None, use_product, field)
+        basis.reduce_pairs()
+        return _reduce_basis(basis.elements, table, field)
 
     table, basis = _run_packed(order, vectors, run)
     return [table.decode_vec(g) for g in basis]
@@ -497,92 +488,6 @@ def _new_basis(vectors, table, split, use_product, field):
     for v in vectors:
         basis.append(v)
     return basis
-
-
-def _buchberger(vectors, table, split, use_product, field):
-    """The run of ``buchberger_vectors`` on coded vectors."""
-    run = _new_basis(vectors, table, split, use_product, field)
-    run.reduce_pairs()
-    if split is not None:
-        return [g for (g, _), (pos, _) in zip(run.elements, run.heads) if pos >= split]
-    return _reduce_basis(run.elements, table, field)
-
-
-def graded_minimal_subset(candidates, rels, order, field, fixed=()):
-    """Indices of the candidates that graded Nakayama keeps: in increasing
-    degree, then in index order, a candidate is kept exactly when it lies
-    outside the submodule generated by ``fixed``, ``rels`` and the
-    candidates kept before it.
-
-    All vectors are homogeneous under ``order``, a degree-first order with
-    twists and no tag block.  ``fixed`` is a Groebner basis (over a
-    quotient ring, the multiples g*e_i of the relation basis): its
-    elements enter the basis first, with no S-pairs among themselves.
-    Neither ``rels`` nor ``fixed`` are ever candidates, and rels above the
-    top candidate degree are dropped.
-
-    One degree-truncated Buchberger run (Macaulay2's ``mingens``/``trim``,
-    Singular's ``minbase``).  For each degree d in increasing order:
-    reduce the pending S-pairs of lcm degree <= d, take the normal forms
-    of the degree-d rels and then of the degree-d candidates against the
-    basis, insert them one by one into a ``Span`` whose columns are term
-    codes, keep a candidate exactly when it enlarges the span, and append
-    the span's rows to the basis.
-
-    **Why the kept list is the graded Nakayama one.**  Let M_<d be the
-    submodule generated by ``fixed`` and by the rels and kept candidates
-    of degree < d.  When degree d begins, the basis holds generators of
-    M_<d and every S-pair of lcm degree <= d has been reduced, so it is a
-    Groebner basis of M_<d up to degree d.  Hence in degree d the normal
-    form is a linear map on the degree-d piece F_d whose kernel is
-    (M_<d)_d, and v lies in M_<d + span(earlier degree-d vectors) exactly
-    when its normal form lies in the span of the earlier normal forms of
-    degree d: ``Span.add`` returns False.  That is the criterion of a
-    degree piece of F_d modulo all multiples, so the kept lists are the
-    same.  Each span row is monic with its pivot as its lead code (a
-    smaller code is a larger term), the leads are distinct, and no
-    earlier lead divides any of their terms, so the new basis again
-    generates M_<d' for the next degree d', and every new S-pair has lcm
-    degree > d.  Pairs above the top candidate degree are never pushed.
-    """
-    twists = order.twists
-    steps = {}  # degree -> (rels, candidate indices)
-    for i, v in enumerate(candidates):
-        d = vec_degree(v, twists)
-        if d is not None:
-            steps.setdefault(d, ([], []))[1].append(i)
-    if not steps:
-        return []
-    top = max(steps)
-    for v in rels:
-        d = vec_degree(v, twists)
-        if d is not None and d <= top:
-            steps.setdefault(d, ([], []))[0].append(v)
-
-    def run(table):
-        encode = table.encode_vec
-        basis = _Basis(table, field, cap=table.degree_floor(top))
-        for v in fixed:
-            basis.append(encode(v), pairs=False)
-        kept = []
-        for d in sorted(steps):
-            rels_d, idxs = steps[d]
-            basis.reduce_pairs(table.degree_floor(d))
-            forms = [
-                normal_form_vec(encode(v), basis.elements, table, field)
-                for v in rels_d + [candidates[i] for i in idxs]
-            ]
-            span = Span(field, len(set().union(*forms)))
-            # k < 0 for the rels, else the candidate's place in idxs.
-            for k, form in enumerate(forms, -len(rels_d)):
-                if form and span.add(form) and k >= 0:
-                    kept.append(idxs[k])
-            if d < top:
-                for piv, row in span.rows.items():
-                    basis.append({piv: field.one, **row})
-        return kept
-
-    return _run_packed(order, [*candidates, *rels, *fixed], run)[1]
 
 
 def _reduce_basis(basis, table, field):
@@ -694,39 +599,3 @@ class PolyReducer(VectorReducer):
 def poly_normal_form(f, basis_polys):
     """Remainder of f on division by monic polynomials."""
     return PolyReducer(f.ring, basis_polys).reduce(f)
-
-
-# ---------------------------------------------------------------------------
-# Syzygies via the tag-block construction.
-
-
-def syzygies_vectors(ring, columns, twists, extra=()):
-    """Generators of {v : sum_j v_j columns_j lies in <extra>}.
-
-    ``columns`` and ``extra`` are homogeneous vectors in the free module
-    with the given twists over the plain polynomial ring.  Only the
-    columns are tagged; ``extra`` enters untagged, so no syzygies among
-    the extra vectors are computed.  The result, a Schreyer generating
-    set and not a Groebner basis, lives in positions 0..len(columns)-1
-    with twists equal to the column degrees.  Correct but not minimal.
-    A resolution step runs the same inputs as a ``runs.TaggedRun``.
-    """
-    tagged, order = tag_columns(ring, columns, twists)
-    gens = buchberger_vectors(tagged + list(extra), order, ring.field)
-    m = order.split
-    return [{(pos - m, e): c for (pos, e), c in g.items()} for g in gens]
-
-
-def tag_columns(ring, columns, twists):
-    """The columns, each with its unit tag after the ``len(twists)``
-    untagged positions, and the tag-block order that twists each tag by
-    its column's degree."""
-    m = len(twists)
-    degs = [vec_degree(v, twists) or 0 for v in columns]
-    tagged = []
-    zero_exps = (0,) * ring.n
-    for i, col in enumerate(columns):
-        v = dict(col)
-        v[(m + i, zero_exps)] = ring.field.one
-        tagged.append(v)
-    return tagged, VectorOrder(ring.order.key, twists=tuple(twists) + tuple(degs), split=m)

@@ -16,16 +16,14 @@ from .modgb import (
     VectorOrder,
     VectorReducer,
     buchberger_vectors,
-    graded_minimal_subset,
     normal_form_vec,
     poly_to_vec,
-    syzygies_vectors,
     vec_degree,
 )
 from .monomials import hilbert_numerator, laurent_add, laurent_coefficients, series_dimension
 from .poly import Polynomial
 from .rings import RingPresentation, memoized
-from .runs import HilbertRun, tagged_run
+from .runs import HilbertRun, syzygies_vectors, tagged_run
 
 
 class GradedMatrix:
@@ -448,9 +446,11 @@ def syzygies_over(ring, columns, twists, rels=(), degree=None):
     computed.  Components are reduced to normal form and zero generators
     dropped.
 
-    With ``degree`` (a resolution step) the call returns the tagged run
-    stopped after that degree (``runs.tagged_run``); the step passes what
-    the run finds through ``reduced_syzygies``.
+    Without ``degree`` it is the tag-block run (``runs.TaggedRun``) taken
+    to its end (``runs.syzygies_vectors``).  With ``degree`` (a resolution
+    step) the call returns that run stopped after that degree
+    (``runs.tagged_run``); the step passes what the run finds through
+    ``reduced_syzygies``.
     """
     extra = list(rels)
     for rel in ring.relations:
@@ -475,12 +475,8 @@ def reduced_syzygies(ring, raw, out=None):
 
 def hilbert_certificate(ring, twists, kernel):
     """A ``runs.HilbertRun`` for a submodule of the free module with the
-    given twists over the ring, whose kernel numerator is ``kernel``; over
-    R = S/a the multiples g*e_i of the relation basis are its fixed
-    Groebner basis, as in ``nakayama_minimal_subset``."""
-    order = VectorOrder(ring.ambient.order.key, twists=twists)
-    fixed = _ring_multiples(ring, len(twists))
-    return HilbertRun(order, ring.field, fixed, kernel, ring.n)
+    given twists over the ring, whose kernel numerator is ``kernel``."""
+    return _nakayama_run(ring, twists, (), kernel)
 
 
 def nakayama_minimal_subset(ring, twists, vectors, rels=()):
@@ -489,16 +485,28 @@ def nakayama_minimal_subset(ring, twists, vectors, rels=()):
     Graded Nakayama: in increasing degree, then in index order, a vector
     is kept exactly when it lies outside the submodule generated by the
     relation vectors and the vectors kept before it, over R = S/a also by
-    a*e_i.  It is one ``modgb.graded_minimal_subset`` run, which decides
-    each vector by its normal form against a degree-truncated Groebner
-    basis of that submodule.  Over R the multiples g*e_i of the relation
-    basis enter that run as a fixed Groebner basis, so the normal form
-    also reduces modulo a and the vectors need no reduction beforehand.
-    No degree piece of the free module is built.
+    a*e_i.  It is one ``runs.HilbertRun`` with no Hilbert series, taken
+    to its end, which decides each vector by its normal form against a
+    degree-truncated Groebner basis of that submodule.  No degree piece
+    of the free module is built.
     """
+    if not any(vectors):
+        return []
+    run = _nakayama_run(ring, twists, rels, None)
+    run.add(vectors)
+    run.advance()  # Nakayama's own work, not a buchberger_vectors call
+    return run.kept
+
+
+def _nakayama_run(ring, twists, rels, kernel):
+    """The ``runs.HilbertRun`` of ``nakayama_minimal_subset`` (no
+    ``kernel``) and of ``hilbert_certificate``.  Over R = S/a the
+    multiples g*e_i of the relation basis are its fixed Groebner basis,
+    so its normal forms also reduce modulo a and the vectors need no
+    reduction beforehand."""
     order = VectorOrder(ring.ambient.order.key, twists=twists)
     fixed = _ring_multiples(ring, len(twists))
-    return graded_minimal_subset(vectors, rels, order, ring.field, fixed)
+    return HilbertRun(order, ring.field, fixed, rels, kernel, ring.n)
 
 
 def _ring_multiples(ring, rank):

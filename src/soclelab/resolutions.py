@@ -41,7 +41,8 @@ over R = S/a the free modules have HS(R(-a)) = t^a HS(R).
 
 *The certificate* (``runs.HilbertRun``) takes the syzygies found as
 candidates.  Let L be the leads of its Groebner basis, the fixed ones
-included, and D = HS(F/L) - HS(F/Z); D starts at HS(Z), and a new lead
+included, and the pivots of the current degree's span, whose rows join
+the basis when the degree ends; and D = HS(F/L) - HS(F/Z); D starts at HS(Z), and a new lead
 x^m e_i lowers it by t^(a_i + |m|) times the numerator of S/(L_i : x^m),
 since it adds to L the monomials of x^m (L_i : x^m) e_i.  Always L is in
 in(N), which is in in(Z), so every coefficient of the series of D is
@@ -64,12 +65,14 @@ exceeds HF(F/Z), by D[e].
   Bayer-Stillman, "Computation of Hilbert functions", JSC 1992).
 * e = d: the pairs of degree d are reduced first, so the basis is a
   Groebner basis through degree d of what came before; then a candidate
-  of degree d is kept exactly when its normal form is nonzero, that is
-  when it lies outside the span of the basis and the candidates kept
-  before it, which is the criterion of ``graded_minimal_subset``.  Each
-  new lead lowers D[d] by one (x^m itself is new in L_d); at 0 the rest
-  of degree d is dropped as above, and if the degree runs out first,
-  e = d is short.
+  of degree d is kept exactly when its normal form enlarges the span of
+  the normal forms kept before it in degree d, that is when it lies
+  outside the submodule that the basis and the candidates kept before it
+  generate: the graded Nakayama criterion, as in a ``HilbertRun``
+  without a series (the proof is in its docstring).  Each new lead, of
+  a pair's remainder or a new pivot of that span, lowers D[d] by one
+  (x^m itself is new in L_d); at 0 the rest of degree d is dropped as
+  above, and if the degree runs out first, e = d is short.
 
 So the kept syzygies, and every matrix built from them, are the ones of
 the tagged run taken to its end.  A run that empties its pair heap needs

@@ -1,20 +1,34 @@
-"""Engine runs that stop after a degree and go on later.
+"""Engine runs that stop after a degree and go on later, and the calls
+taken to their end on them.
 
-A resolution step (see ``resolutions``) stops the tag-block run of its
-kernel at a degree and resumes it where a certificate finds the syzygies
-short; with no Hilbert numerator at hand it takes the untagged part of
-that run on to its end to read the numerator off (``_ImageRun``); and
-the certificate itself (``HilbertRun``) is a Buchberger run driven by a
-known Hilbert series.  Each keeps its code table and ``modgb._Basis``
-between calls, and is advanced only through ``modgb.buchberger_vectors``,
-so every S-pair is reduced inside that function.
+``TaggedRun`` is the tag-block run of the syzygies modulo a submodule
+(``syzygies_vectors``, Macaulay2's and Singular's ``modulo``), and
+``HilbertRun`` is graded Nakayama, with or without a known Hilbert
+series.  A resolution step (see ``resolutions``) stops the tag-block
+run of its kernel at a degree and resumes it where a certificate (a
+``HilbertRun`` with a series) finds the syzygies short; with no Hilbert
+numerator at hand it takes the untagged part of that run on to its end
+to read the numerator off (``_ImageRun``).  Each run keeps its code
+table and ``modgb._Basis`` between calls.  Kernels and certificates are
+advanced only through ``modgb.buchberger_vectors``, so every S-pair of
+theirs is reduced inside that function; a one-shot Nakayama pass
+(``modules.nakayama_minimal_subset``) advances its run directly.
 """
 
 import heapq
 
 from . import modgb
 from .errors import StructuralError
-from .modgb import EXP_BITS, _Basis, _new_basis, _Outgrown, normal_form_vec, vec_degree
+from .linalg import Span
+from .modgb import (
+    EXP_BITS,
+    VectorOrder,
+    _Basis,
+    _new_basis,
+    _Outgrown,
+    normal_form_vec,
+    vec_degree,
+)
 from .monomials import hilbert_numerator, laurent_add
 
 
@@ -55,9 +69,23 @@ class Run:
                 self.basis = None
 
 
+def syzygies_vectors(ring, columns, twists, extra=()):
+    """Generators of {v : sum_j v_j columns_j lies in <extra>}.
+
+    ``columns`` and ``extra`` are homogeneous vectors in the free module
+    with the given twists over the plain polynomial ring.  Only the
+    columns are tagged; ``extra`` enters untagged, so no syzygies among
+    the extra vectors are computed.  The result, a Schreyer generating
+    set and not a Groebner basis, lives in positions 0..len(columns)-1
+    with twists equal to the column degrees.  Correct but not minimal.
+    It is the ``TaggedRun`` on these inputs taken to its end.
+    """
+    return tagged_run(ring, columns, twists, extra, None).new_syzygies()
+
+
 def tagged_run(ring, columns, twists, extra, degree):
-    """The tag-block run of ``modgb.syzygies_vectors`` on these inputs,
-    stopped after the pairs of lcm degree <= ``degree``.
+    """The tag-block run of ``syzygies_vectors`` on these inputs, stopped
+    after the pairs of lcm degree <= ``degree`` (None: at its end).
 
     Its ``new_syzygies()`` are then the first generators of the list that
     ``syzygies_vectors`` returns, in its order, and they generate the
@@ -65,13 +93,28 @@ def tagged_run(ring, columns, twists, extra, degree):
     by degree: the syzygies of a Groebner basis through degree d come from
     its S-pairs of lcm degree <= d).
     """
-    tagged, order = modgb.tag_columns(ring, columns, twists)
+    tagged, order = tag_columns(ring, columns, twists)
     vectors = [v for v in tagged + list(extra) if v]
     return TaggedRun(vectors, order, ring.field).resume(degree)
 
 
+def tag_columns(ring, columns, twists):
+    """The columns, each with its unit tag after the ``len(twists)``
+    untagged positions, and the tag-block order that twists each tag by
+    its column's degree."""
+    m = len(twists)
+    degs = [vec_degree(v, twists) or 0 for v in columns]
+    tagged = []
+    zero_exps = (0,) * ring.n
+    for i, col in enumerate(columns):
+        v = dict(col)
+        v[(m + i, zero_exps)] = ring.field.one
+        tagged.append(v)
+    return tagged, VectorOrder(ring.order.key, twists=tuple(twists) + tuple(degs), split=m)
+
+
 class TaggedRun(Run):
-    """The tag-block run of ``modgb.syzygies_vectors``, stopped by degree.
+    """The tag-block run of ``syzygies_vectors``, stopped by degree.
 
     ``advance(d)`` reduces every pending pair of lcm degree <= d: the same
     pairs, in the same order, as the first pairs of the run to the end.
@@ -180,37 +223,74 @@ class _ImageRun(Run):
 
 
 class HilbertRun(Run):
-    """Graded Nakayama on candidates in a module Z of known Hilbert series,
-    and the certificate that they span it.
+    """Graded Nakayama on candidates in a submodule of a free module F,
+    and, given the Hilbert series of a module Z that holds them, the
+    certificate that they span Z.
 
-    Z lies in a free module F with the twists of ``order`` (degree-first,
-    no tag block); ``fixed`` is a Groebner basis that enters with no pairs
-    among its elements (over R = S/a the multiples g*e_i of the relation
-    basis), and ``kernel`` the Hilbert numerator of Z as a Laurent
-    polynomial over (1-t)^n.  Candidates, homogeneous vectors of Z, come
-    in through ``add``, numbered in that order; N is the submodule they
-    generate.  ``buchberger_vectors(run)`` then sets ``kept``, the numbers
-    of the candidates that ``graded_minimal_subset`` keeps, as far as the
-    run has decided, and ``deficient``: None when N = Z, else the least
-    degree e with N_e != Z_e.  Adding candidates, all of degree >= e,
-    and calling again goes on from there.
+    F has the twists of ``order`` (degree-first, no tag block).  ``fixed``
+    is a Groebner basis that enters with no pairs among its elements (over
+    R = S/a the multiples g*e_i of the relation basis), and ``rels`` are
+    vectors queued before the candidates of their degree and never kept.
+    Candidates, homogeneous vectors, come in through ``add``, numbered in
+    that order; N is the submodule they generate with ``fixed`` and
+    ``rels``.  Advancing the run sets ``kept``, the numbers of the
+    candidates that graded Nakayama keeps, as far as the run has decided:
+    in increasing degree, then in number order, a candidate is kept
+    exactly when it lies outside the submodule generated by ``fixed``, the
+    rels and the candidates kept before it.
 
-    ``diff`` is D = HS(F/L) - HS(F/Z), L the leads of the basis (fixed
-    ones included), as a Laurent numerator; it starts at HS(Z), and each
-    new lead x^m e_i lowers it by t^(a_i + |m|) times the numerator of
-    S/(L_i : x^m), one Bigatti run on the colon.  Degrees go up: in degree
-    d the pairs, then the candidates in order (one is kept exactly when
-    its normal form is nonzero).  With e = min(D): D = 0 certifies; e
-    below the next pending degree is returned; e > d drops all of degree
-    d; e = d lets each new lead lower D[d] by one until it reaches 0,
-    when the rest of the degree is dropped, or returns d when the degree
-    runs out first.  The proof is in the ``resolutions`` docstring.
+    One degree-truncated Buchberger run (Macaulay2's ``mingens``/``trim``,
+    Singular's ``minbase``).  For each degree d in increasing order:
+    reduce the pending S-pairs of lcm degree d, take the normal forms of
+    the degree-d rels and then of the degree-d candidates against the
+    basis, insert them one by one into a ``Span`` whose columns are term
+    codes, keep a candidate exactly when it enlarges the span, and append
+    the span's rows to the basis.
+
+    **Without a series** (``kernel`` None) every candidate comes in before
+    the run first advances, and the run decides them all.  Nothing above
+    the top candidate degree can change the kept list, so no pair above
+    it is pushed (``_Basis.cap``), rels above it are dropped, and the
+    rows of that last degree are not appended.
+
+    **With a series**, ``kernel`` is the Hilbert numerator of Z as a
+    Laurent polynomial over (1-t)^n, and advancing the run also sets
+    ``deficient``: None when N = Z, else the least degree e with N_e !=
+    Z_e.  Adding candidates, all of degree >= e, and advancing again goes
+    on from there.  ``diff`` is D = HS(F/L) - HS(F/Z), L the leads of the
+    basis (fixed ones included) and the pivots of the current degree's
+    span, as a Laurent numerator; it starts at HS(Z), and each new lead
+    x^m e_i, of a pair's remainder or a new span pivot, lowers it by
+    t^(a_i + |m|) times the numerator of S/(L_i : x^m), one Bigatti run
+    on the colon.  With e = min(D): D = 0 certifies; e below the next
+    pending degree is returned; e > d drops all of degree d; e = d lets
+    each new lead lower D[d] by one until it reaches 0, when the rest of
+    the degree is dropped, or returns d when the degree runs out first.
+    The proof is in the ``resolutions`` docstring.
+
+    **Why the kept list is the graded Nakayama one.**  Let M_<d be the
+    submodule generated by ``fixed`` and by the rels and kept candidates
+    of degree < d.  When the rels and candidates of degree d come up,
+    the basis holds generators of M_<d and every S-pair of lcm degree <= d
+    has been reduced (or, with a series, dropped where the ``resolutions``
+    docstring shows that it reduces to zero), so it is a Groebner basis
+    of M_<d up to degree d.  Hence in degree d the normal form is a
+    linear map on the degree-d piece F_d whose kernel is (M_<d)_d, and v
+    lies in M_<d + span(earlier degree-d vectors) exactly when its normal
+    form lies in the span of the earlier normal forms of degree d:
+    ``Span.add`` returns False.  That is the criterion of a degree piece
+    of F_d modulo all multiples, so the kept lists are the same.  Each
+    span row is monic with its pivot as its lead code (a smaller code is
+    a larger term), the leads are distinct, and no earlier lead divides
+    any of their terms, so the new basis again generates M_<d' for the
+    next degree d', and every new S-pair has lcm degree > d.
     """
 
-    def __init__(self, order, field, fixed, kernel, n):
-        super().__init__(list(fixed), order, field)
-        self.nfixed = len(self.vectors)
-        self.kernel = dict(kernel)
+    def __init__(self, order, field, fixed, rels, kernel, n):
+        super().__init__([*fixed, *rels], order, field)
+        self.nfixed = len(fixed)
+        self.first = len(self.vectors)
+        self.kernel = kernel
         self.n = n
         self.deficient = None
 
@@ -227,67 +307,98 @@ class HilbertRun(Run):
 
     def _start(self):
         table = self.table
-        basis = self.basis = _Basis(table, self.field)
-        self.leads = [[] for _ in self.order.twists]
+        basis = _Basis(table, self.field)
         for v in self.vectors[: self.nfixed]:
             basis.append(table.encode_vec(v), pairs=False)
-            pos, e = basis.heads[-1]
-            self.leads[pos].append(e)
-        self.diff = dict(self.kernel)
-        self.pending = {}
-        self.kept = []
+        self.pending, self.kept = {}, []
         self._queue(self.nfixed)
+        self.diff = None if self.kernel is None else dict(self.kernel)
+        if self.diff is not None:
+            self.leads = [[] for _ in self.order.twists]
+            for pos, e in basis.heads:
+                self.leads[pos].append(e)
+            return basis
+        # Rels come first in a degree: its last entry says if it has a candidate.
+        top = max((d for d, queued in self.pending.items() if queued[-1][0] >= 0), default=None)
+        if top is None:
+            self.pending = {}
+        else:
+            self.pending = {d: queued for d, queued in self.pending.items() if d <= top}
+            basis.cap = table.degree_floor(top)
         return basis
 
     def _queue(self, first):
-        """Queue the vectors from place ``first`` on by degree, numbered."""
-        twists, encode, pending = self.order.twists, self.table.encode_vec, self.pending
-        for k in range(first, len(self.vectors)):
-            v = self.vectors[k]
+        """Queue the vectors from place ``first`` on by degree, numbered:
+        the candidates from 0, the rels below 0."""
+        twists, pending = self.order.twists, self.pending
+        for k, v in enumerate(self.vectors[first:], first - self.first):
             if v:  # zero lies in N: never kept
-                pending.setdefault(vec_degree(v, twists), []).append((k - self.nfixed, encode(v)))
+                pending.setdefault(vec_degree(v, twists), []).append((k, v))
 
-    def _add(self, rem):
-        """Append a nonzero remainder and lower ``diff`` by its new lead."""
-        basis = self.basis
-        basis.append(rem)
-        pos, m = basis.heads[-1]
+    def _lower(self, code):
+        """Lower ``diff`` by the new lead with this term code."""
+        pos, m = self.table.decode(code)
         leads = self.leads[pos]
         colon = [tuple([x - y if x > y else 0 for x, y in zip(lead, m)]) for lead in leads]
         degree = self.order.twists[pos] + sum(m)
         laurent_add(self.diff, hilbert_numerator(colon, self.n), degree, -1)
         leads.append(m)
 
-    def _advance(self, degree=None):
+    def _decide(self, d, queued, floor):
+        """Decide the rels and candidates of degree d, in order, and append
+        the rows of their span to the basis."""
         basis, table, field, diff = self.basis, self.table, self.field, self.diff
+        # The span's columns are term codes; its width counts those met.
+        span, columns = Span(field, 0), set()
+        for k, v in queued:
+            if diff is not None and not diff.get(d, 0):
+                break
+            form = normal_form_vec(table.encode_vec(v), basis.elements, table, field)
+            if not form:
+                continue
+            columns.update(form)
+            span.width = len(columns)
+            if span.add(form):
+                if diff is not None:  # the new row's pivot is the last key
+                    self._lower(next(reversed(span.rows)))
+                if k >= 0:
+                    self.kept.append(k)
+        # Without a series the cap is the top degree, whose rows no one uses.
+        if floor > basis.cap:
+            for piv, row in span.rows.items():
+                basis.append({piv: field.one, **row})
+
+    def _advance(self, degree=None):
+        basis, table, diff = self.basis, self.table, self.diff
         heap, pending = basis.heap, self.pending
-        while diff:
-            e = min(diff)
-            if diff[e] < 0:
-                raise StructuralError("leading terms outgrow the Hilbert series of the kernel")
+        while pending if diff is None else diff:
             d = min(pending, default=None)
             if heap:
                 top = table.degree_of(heap[0][3])
                 d = top if d is None else min(d, top)
-            if d is None or e < d:
-                self.deficient = e
-                return
+            if diff is not None:
+                e = min(diff)
+                if diff[e] < 0:
+                    raise StructuralError("leading terms outgrow the Hilbert series of the kernel")
+                if d is None or e < d:
+                    self.deficient = e
+                    return
             # With e > d, D[d] is 0 already and all of degree d is dropped.
             floor = table.degree_floor(d)
-            while heap and heap[0][3] >= floor and diff.get(d, 0) > 0:
+            while heap and heap[0][3] >= floor and (diff is None or diff.get(d, 0) > 0):
                 _, i, j, lcm = heapq.heappop(heap)
                 rem = basis._remainder(i, j, lcm)
                 if rem:
-                    self._add(rem)
-            for k, v in pending.pop(d, ()):
+                    basis.append(rem)
+                    if diff is not None:
+                        self._lower(basis.elements[-1][1])
+            queued = pending.pop(d, None)
+            if queued:
+                self._decide(d, queued, floor)
+            if diff is not None:
                 if diff.get(d, 0) > 0:
-                    rem = normal_form_vec(v, basis.elements, table, field)
-                    if rem:
-                        self._add(rem)
-                        self.kept.append(k)
-            if diff.get(d, 0) > 0:
-                self.deficient = d
-                return
-            while heap and heap[0][3] >= floor:
-                heapq.heappop(heap)
+                    self.deficient = d
+                    return
+                while heap and heap[0][3] >= floor:
+                    heapq.heappop(heap)
         self.deficient = None

@@ -23,7 +23,6 @@ from soclelab.modgb import (
     VectorOrder,
     buchberger_vectors,
     poly_normal_form,
-    syzygies_vectors,
     vec_degree,
 )
 from soclelab.modules import quotient_module
@@ -39,6 +38,7 @@ from soclelab.monomials import (
 from soclelab.orders import DEGLEX, DEGREVLEX, EliminationOrder, MonomialOrder
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
+from soclelab.runs import syzygies_vectors
 
 CHARS = [2, 101, 32003, 0]
 

@@ -202,6 +202,30 @@ def test_wide_exponents_restart_on_wider_fields(monkeypatch):
     assert kept == _reference_nakayama_minimal_subset(ring, (0,), vectors, rels)
 
 
+def test_rels_size_the_code_table(monkeypatch):
+    # The rels hold exponent 2^16, past the 15 bits that the candidate
+    # x^30000 y^30000 z^5536 of the same degree needs: the one table is
+    # sized from candidates and rels together, so nothing starts over.
+    S = PolyRing(field_of(101), ("x", "y", "z"))
+    ring = RingPresentation(S, [])
+    x, y, z = S.gens()
+    n = 1 << 16
+    m = x**30000 * y**30000 * z**5536
+    widths = []
+    table = VectorOrder.table
+
+    def recording(self, vecs, bits=modgb.EXP_BITS):
+        out = table(self, vecs, bits)
+        widths.append(out.bits)
+        return out
+
+    monkeypatch.setattr(VectorOrder, "table", recording)
+    rels = [poly_to_vec(x**n), poly_to_vec(y**n - m)]
+    kept = nakayama_minimal_subset(ring, (0,), [poly_to_vec(m)], rels)
+    assert widths == [17]
+    assert kept == [0]
+
+
 def test_no_degree_piece_inside_nakayama(monkeypatch):
     # fedder_module(tc, 5) decides its three generators of degree 104
     # without enumerating a degree piece: no standard monomials of a

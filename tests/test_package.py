@@ -51,9 +51,10 @@ def test_no_unused_module_level_imports():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-def _unreferenced_private_definitions(sources):
-    """Private module-level functions and classes that no code names
-    outside their own definition; ``sources`` maps file names to code."""
+def _definitions(sources):
+    """Module-level functions and classes of ``sources`` (file names to
+    code) as (file name, name), and every name the code reads outside the
+    definition that binds it."""
     defined = []
     referenced = set()
     for fname, source in sources.items():
@@ -61,8 +62,7 @@ def _unreferenced_private_definitions(sources):
             own = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = node.name
-                if own.startswith("_") and not own.startswith("__"):
-                    defined.append((fname, own))
+                defined.append((fname, own))
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
                     name = sub.id
@@ -72,7 +72,27 @@ def _unreferenced_private_definitions(sources):
                     continue
                 if name != own:
                     referenced.add(name)
-    return sorted(d for d in defined if d[1] not in referenced)
+    return defined, referenced
+
+
+def _unreferenced_private_definitions(sources):
+    """Private module-level functions and classes that no code names
+    outside their own definition; ``sources`` maps file names to code."""
+    defined, referenced = _definitions(sources)
+    private = [d for d in defined if d[1].startswith("_") and not d[1].startswith("__")]
+    return sorted(d for d in private if d[1] not in referenced)
+
+
+def _unreferenced_public_definitions(package, others, exported):
+    """Public module-level functions and classes of ``package`` (file
+    names to code) that are not ``exported`` and that no code of
+    ``package`` or ``others`` names outside their own definition."""
+    defined, referenced = _definitions(package)
+    referenced |= _definitions(others)[1]
+    return sorted(
+        d for d in defined
+        if not d[1].startswith("_") and d[1] not in referenced and d[1] not in exported
+    )
 
 
 def test_private_definition_check_sees_leftovers():
@@ -91,3 +111,22 @@ def test_every_private_definition_is_referenced():
         path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))
     }
     assert _unreferenced_private_definitions(sources) == []
+
+
+def test_public_definition_check_sees_leftovers():
+    package = {
+        "a.py": "def used():\n    pass\n\ndef tested():\n    pass\n\ndef shown():\n    pass\n\n"
+        "def rec(n):\n    return rec(n - 1)\n\nclass Gone:\n    pass\n",
+        "b.py": "from a import used\n\nx = used()\n",
+    }
+    others = {"test_a.py": "from a import tested\n\ndef test_it():\n    tested()\n"}
+    found = _unreferenced_public_definitions(package, others, {"shown"})
+    assert found == [("a.py", "Gone"), ("a.py", "rec")]
+
+
+def test_every_public_definition_is_exported_or_used():
+    package = Path(soclelab.__file__).parent
+    tests = Path(__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    others = {path.name: path.read_text(encoding="utf-8") for path in sorted(tests.glob("*.py"))}
+    assert _unreferenced_public_definitions(sources, others, set(soclelab.__all__)) == []

@@ -23,6 +23,7 @@ from soclelab.frobenius import frobenius_power
 from soclelab.groebner import Ideal, ideal_power
 from soclelab.localcoh import canonical_ideal, ideal_as_module, module_depth, regularity
 from soclelab.modules import (
+    ModulePresentation,
     block_columns,
     free_module,
     hilbert_certificate,
@@ -246,6 +247,40 @@ def test_the_certificate_names_the_degree_of_a_missing_syzygy():
     run.add(columns)
     assert run.resume().deficient is None
     assert run.kept == list(range(len(columns)))
+
+
+def _assert_certificates_keep_what_nakayama_keeps(matrices):
+    """Every raw syzygy of each step's full tagged run, fed at once to the
+    certificate with the kernel's true numerator HS(F_k) - HS(F_(k-1)) +
+    HS(coker d_k): it certifies, keeping what the run without a series
+    keeps on the same list.  Returns the fixed counts of the certificates."""
+    fixed = []
+    for d in matrices:
+        ring = d.ring
+        raw = syzygies_over(ring, block_columns(d), d.target)
+        kernel = _free_numerator(ring, d.source)
+        laurent_add(kernel, _free_numerator(ring, d.target), scale=-1)
+        laurent_add(kernel, ModulePresentation(ring, d).hilbert_numerator())
+        run = hilbert_certificate(ring, d.source, kernel)
+        run.add(raw)
+        assert run.resume().deficient is None
+        assert run.kept == nakayama_minimal_subset(ring, d.source, raw)
+        fixed.append(run.nfixed)
+    return fixed
+
+
+@pytest.mark.parametrize("R, gens", list(_random_ideals()))
+def test_certificates_keep_what_nakayama_keeps(R, gens):
+    matrices = _reference_resolve(s_presentation(quotient_module(R, gens)))
+    assert matrices
+    _assert_certificates_keep_what_nakayama_keeps(matrices)
+
+
+def test_certificates_over_the_twisted_cubic_keep_what_nakayama_keeps(twisted_cubic):
+    matrices = residue_field_resolution(twisted_cubic, 3).matrices
+    fixed = _assert_certificates_keep_what_nakayama_keeps(matrices)
+    # Over R = S/curve the multiples of the curve's basis enter as ``fixed``.
+    assert len(fixed) == 3 and min(fixed) > 0
 
 
 # -- satellites ---------------------------------------------------------------
