@@ -13,15 +13,7 @@ import sys
 from .errors import AlgebraError, DomainError, HypothesisError, InputSyntaxError
 from .frobenius import fedder_module, gauge_scan
 from .inputfile import parse_input_file
-from .localcoh import (
-    canonical_ideal,
-    endomorphism_check,
-    lc_end,
-    socle_begin,
-    socle_piece,
-    koszul_piece,
-    module_dimension,
-)
+from .localcoh import canonical_ideal, endomorphism_check, socle_report
 from .modules import quotient_module
 from .poly import NEG_INF, POS_INF, format_polynomial
 from .report import (
@@ -34,7 +26,7 @@ from .report import (
     to_json,
 )
 from .resolutions import minimal_free_resolution
-from .scans import criterion_check, lemma37_scan, scan_powers
+from .scans import _oracle_spot_check, criterion_check, lemma37_scan, scan_powers
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,16 +133,11 @@ def cmd_resolve(args, ring, ideals):
 
 def cmd_socle(args, ring, ideals):
     module, _ = _module_of(ring, args, ideals)
-    dim = module_dimension(module)
     rows = []
-    for j in range(0, max(dim, 0) + 1):
-        e_val = lc_end(j, module)
-        s_val = socle_begin(j, module)
-        checked = False
-        if args.oracle and s_val not in (POS_INF, NEG_INF):
-            soc, _ = socle_piece(j, module, s_val)
-            top, _ = koszul_piece(j, module, e_val)
-            checked = soc > 0 and top > 0
+    for j, (s_val, e_val) in socle_report(module).entries.items():
+        # Rows where H^j vanishes are left unchecked.
+        finite = s_val not in (POS_INF, NEG_INF)
+        checked = args.oracle and finite and _oracle_spot_check(module, j, s_val, e_val)
         rows.append((j, e_val, s_val, checked))
     _report(args, "socle", rows)
     return 0

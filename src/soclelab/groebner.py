@@ -195,24 +195,20 @@ def minimal_generator_degrees(ideal):
 
 
 def hilbert_function(obj, degree):
-    """dim_k of the degree piece.
-
-    For an Ideal the quotient R/I is measured and for a ring presentation
-    the ring itself: both read the t^degree coefficient of their memoized
-    Hilbert–Poincaré series.  Module presentations go through exact
-    linear algebra on the presentation.
-    """
-    if isinstance(obj, Ideal):
-        return hilbert_coefficient(obj.hilbert_numerator(), obj.ring.n, degree)
-    if isinstance(obj, RingPresentation):
-        return obj.hilbert(degree)
-    from .modules import module_hilbert
-
-    return module_hilbert(obj, degree)
+    """dim_k of the degree piece of a ring presentation, of R/I for an
+    Ideal, or of a module presentation: the t^degree coefficient of its
+    memoized Hilbert–Poincaré series.  No degree piece is built."""
+    return hilbert_coefficient(*_series(obj), degree)
 
 
 def krull_dimension(obj):
-    """Dimension of R/I (Ideal) or of R itself; -1 for the unit ideal."""
-    if isinstance(obj, RingPresentation):
-        return obj.dimension()
-    return series_dimension(obj.hilbert_numerator(), obj.ring.n)
+    """Dimension of a ring presentation, of R/I for an Ideal, or of a module
+    presentation: the pole order at t = 1 of its Hilbert–Poincaré series;
+    -1 for the unit ideal and the zero module."""
+    return series_dimension(*_series(obj))
+
+
+def _series(obj):
+    """The Hilbert numerator of ``obj`` and its ambient variable count."""
+    ring = obj if isinstance(obj, RingPresentation) else obj.ring
+    return obj.hilbert_numerator(), ring.n

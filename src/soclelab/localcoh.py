@@ -61,17 +61,19 @@ twists, therefore equals the limit; the least stage used is 2.
 
 Two rules answer 0 with no stage.  For j = 0 every stage is the piece
 of (0 :_M (x^s)) in degree ell, inside M_ell, so where M_ell = 0 the
-limit is 0 whatever the twists say.  For j > dim M, H^j_m(M) = 0 by
-Grothendieck's vanishing theorem (Bruns-Herzog 3.5.7), although a stage
-below s0 need not be 0.
+limit is 0 whatever the twists say; dim M_ell is read off the Hilbert
+series of M (``modules.module_hilbert``), with no piece built.  For
+j > dim M, H^j_m(M) = 0 by Grothendieck's vanishing theorem
+(Bruns-Herzog 3.5.7), although a stage below s0 need not be 0.
 Multiplication by a variable commutes with the transitions, and s0
 for ell + 1 is at most s0 for ell, so the socle maps from degree ell
 to ell + 1 are read at stage s0(ell) on both sides.
 
 What the two routes share.  s0 reads only twists of the minimal free
 resolution that the duality route memoizes.  The oracle's degree pieces
-of M, and dim M for the vanishing rule, come from one reduced Groebner
-basis of M's relations (``ModulePresentation.relation_basis``), reduced
+of M, and the Hilbert series that the two rules read (M_ell and dim M),
+come from one reduced Groebner basis of M's relations
+(``ModulePresentation.relation_basis``), reduced
 by the same ``modgb`` normal-form engine that computes the resolution's
 syzygies and minimal generators on the duality route.  The Hom complexes,
 the two ranks of each stage (``linalg.QuotientSpace``), the
@@ -363,16 +365,16 @@ def _limit_stage(j, module, ell, s_max):
     None where H^j_m(M)_ell vanishes by a rule that needs no stage.
 
     b is the largest twist of F_{n-j-1}, F_{n-j} and F_{n-j+1} in the
-    minimal free resolution of M over S.  The two rules read the oracle's
-    own data: j = 0 with M_ell = 0, and j > dim M, with dim M read off the
-    relation basis behind the pieces (``ModulePresentation.krull_dimension``).
+    minimal free resolution of M over S.  The two rules, j = 0 with
+    M_ell = 0 and j > dim M, read the Hilbert series of the relation basis
+    behind the pieces (``module_hilbert``, ``ModulePresentation.krull_dimension``).
     Raises UnstableLimitError when s0 >= s_max.
     """
     if s_max < 3:
         raise DomainError("s_max must be at least 3")
     if j < 0:
         raise DomainError(f"cohomological index must be >= 0, got {j}")
-    if (j == 0 and module.piece(ell).dim == 0) or j > module.krull_dimension():
+    if (j == 0 and module_hilbert(module, ell) == 0) or j > module.krull_dimension():
         return None
     n = ambient_var_count(module)
     res = minimal_free_resolution(module)
@@ -648,11 +650,10 @@ def endomorphism_check(ring, omega_ideal, window_top=None):
 
     r = len(mod.generator_degrees)
     identity_vec = {(i * r + i, (0,) * ring.n): ring.field.one for i in range(r)}
-    piece0 = hom.piece(0)
     # The Hom presentation's ambient equals Hom(F0, omega); the identity
     # lives there, and its class is nonzero iff it escapes the relation
     # span in degree zero.
-    ident_nonzero = bool(piece0.dim) and _class_nonzero_in_hom(ring, mod, identity_vec)
+    ident_nonzero = module_hilbert(hom, 0) > 0 and _class_nonzero_in_hom(ring, mod, identity_vec)
 
     if window_top is None:
         window_top = max(list(mod.generator_degrees) + [2]) + 3

@@ -20,7 +20,7 @@ from .modgb import (
     poly_to_vec,
     vec_degree,
 )
-from .monomials import hilbert_numerator, laurent_add, laurent_coefficients, series_dimension
+from .monomials import hilbert_coefficient, leads_numerator, series_dimension
 from .poly import Polynomial
 from .rings import RingPresentation, memoized
 from .runs import HilbertRun, syzygies_vectors, tagged_run
@@ -218,27 +218,20 @@ class ModulePresentation:
 
     def hilbert_numerator(self):
         """Numerator of HS(M) = N(t)/(1-t)^n, n the ambient variable count,
-        read off the relation basis.
+        read off the leads of the relation basis in F
+        (``monomials.leads_numerator``).
 
-        F/N has the Hilbert function of sum_i S(-a_i)/(L_i), L_i the
-        monomial ideal of the leads in position i (Macaulay), so N is the
-        sum of t^(a_i) times the numerator of S/L_i.  Twists may be
-        negative, so N is a Laurent polynomial: a dict from exponent to
-        nonzero coefficient (``monomials.laurent_add``); the zero module
-        gives {}.  Built once; callers must not change it.
+        Twists may be negative, so N is a Laurent polynomial: a dict from
+        exponent to nonzero coefficient (``monomials.laurent_add``); the
+        zero module gives {}.  Built once; callers must not change it.
         """
 
         def build():
             unfolded = self._memo.get("unfolded")
             if unfolded is not None:
                 return unfolded.hilbert_numerator()
-            leads = [[] for _ in self.matrix.target]
-            for pos, e in self.relation_basis().lead_terms():
-                leads[pos].append(e)
-            out = {}
-            for a, ls in zip(self.matrix.target, leads):
-                laurent_add(out, hilbert_numerator(ls, self.ring.n), a)
-            return out
+            leads = self.relation_basis().lead_terms()
+            return leads_numerator(leads, self.matrix.target, self.ring.n)
 
         return memoized(self, "hilbert_numerator", build)
 
@@ -262,7 +255,7 @@ class ModulePresentation:
         return memoized(
             self,
             "dimension",
-            lambda: series_dimension(laurent_coefficients(self.hilbert_numerator()), self.ring.n),
+            lambda: series_dimension(self.hilbert_numerator(), self.ring.n),
         )
 
     def __repr__(self):
@@ -399,7 +392,10 @@ class GradedPiece:
 
 
 def module_hilbert(module, degree):
-    return module.piece(degree).dim
+    """dim_k M_degree: the t^degree coefficient of the module's Hilbert
+    series (``ModulePresentation.hilbert_numerator``).  No degree piece is
+    built; ``module.piece(degree).dim`` gives the same count with a basis."""
+    return hilbert_coefficient(module.hilbert_numerator(), module.ring.n, degree)
 
 
 def s_presentation(module):

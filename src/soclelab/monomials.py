@@ -4,11 +4,12 @@ Also the one monomial-ideal kernel: the numerator of the Hilbert–Poincaré
 series of S/(monomials), from which Hilbert functions and Krull
 dimensions are read.  A graded module's numerator is a sum of such
 numerators shifted by the twists, which may be negative: a Laurent
-polynomial, kept as a dict from exponent to nonzero coefficient.
+polynomial, kept as a dict from exponent to nonzero coefficient
+(``leads_numerator``).  Hilbert functions and dimensions are read off
+either format.
 """
 
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
 from operator import add, le, sub
 
@@ -117,15 +118,19 @@ def hilbert_numerator(leads, n):
     return tuple(total)
 
 
+def _terms(numerator):
+    """(exponent, coefficient) pairs of a numerator: a coefficient sequence
+    from t^0 up, as ``hilbert_numerator`` returns, or a Laurent dict."""
+    return numerator.items() if isinstance(numerator, dict) else enumerate(numerator)
+
+
 def laurent_add(into, numerator, shift=0, scale=1):
     """In place: into += scale * t^shift * numerator, and return ``into``.
 
     ``into`` is a Laurent polynomial (a dict from exponent to nonzero
-    coefficient); ``numerator`` is a coefficient sequence from t^0 up, as
-    ``hilbert_numerator`` returns, or another such dict.
+    coefficient); ``numerator`` is in either format (``_terms``).
     """
-    items = numerator.items() if isinstance(numerator, dict) else enumerate(numerator)
-    for k, c in items:
+    for k, c in _terms(numerator):
         if c:
             k += shift
             v = into.get(k, 0) + scale * c
@@ -136,34 +141,47 @@ def laurent_add(into, numerator, shift=0, scale=1):
     return into
 
 
-def laurent_coefficients(laurent):
-    """The coefficients of a Laurent polynomial from its lowest exponent up
-    to its highest: t^-low times it, as a sequence (empty for zero)."""
-    if not laurent:
-        return ()
-    low = min(laurent)
-    return tuple(laurent.get(k, 0) for k in range(low, max(laurent) + 1))
+def leads_numerator(leads, twists, n):
+    """Laurent numerator of HS(F/L) over (1-t)^n, F = sum_i S(-twists[i]).
+
+    ``leads`` are the (position, exponent) lead terms of a Groebner basis
+    of L.  F/L has the Hilbert function of sum_i S(-a_i)/L_i, L_i the
+    monomial ideal of the leads in position i (Macaulay), so the
+    numerator is the sum of t^(a_i) times the numerator of S/L_i; {} for
+    F = L.
+    """
+    by_position = [[] for _ in twists]
+    for pos, e in leads:
+        by_position[pos].append(e)
+    out = {}
+    for a, ls in zip(twists, by_position):
+        laurent_add(out, hilbert_numerator(ls, n), a)
+    return out
 
 
 def hilbert_coefficient(numerator, n, d):
-    """Coefficient of t^d in numerator(t)/(1-t)^n: a Hilbert function value."""
-    if d < 0:
-        return 0
+    """Coefficient of t^d in numerator(t)/(1-t)^n: a Hilbert function value.
+
+    ``numerator`` is in either format (``_terms``).
+    """
     if n == 0:
-        return numerator[d] if d < len(numerator) else 0
-    return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(numerator[: d + 1]))
+        return sum(c for k, c in _terms(numerator) if k == d)
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in _terms(numerator) if k <= d)
 
 
 def series_dimension(numerator, n):
     """Krull dimension: the order of the pole of numerator(t)/(1-t)^n at t = 1.
 
-    -1 for the zero numerator (the unit ideal).  Each factor 1 - t is
-    divided out of the numerator by partial sums.
+    -1 for the zero numerator (the unit ideal).  ``numerator`` is in
+    either format (``_terms``).  The pole order is n less the order of
+    the zero of the numerator at t = 1, which is the number of times it
+    can be differentiated before its value at 1 is nonzero; a Laurent
+    numerator differentiates term by term like a polynomial.
     """
-    if not any(numerator):
+    terms = [(k, c) for k, c in _terms(numerator) if c]
+    if not terms:
         return -1
-    num = list(numerator)
-    while sum(num) == 0:
-        num = list(accumulate(num))[:-1]
+    while not sum(c for _, c in terms):
+        terms = [(k - 1, k * c) for k, c in terms]
         n -= 1
     return n

@@ -258,6 +258,10 @@ def _kernel_generators(matrix, kernel):
         fed = len(raw)
         if certificate.resume().deficient is None:
             return raw, certificate.kept, kernel
+        # Every syzygy found through run.degree has been fed, and they
+        # generate the kernel through that degree (Schreyer).
+        if certificate.deficient <= run.degree:
+            raise StructuralError("the certificate's deficient degree does not advance")
         run.resume(certificate.deficient)
         reduced_syzygies(ring, run.new_syzygies(), raw)
     return raw, nakayama_minimal_subset(ring, source, raw), kernel

@@ -29,7 +29,7 @@ from .modgb import (
     normal_form_vec,
     vec_degree,
 )
-from .monomials import hilbert_numerator, laurent_add
+from .monomials import hilbert_numerator, laurent_add, leads_numerator
 
 
 class Run:
@@ -162,22 +162,15 @@ class TaggedRun(Run):
         generate (the columns and ``extra``).
 
         Read off the leads in F of a Groebner basis of U: at the run's end
-        its own, else those of an ``_ImageRun`` taken on from it.  The
-        leads in each position give F/U its series (Macaulay), shifted by
-        the twists of F.
+        its own, else those of an ``_ImageRun`` taken on from it
+        (``monomials.leads_numerator``).
         """
         basis = self.basis
         if basis.heap:
             basis = _ImageRun(self).resume().basis
         split = self.order.split
-        leads = [[] for _ in range(split)]
-        for pos, e in basis.heads:
-            if pos < split:
-                leads[pos].append(e)
-        out = {}
-        for a, ls in zip(self.order.twists, leads):
-            laurent_add(out, hilbert_numerator(ls, n), a)
-        return out
+        leads = [(pos, e) for pos, e in basis.heads if pos < split]
+        return leads_numerator(leads, self.order.twists[:split], n)
 
 
 class _ImageRun(Run):

@@ -98,6 +98,18 @@ def test_socle_subcommand_json(twisted_file):
     assert top["socle_beg"] == "-1"
 
 
+def test_socle_oracle_refuses_a_wrong_end_degree(demo_file, monkeypatch, capsys):
+    # socle --oracle runs the spot check of scan-powers, which looks just
+    # past the end degree: an end degree one too low is refused.
+    from soclelab import cli, localcoh
+
+    true_end = localcoh.lc_end
+    monkeypatch.setattr(localcoh, "lc_end", lambda j, module: true_end(j, module) - 1)
+    monkeypatch.setattr(cli, "lc_end", localcoh.lc_end, raising=False)
+    assert cli.main(["socle", demo_file, "--ideal", "I", "--oracle"]) == 2
+    assert "oracle disagrees" in capsys.readouterr().err
+
+
 def test_canonical_subcommand(twisted_file):
     out = run_cli("canonical", twisted_file)
     assert out.returncode == 0

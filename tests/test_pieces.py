@@ -13,15 +13,23 @@ the duality route.
 """
 
 import random
+import time
 
 import pytest
 
 from soclelab.errors import UnstableLimitError
 from soclelab.fields import field_of
-from soclelab.groebner import Ideal, ideal_power
+from soclelab.groebner import Ideal, hilbert_function, ideal_power, krull_dimension
 from soclelab.linalg import rank
 from soclelab.localcoh import ext_dual, koszul_piece, module_dimension, socle_piece
-from soclelab.modules import GradedMatrix, ModulePresentation, quotient_module
+from soclelab.modules import (
+    GradedMatrix,
+    GradedPiece,
+    ModulePresentation,
+    module_hilbert,
+    quotient_module,
+    s_presentation,
+)
 from soclelab.monomials import monomials_of_degree
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
@@ -141,6 +149,55 @@ def test_pieces_match_the_span_reference(char, quotient):
             seen += 1
     assert seen >= 20 and nonzero >= 10 and zero_projections >= 5 and ranks >= 20
     assert duals >= 1
+
+
+@pytest.mark.parametrize("char", CHARS)
+@pytest.mark.parametrize("quotient", [False, True])
+def test_the_hilbert_series_counts_the_pieces(char, quotient):
+    # module_hilbert reads the series; the pieces enumerate standard terms.
+    # Folds over S share the module's series and must count the same.
+    nonzero = 0
+    for module, _ in _modules(char, quotient):
+        low = min(module.matrix.target)
+        fold = s_presentation(module)
+        for d in range(low - 2, low + 6):
+            dim = module.piece(d).dim
+            assert module_hilbert(module, d) == dim, (module, d)
+            assert module_hilbert(fold, d) == fold.piece(d).dim == dim, (fold, d)
+            nonzero += dim > 0
+    assert nonzero >= 20
+
+
+def test_a_count_from_the_series_builds_no_piece_and_no_resolution(monkeypatch):
+    # (S/a^2)_200 over GF(2)[a,b,c,d] has 40401 monomials; enumerating them
+    # as a piece takes seconds.  Counting, the dimension and the j = 0
+    # vanishing rule of the oracle all read the series.
+    from soclelab import localcoh, resolutions
+
+    built, resolved = [], []
+    true_init, true_resolution = GradedPiece.__init__, resolutions.minimal_free_resolution
+
+    def counting_init(piece, module, degree):
+        built.append(degree)
+        true_init(piece, module, degree)
+
+    def counting_resolution(module):
+        resolved.append(module)
+        return true_resolution(module)
+
+    monkeypatch.setattr(GradedPiece, "__init__", counting_init)
+    for owner in (resolutions, localcoh):
+        monkeypatch.setattr(owner, "minimal_free_resolution", counting_resolution)
+    S = PolyRing(field_of(2), ("a", "b", "c", "d"))
+    M = quotient_module(RingPresentation(S), [S.gens()[0] ** 2])
+    start = time.perf_counter()
+    assert module_hilbert(M, 200) == 40401
+    elapsed = time.perf_counter() - start
+    assert hilbert_function(M, 200) == 40401
+    assert krull_dimension(M) == M.krull_dimension() == 3
+    assert koszul_piece(0, M, -1) == (0, 2)
+    assert not built and not resolved
+    assert elapsed < 0.1
 
 
 @pytest.mark.parametrize("char", CHARS)

@@ -17,7 +17,7 @@ from math import comb
 import pytest
 
 from soclelab import modgb, runs
-from soclelab.errors import DomainError
+from soclelab.errors import DomainError, StructuralError
 from soclelab.fields import QQ, field_of
 from soclelab.frobenius import frobenius_power
 from soclelab.groebner import Ideal, ideal_power
@@ -29,7 +29,6 @@ from soclelab.modules import (
     hilbert_certificate,
     matrix_from_vectors,
     minimalize_presentation,
-    module_hilbert,
     nakayama_minimal_subset,
     quotient_module,
     s_presentation,
@@ -249,6 +248,38 @@ def test_the_certificate_names_the_degree_of_a_missing_syzygy():
     assert run.kept == list(range(len(columns)))
 
 
+def test_a_certificate_that_does_not_advance_raises(monkeypatch):
+    """Mutation check: with span pivots no longer lowering D, the
+    certificate names a degree that the tagged run has passed.  The step
+    raises instead of resuming there again and again; the resumes are
+    bounded so that a step that loops fails the test."""
+    original_decide = runs.HilbertRun._decide
+
+    def decide_without_lowering(run, *args):
+        run._lower = lambda code: None
+        try:
+            original_decide(run, *args)
+        finally:
+            del run._lower
+
+    resumes = []
+    original_resume = runs.TaggedRun.resume
+
+    def bounded_resume(run, degree=None):
+        resumes.append(degree)
+        if len(resumes) > 50:
+            pytest.fail("the tagged run resumed more than 50 times")
+        return original_resume(run, degree)
+
+    monkeypatch.setattr(runs.HilbertRun, "_decide", decide_without_lowering)
+    monkeypatch.setattr(runs.TaggedRun, "resume", bounded_resume)
+    S = PolyRing(field_of(2), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    curve = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+    with pytest.raises(StructuralError, match="does not advance"):
+        residue_field_resolution(curve, 3)
+
+
 def _assert_certificates_keep_what_nakayama_keeps(matrices):
     """Every raw syzygy of each step's full tagged run, fed at once to the
     certificate with the kernel's true numerator HS(F_k) - HS(F_(k-1)) +
@@ -301,9 +332,9 @@ def test_hilbert_numerators_of_negative_twists(twisted_cubic):
     assert shifted.hilbert_numerator() == {k - 3: v for k, v in M.hilbert_numerator().items()}
     for module in (F, M, shifted):
         for degree in range(-5, 6):
-            assert _series_coefficient(module.hilbert_numerator(), R.n, degree) == module_hilbert(
-                module, degree
-            )
+            assert _series_coefficient(module.hilbert_numerator(), R.n, degree) == module.piece(
+                degree
+            ).dim
     assert shifted.krull_dimension() == M.krull_dimension() == 1
     assert F.krull_dimension() == 2
 

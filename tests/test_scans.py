@@ -149,6 +149,39 @@ def test_lemma37_accepts_hypersurface():
     assert len(rows) == 2
 
 
+def test_lemma37_accepts_two_planes_meeting_in_a_point(monkeypatch):
+    # H^1_m(R) = k in degree 0, so its dual Ext module has one generator,
+    # in degree 0, and finite length.  The scan reads that off the dual's
+    # Hilbert series and builds no resolution of the dual.
+    from soclelab import localcoh, resolutions, scans
+
+    duals, resolved = [], []
+    true_ext_dual, true_resolution = scans.ext_dual, resolutions.minimal_free_resolution
+
+    def recording_ext_dual(i, module):
+        duals.append(true_ext_dual(i, module))
+        return duals[-1]
+
+    def recording_resolution(module):
+        resolved.append(module)
+        return true_resolution(module)
+
+    monkeypatch.setattr(scans, "ext_dual", recording_ext_dual)
+    for owner in (resolutions, localcoh, scans):
+        monkeypatch.setattr(owner, "minimal_free_resolution", recording_resolution, raising=False)
+    S = PolyRing(field_of(101), ("x", "y", "z", "w"))
+    x, y, z, w = S.gens()
+    R = RingPresentation(S, [x * z, x * w, y * z, y * w])
+    rows, _ = lemma37_scan(R, Ideal(R, [x + z]), 2)
+    assert [(r.t, r.socle_beg_quotient, r.socle_beg_ideal, r.difference) for r in rows] == [
+        (1, 0, -1, 1),
+        (2, 0, 0, 0),
+    ]
+    [dual] = duals
+    assert dual.generator_degrees == (0,) and dual.krull_dimension() == 0
+    assert resolved and not any(module is dual for module in resolved)
+
+
 # Seconds budgeted for the oracle scan of the twisted cubic's powers to
 # t = 3 over GF(32003); the assert allows five times that.  It is the one
 # tier-1 run of the oracle on a non-monomial ideal: about 0.58 s on the
