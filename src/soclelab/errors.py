@@ -18,7 +18,8 @@ class TruncationError(AlgebraError):
 
 
 class UnstableLimitError(AlgebraError):
-    """The Koszul stage that equals the limit is at or above sMax; increase sMax."""
+    """The Koszul stage that equals the limit is at or above s_max; increase
+    s_max, the keyword of koszul_piece, socle_piece and scan_powers."""
 
 
 class HypothesisError(AlgebraError):

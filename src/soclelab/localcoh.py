@@ -102,9 +102,9 @@ from .modules import (
     GradedMatrix,
     ModulePresentation,
     block_columns,
-    free_module,
     matrix_from_vectors,
     module_hilbert,
+    nakayama_minimal_subset,
     present_subquotient,
     quotient_module,
     s_presentation,
@@ -116,7 +116,6 @@ from .resolutions import (
     alpha_invariants,
     minimal_free_resolution,
     module_hom,
-    module_kernel_image,
     residue_field_resolution,
     tor_residue_field,
 )
@@ -383,7 +382,7 @@ def _limit_stage(j, module, ell, s_max):
     if s0 >= s_max:
         raise UnstableLimitError(
             f"H^{j} piece in degree {ell} is stable only from Koszul stage {s0}, "
-            f"not below s_max={s_max}; increase sMax"
+            f"not below s_max={s_max}; increase s_max"
         )
     return s0
 
@@ -532,84 +531,76 @@ def canonical_module(ring):
     return ext_dual(ring.n - d, module)
 
 
-def _hom_witness_to_row(ring, witness, omega):
-    row = []
-    for i in range(len(omega.generator_degrees)):
-        row.append(witness.get((i, 0), ring.ambient.zero))
-    return row
+def _search_coefficients(field, count, random_tries):
+    """Coefficient tuples over ``count`` Hom witnesses, in search order.
+
+    Each witness alone; then, when the field is GF(p) with p^count <= 256,
+    every nonzero tuple in ``itertools.product`` order; then
+    ``random_tries`` tuples of nonzero coefficients, drawn witness by
+    witness from ``random.Random(20240831)`` (from 1..100 over QQ).  A
+    tuple is made only when the search asks for it.
+    """
+    for k in range(count):
+        yield tuple(field.one if i == k else field.zero for i in range(count))
+    p = field.characteristic
+    if p and p**count <= 256:
+        for combo in itertools.product(field.elements(), repeat=count):
+            if any(combo):
+                yield combo
+    rng = random.Random(20240831)
+    for _ in range(random_tries):
+        yield tuple(field.of(rng.randrange(1, p or 101)) for _ in range(count))
 
 
 def canonical_ideal(ring, random_tries=32):
     """A homogeneous ideal whose shift is the graded canonical module.
 
-    Searches Hom(Omega, R) for an injective homogeneous map: first every
-    minimal-degree generator, then (over a small finite field) the whole
-    minimal-degree piece, then seeded random combinations.  Fails loudly
-    when the budget is exhausted.
+    Searches the minimal-degree piece of Hom(Omega, R) for an injective
+    map, one candidate at a time in the order of
+    ``_search_coefficients``: every minimal-degree Hom generator alone,
+    then (over GF(p) with at most 256 tuples) every combination of them,
+    then ``random_tries`` seeded random combinations.  A candidate is
+    built only when the search reaches it.  It is injective when its
+    kernel is zero: no generator of the kernel (``syzygies_over`` of the
+    images) survives graded Nakayama over Omega's relations.  Fails
+    loudly when the budget is exhausted.
     """
-    d = ring.dimension()
     omega = canonical_module(ring)
-    r_mod = quotient_module(ring, [])
-    hom, wits = module_hom(omega, r_mod)
+    hom, wits = module_hom(omega, quotient_module(ring, []))
     if hom.is_zero():
         raise EmbeddingSearchError("Hom(Omega, R) is zero")
-    degs = hom.generator_degrees
-    min_deg = min(degs)
-    minimal_wits = [w for w, dg in zip(wits, degs) if dg == min_deg]
-
-    candidates = [dict(w) for w in minimal_wits]
-    F = ring.field
-    if F.characteristic and F.characteristic ** len(minimal_wits) <= 256:
-        for combo in itertools.product(F.elements(), repeat=len(minimal_wits)):
-            if all(c == 0 for c in combo):
-                continue
-            merged = {}
-            for c, w in zip(combo, minimal_wits):
-                if c == 0:
-                    continue
-                for key, f in w.items():
-                    merged[key] = merged.get(key, ring.ambient.zero) + f.scale(c)
-            candidates.append(merged)
-    rng = random.Random(20240831)
-    for _ in range(random_tries):
-        merged = {}
-        for w in minimal_wits:
-            c = F.of(rng.randrange(1, F.characteristic)) if F.characteristic else F.of(
-                rng.randrange(1, 101)
-            )
-            for key, f in w.items():
-                merged[key] = merged.get(key, ring.ambient.zero) + f.scale(c)
-        candidates.append(merged)
-
-    for witness in candidates:
-        row = _hom_witness_to_row(ring, witness, omega)
-        if all(f.is_zero() or ring.is_zero_in_quotient(f) for f in row):
+    # Every minimal-degree witness sends generator i of Omega, of degree
+    # a_i, to a form of degree a_i + delta.
+    delta = min(hom.generator_degrees)
+    wits = [w for w, dg in zip(wits, hom.generator_degrees) if dg == delta]
+    omega_degs = omega.generator_degrees
+    omega_rels = block_columns(omega.matrix)
+    for combo in _search_coefficients(ring.field, len(wits), random_tries):
+        row = [ring.ambient.zero] * len(omega_degs)
+        for c, w in zip(combo, wits):
+            for (i, _), f in w.items():
+                row[i] = row[i] + f.scale(c)
+        row = [ring.nf(f) for f in row]
+        gens = [f for f in row if not f.is_zero()]
+        if not gens:
             continue
-        delta = None
-        for f, a in zip(row, omega.generator_degrees):
-            if not f.is_zero():
-                delta = f.degree() - a
-                break
-        target = free_module(ring, (-delta,))
-        phi = GradedMatrix(ring, (-delta,), omega.generator_degrees, [row])
-        kernel, _, _ = module_kernel_image(omega, target, phi)
-        if kernel.is_zero():
-            gens = [ring.nf(f) for f in row if not ring.is_zero_in_quotient(f)]
-            omega_ideal = Ideal(ring, gens)
-            a_inv = -omega.begin()
-            beg_omega = min(minimal_generator_degrees(omega_ideal))
-            shift = beg_omega + a_inv
-            if shift != delta:
-                raise AlgebraError(
-                    "canonical ideal shift disagrees with the embedding degree"
-                )
-            return CanonicalData(
-                omega_module=omega,
-                ideal=omega_ideal,
-                a_invariant=a_inv,
-                shift=shift,
-                embedding_degree=delta,
+        kernel = syzygies_over(ring, [poly_to_vec(f) for f in row], (-delta,))
+        if nakayama_minimal_subset(ring, omega_degs, kernel, omega_rels):
+            continue
+        omega_ideal = Ideal(ring, gens)
+        a_inv = -omega.begin()
+        shift = min(minimal_generator_degrees(omega_ideal)) + a_inv
+        if shift != delta:
+            raise AlgebraError(
+                "canonical ideal shift disagrees with the embedding degree"
             )
+        return CanonicalData(
+            omega_module=omega,
+            ideal=omega_ideal,
+            a_invariant=a_inv,
+            shift=shift,
+            embedding_degree=delta,
+        )
     raise EmbeddingSearchError(
         "no injective homomorphism Omega -> R found within the search budget"
     )

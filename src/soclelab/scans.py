@@ -30,7 +30,7 @@ from .poly import NEG_INF, POS_INF
 
 @dataclass
 class ScanRow:
-    """One (t, j) or (e,) measurement; sentinel degrees stay as floats."""
+    """One (t, j) row of a power or criterion scan; sentinel degrees stay as floats."""
 
     t: int
     j: int
@@ -93,7 +93,7 @@ def scan_powers(ring, ideal, t_max, oracle=False, s_max=10):
     summary = ScanSummary(kind="powers")
     js = sorted({r.j for r in rows})
     for j in js:
-        c_j = _fit_max([(r.t, -r.socle_beg if r.socle_beg not in (POS_INF, NEG_INF) else POS_INF) for r in rows if r.j == j])
+        c_j = _fit_max([(r.t, -r.socle_beg) for r in rows if r.j == j])
         slope = _fit_max([(r.t, r.lc_end) for r in rows if r.j == j])
         summary.witnesses[f"c_{j}"] = c_j
         summary.witnesses[f"end_slope_{j}"] = slope
@@ -122,16 +122,6 @@ def _oracle_spot_check(module, j, socle_val, end_val, s_max=10):
             f"end {end_val} -> ({top},{past}), socle {socle_val} -> ({soc},{below})"
         )
     return True
-
-
-@dataclass
-class CriterionRow:
-    t: int
-    j: int
-    lc_end: object
-    socle_beg: object
-    ext_k: tuple
-    elapsed_ms: int = 0
 
 
 @dataclass
@@ -179,7 +169,7 @@ def criterion_check(ring, ideal, t_max, truncation=None):
                 if v not in (POS_INF, NEG_INF):
                     finite_cs.append(Fraction(-v, t))
             rows.append(
-                CriterionRow(
+                ScanRow(
                     t=t,
                     j=j,
                     lc_end=lc_end(j, module),
@@ -191,12 +181,11 @@ def criterion_check(ring, ideal, t_max, truncation=None):
         row_start = time.monotonic()
         top_socle = socle_begin(d, module)
         rows.append(
-            CriterionRow(
+            ScanRow(
                 t=t,
                 j=d,
                 lc_end=lc_end(d, module),
                 socle_beg=top_socle,
-                ext_k=(),
                 elapsed_ms=int((time.monotonic() - row_start) * 1000),
             )
         )
@@ -207,23 +196,15 @@ def criterion_check(ring, ideal, t_max, truncation=None):
         if a_d is not None:
             candidates.append(Fraction(-a_d))
         bound = min(candidates) if candidates else NEG_INF
-        vacuous = c_prime is None
-        if top_socle in (POS_INF,):
-            passed = True
-        elif bound == NEG_INF:
-            passed = True
-        else:
-            passed = Fraction(top_socle) >= bound
-        verdict = CriterionVerdict(
+        return rows, CriterionVerdict(
             t=t,
             c_prime=c_prime,
             alpha_d=a_d,
             bound=bound,
             socle_beg_top=top_socle,
-            passed=passed,
-            vacuous=vacuous,
+            passed=top_socle >= bound,
+            vacuous=c_prime is None,
         )
-        return rows, verdict
 
     blocks = [block(t) for t in range(1, t_max + 1)]
     rows = [row for rows_t, _ in blocks for row in rows_t]
@@ -278,12 +259,8 @@ def lemma37_scan(ring, ideal, t_max):
         )
 
     rows = [block(t) for t in range(1, t_max + 1)]
-    c_quot = _fit_max(
-        [(r.t, -r.socle_beg_quotient) for r in rows if r.socle_beg_quotient not in (POS_INF, NEG_INF)]
-    )
-    c_ideal = _fit_max(
-        [(r.t, -r.socle_beg_ideal) for r in rows if r.socle_beg_ideal not in (POS_INF, NEG_INF)]
-    )
+    c_quot = _fit_max([(r.t, -r.socle_beg_quotient) for r in rows])
+    c_ideal = _fit_max([(r.t, -r.socle_beg_ideal) for r in rows])
     both_bounded = (c_quot is None) == (c_ideal is None)
     summary = ScanSummary(kind="lemma37")
     summary.witnesses["c_quotient"] = c_quot

@@ -288,3 +288,55 @@ def test_one_parser_serves_every_call_in_a_process(demo_file, twisted_file, caps
     assert [code for code, _, _ in shared] == [0, 0, 0, 1, 0, 0, 0, 0, 0]
     for argv in calls[:3] + calls[4:]:
         assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("gb", "demo", "--ideal", "I"),
+    ("resolve", "tc", "--format", "json"),
+    ("canonical", "tc"),
+    ("canonical", "tc", "--format", "json"),
+])
+def test_out_writes_exactly_what_stdout_prints(argv, demo_file, twisted_file, tmp_path, capsys):
+    from soclelab.cli import main
+
+    command, source, *rest = argv
+    argv = [command, demo_file if source == "demo" else twisted_file, *rest]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    report = tmp_path / "report.txt"
+    assert main([*argv, "--out", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    assert report.read_text(encoding="utf-8") == printed
+
+
+def _assert_chart(path, finite_js):
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("<svg") and text.endswith("</svg>\n")
+    assert text.count("<polyline") == len(finite_js)
+
+
+def test_scan_powers_svg_draws_one_line_per_finite_index(twisted_file, tmp_path, capsys):
+    from soclelab.cli import main
+    from soclelab.inputfile import parse_input_file
+    from soclelab.poly import NEG_INF, POS_INF
+    from soclelab.scans import scan_powers
+
+    chart = tmp_path / "chart.svg"
+    assert main(["scan-powers", twisted_file, "--ideal", "P", "--t-max", "3",
+                 "--svg", str(chart)]) == 0
+    ring, ideals = parse_input_file(twisted_file)
+    rows, _ = scan_powers(ring, ideals["P"], 3)
+    finite_js = {r.j for r in rows if r.socle_beg not in (POS_INF, NEG_INF)}
+    assert finite_js == {0, 1}
+    _assert_chart(chart, finite_js)
+
+
+def test_scan_frobenius_svg_draws_the_canonical_socle_line(twisted_file, tmp_path, capsys):
+    from soclelab.cli import main
+
+    chart = tmp_path / "chart.svg"
+    assert main(["scan-frobenius", twisted_file, "--e-max", "2", "--svg", str(chart)]) == 0
+    payload = capsys.readouterr().out
+    assert payload.startswith("e,")
+    _assert_chart(chart, {0})
+    assert "socle_beg(omega^[q]) / e against e" in chart.read_text(encoding="utf-8")

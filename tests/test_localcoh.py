@@ -41,7 +41,7 @@ from soclelab.modules import (
 )
 from soclelab.linalg import Span, nullspace, rank, transpose
 from soclelab.modgb import vec_degree
-from soclelab.poly import NEG_INF, POS_INF, PolyRing
+from soclelab.poly import NEG_INF, POS_INF, PolyRing, format_polynomial
 from soclelab.rings import RingPresentation
 
 
@@ -271,6 +271,13 @@ def test_oracle_rejects_s_max_below_three(presentation_xy, oracle, s_max):
 
 
 @pytest.mark.parametrize("oracle", [koszul_piece, socle_piece])
+def test_an_unstable_limit_names_the_s_max_keyword(presentation_xy, oracle):
+    S_mod = free_module(presentation_xy, (0,))
+    with pytest.raises(UnstableLimitError, match=r"not below s_max=3; increase s_max$"):
+        oracle(2, S_mod, -7, s_max=3)
+
+
+@pytest.mark.parametrize("oracle", [koszul_piece, socle_piece])
 def test_oracle_rejects_a_negative_cohomological_index(presentation_xy, oracle):
     S_mod = free_module(presentation_xy, (0,))
     with pytest.raises(DomainError, match="cohomological index"):
@@ -432,6 +439,61 @@ def test_canonical_ideal_twisted_cubic(twisted_cubic):
     assert lc_end(2, quotient_module(twisted_cubic, [])) == -1
     cert = endomorphism_check(twisted_cubic, data.ideal)
     assert cert.ok
+
+
+def _coordinate_axes(p, names):
+    S = PolyRing(field_of(p), names)
+    gens = S.gens()
+    return RingPresentation(S, [u * v for i, u in enumerate(gens) for v in gens[i + 1 :]])
+
+
+def _skew_lines(p):
+    S = PolyRing(field_of(p), ("x", "y", "z", "w"))
+    x, y, z, w = S.gens()
+    return RingPresentation(S, [x * z, x * w, y * z, y * w])
+
+
+def _twisted_cubic_over(p):
+    S = PolyRing(field_of(p), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    return RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+
+
+@pytest.mark.parametrize(
+    "ring, generators, shift, a_invariant",
+    [
+        (lambda: _coordinate_axes(2, "xyz"), ["y + z", "x + y"], 1, 0),
+        (lambda: _coordinate_axes(101, "xyz"), ["5*y + 91*z", "10*x + 5*y"], 1, 0),
+        (lambda: _coordinate_axes(0, "xyz"), ["5*y + 91*z", "10*x + 5*y"], 1, 0),
+        (lambda: _coordinate_axes(3, "xyzw"), ["x + z", "y + 2*z", "2*z + w"], 1, 0),
+        (lambda: _skew_lines(5), ["2*z + w", "x + y"], -1, -2),
+        (lambda: _twisted_cubic_over(2), ["c", "d"], 0, -1),
+        (lambda: _twisted_cubic_over(101), ["c", "100*d"], 0, -1),
+    ],
+    ids=["axes3-gf2", "axes3-gf101", "axes3-qq", "axes4-gf3", "skew-lines-gf5",
+         "twisted-cubic-gf2", "twisted-cubic-gf101"],
+)
+def test_canonical_ideal_search_order(ring, generators, shift, a_invariant):
+    # Pins the candidate order: on the coordinate axes and the skew lines
+    # no single Hom generator is injective, so the search reaches the
+    # combinations over a small field and the seeded random tries.
+    data = canonical_ideal(ring())
+    assert [format_polynomial(g) for g in data.ideal.generators] == generators
+    assert (data.shift, data.a_invariant, data.embedding_degree) == (shift, a_invariant, shift)
+
+
+def test_canonical_ideal_draws_no_coefficient_before_it_needs_one(twisted_cubic_gf2, monkeypatch):
+    draws = []
+    original = random.Random.randrange
+
+    def randrange(rng, *args):
+        draws.append(args)
+        return original(rng, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", randrange)
+    data = canonical_ideal(twisted_cubic_gf2)
+    assert [format_polynomial(g) for g in data.ideal.generators] == ["c", "d"]
+    assert draws == []
 
 
 def test_endomorphism_check_maximal_ideal(presentation_xy, ring_xy):

@@ -248,6 +248,34 @@ def test_the_certificate_names_the_degree_of_a_missing_syzygy():
     assert run.kept == list(range(len(columns)))
 
 
+def test_the_certificate_restarts_when_later_candidates_outgrow_its_table():
+    """Fed the degree-4 syzygy of a step whose other syzygies have
+    exponents above 2^15, the certificate runs on a 15-bit table and names
+    degree 40002; the rest, added later, do not fit that table, so the run
+    starts over on 16 bits and certifies, keeping what graded Nakayama
+    keeps on the whole list."""
+    S = PolyRing(field_of(101), ("x", "y", "z", "w"))
+    x, y, z, w = S.gens()
+    R = RingPresentation(S, [])
+    e = 40000
+    M = quotient_module(R, [x**e * y + y**e * z, y**e * z + z**e * w, x * z, y * w])
+    d1 = minimalize_presentation(M).matrix
+    kernel = _free_numerator(R, d1.source)
+    laurent_add(kernel, _free_numerator(R, d1.target), scale=-1)
+    laurent_add(kernel, M.hilbert_numerator())
+    raw = syzygies_over(R, block_columns(d1), d1.target)
+    degrees = [modgb.vec_degree(v, d1.source) for v in raw]
+    assert degrees == sorted(degrees) and degrees[:2] == [4, 40002]
+    run = hilbert_certificate(R, d1.source, kernel)
+    run.add(raw[:1])
+    assert run.resume().deficient == 40002
+    assert run.table.bits == 15
+    run.add(raw[1:])
+    assert run.resume().deficient is None
+    assert run.table.bits == 16
+    assert run.kept == nakayama_minimal_subset(R, d1.source, raw) == [0, 1, 2, 4, 5, 6]
+
+
 def test_a_certificate_that_does_not_advance_raises(monkeypatch):
     """Mutation check: with span pivots no longer lowering D, the
     certificate names a degree that the tagged run has passed.  The step
