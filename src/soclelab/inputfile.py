@@ -1,7 +1,7 @@
 """Line-oriented declarative input files for rings and named ideals.
 
-Format (order matters only in that ``field`` and ``vars`` must come
-before anything that parses polynomials)::
+Format (the lines may come in any order: polynomials are parsed once
+the whole file is read)::
 
     # comment
     field 7
@@ -10,9 +10,11 @@ before anything that parses polynomials)::
     ideal I = "x", "z"
     ideal J = "x^2 + y^2"
 
-Variable names are identifiers (a letter or underscore, then letters,
-digits or underscores), distinct; ``field`` and ``vars`` appear once
-each.  Values are quoted polynomial strings in the library's text
+Each line starts with one of the keywords ``field``, ``vars``,
+``relations`` and ``ideal``, matched as a whole word; any other first
+word is an unrecognized directive.  Variable names are identifiers (a
+letter or underscore, then letters, digits or underscores), distinct;
+``field`` and ``vars`` appear once each.  Values are quoted polynomial strings in the library's text
 syntax.  Errors carry 1-based line numbers.
 """
 
@@ -55,13 +57,13 @@ def parse_input(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("field"):
+        word, rest = (line.split(None, 1) + [""])[:2]
+        if word == "field":
             if field is not None:
                 raise InputSyntaxError("second 'field' line", lineno)
-            value = line[len("field") :].strip()
-            if not value.lstrip("-").isdigit():
+            if not rest.lstrip("-").isdigit():
                 raise InputSyntaxError("field expects an integer characteristic", lineno)
-            ch = int(value)
+            ch = int(rest)
             try:
                 prime = ch == 0 or (ch > 0 and is_prime(ch))
             except DomainError as exc:
@@ -71,12 +73,10 @@ def parse_input(text):
                     f"characteristic {ch} is neither 0 nor prime", lineno
                 )
             field = field_of(ch)
-        elif line.startswith("vars"):
+        elif word == "vars":
             if names is not None:
                 raise InputSyntaxError("second 'vars' line", lineno)
-            names = tuple(
-                v.strip() for v in line[len("vars") :].strip().split(",") if v.strip()
-            )
+            names = tuple(v.strip() for v in rest.split(",") if v.strip())
             if not names:
                 raise InputSyntaxError("vars expects at least one name", lineno)
             for v in names:
@@ -84,15 +84,15 @@ def parse_input(text):
                     raise InputSyntaxError(f"invalid variable name {v!r}", lineno)
             if len(set(names)) != len(names):
                 raise InputSyntaxError("duplicate variable names", lineno)
-        elif line.startswith("relations"):
-            pending.append((lineno, "relations", line[len("relations") :]))
-        elif line.startswith("ideal"):
-            m = re.match(r"ideal\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$", line)
+        elif word == "relations":
+            pending.append((lineno, "relations", rest))
+        elif word == "ideal":
+            m = re.match(r"([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.*)$", rest)
             if not m:
                 raise InputSyntaxError("malformed ideal declaration", lineno)
             pending.append((lineno, "ideal", (m.group(1), m.group(2))))
         else:
-            raise InputSyntaxError(f"unrecognized directive {line.split()[0]!r}", lineno)
+            raise InputSyntaxError(f"unrecognized directive {word!r}", lineno)
 
     if field is None:
         raise InputSyntaxError("missing 'field' line")

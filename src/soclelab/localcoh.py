@@ -166,13 +166,9 @@ def _ext_dual(i, module):
     )
 
 
-def ambient_var_count(module):
-    return module.ring.ambient.n
-
-
 def lc_end(j, module):
     """Top nonvanishing degree of H^j_m(M); -inf when H^j vanishes."""
-    n = ambient_var_count(module)
+    n = module.ring.n
     dual = ext_dual(n - j, module)
     if dual.is_zero():
         return NEG_INF
@@ -181,7 +177,7 @@ def lc_end(j, module):
 
 def socle_begin(j, module):
     """Least socle degree of H^j_m(M); +inf when H^j vanishes."""
-    n = ambient_var_count(module)
+    n = module.ring.n
     dual = ext_dual(n - j, module)
     if dual.is_zero():
         return POS_INF
@@ -190,7 +186,7 @@ def socle_begin(j, module):
 
 def module_dimension(module):
     """Krull dimension of the module: the top nonvanishing cohomology index."""
-    n = ambient_var_count(module)
+    n = module.ring.n
     for j in range(n, -1, -1):
         if not ext_dual(n - j, module).is_zero():
             return j
@@ -204,7 +200,7 @@ def module_depth(module):
     res = minimal_free_resolution(module)
     if not res.f0_twists:
         raise DomainError("depth of the zero module is undefined")
-    return ambient_var_count(module) - res.length
+    return module.ring.n - res.length
 
 
 @dataclass
@@ -375,7 +371,7 @@ def _limit_stage(j, module, ell, s_max):
         raise DomainError(f"cohomological index must be >= 0, got {j}")
     if (j == 0 and module_hilbert(module, ell) == 0) or j > module.krull_dimension():
         return None
-    n = ambient_var_count(module)
+    n = module.ring.n
     res = minimal_free_resolution(module)
     twists = [b for k in (n - j - 1, n - j, n - j + 1) for b in res.module_twists(k)]
     s0 = max([2] + [1 + b - n - ell for b in twists])
@@ -481,7 +477,7 @@ def ext_k_begin(i, j, module, truncation=None):
     +inf when the Ext module vanishes (in particular whenever H^j does).
     """
     ring = module.ring
-    n = ambient_var_count(module)
+    n = module.ring.n
     dual = ext_dual(n - j, module)
     if dual.is_zero():
         return POS_INF
@@ -535,17 +531,26 @@ def _search_coefficients(field, count, random_tries):
     """Coefficient tuples over ``count`` Hom witnesses, in search order.
 
     Each witness alone; then, when the field is GF(p) with p^count <= 256,
-    every nonzero tuple in ``itertools.product`` order; then
-    ``random_tries`` tuples of nonzero coefficients, drawn witness by
-    witness from ``random.Random(20240831)`` (from 1..100 over QQ).  A
-    tuple is made only when the search asks for it.
+    in ``itertools.product`` order, the tuples with at least two nonzero
+    entries whose first nonzero entry is 1; then ``random_tries`` tuples
+    of nonzero coefficients, drawn witness by witness from
+    ``random.Random(20240831)`` (from 1..100 over QQ).  A tuple is made
+    only when the search asks for it.
+
+    The GF(p) tier takes one tuple per line through the origin, and
+    skips no injective candidate that the whole tier would reach first:
+    c*phi and phi have the same kernel, the first tuple of each line in
+    ``itertools.product`` order over 0..p-1 is the one whose first
+    nonzero entry is 1, and a tuple with one nonzero entry is a multiple
+    of a witness already tried alone.
     """
     for k in range(count):
         yield tuple(field.one if i == k else field.zero for i in range(count))
     p = field.characteristic
     if p and p**count <= 256:
         for combo in itertools.product(field.elements(), repeat=count):
-            if any(combo):
+            live = [c for c in combo if c]
+            if len(live) > 1 and live[0] == field.one:
                 yield combo
     rng = random.Random(20240831)
     for _ in range(random_tries):
@@ -558,7 +563,8 @@ def canonical_ideal(ring, random_tries=32):
     Searches the minimal-degree piece of Hom(Omega, R) for an injective
     map, one candidate at a time in the order of
     ``_search_coefficients``: every minimal-degree Hom generator alone,
-    then (over GF(p) with at most 256 tuples) every combination of them,
+    then (over GF(p) with at most 256 tuples) every combination of them
+    up to a unit,
     then ``random_tries`` seeded random combinations.  A candidate is
     built only when the search reaches it.  It is injective when its
     kernel is zero: no generator of the kernel (``syzygies_over`` of the
@@ -683,7 +689,7 @@ def regularity(module):
         raise DomainError("regularity of the zero module is undefined")
     reg_betti = minimal_free_resolution(module).betti().regularity()
     reg_lc = None
-    for j in range(0, ambient_var_count(module) + 1):
+    for j in range(0, module.ring.n + 1):
         e = lc_end(j, module)
         if e != NEG_INF:
             v = e + j

@@ -17,7 +17,7 @@ The same pair step (``_Basis``) serves four jobs:
 * reduced Groebner bases of submodules of free modules (chain criterion
   only; the coprimality shortcut is unsound beyond rank one),
 * syzygies modulo a submodule (Macaulay2's and Singular's ``modulo``,
-  ``runs.syzygies_vectors``): each column gets a unit-vector tag, the
+  ``runs.TaggedRun``): each column gets a unit-vector tag, the
   submodule's generators enter untagged, and in the block order every
   tagged term is below every untagged one.  By Schreyer's theorem the
   remainders of the S-pairs of untagged-led elements, which live on the
@@ -60,7 +60,7 @@ class VectorOrder:
     """Term order on (position, monomial) pairs, and the codes of its terms.
 
     ``split`` marks the boundary of the tag block: positions >= split are
-    strictly smaller than every untagged term (only ``runs.tag_columns``
+    strictly smaller than every untagged term (only ``runs.TaggedRun``
     sets it).  Given ``twists``, the order compares the twisted degree
     first, so homogeneous work proceeds by degree.  In all, it compares
     the rank tuples
@@ -474,20 +474,14 @@ def buchberger_vectors(vectors, order, field, degree=None):
     use_product = all(pos == 0 for v in vectors for pos, _ in v)
 
     def run(table):
-        basis = _new_basis([table.encode_vec(v) for v in vectors], table, None, use_product, field)
+        basis = _Basis(table, field, use_product=use_product)
+        for v in vectors:
+            basis.append(table.encode_vec(v))
         basis.reduce_pairs()
         return _reduce_basis(basis.elements, table, field)
 
     table, basis = _run_packed(order, vectors, run)
     return [table.decode_vec(g) for g in basis]
-
-
-def _new_basis(vectors, table, split, use_product, field):
-    """A ``_Basis`` holding the coded ``vectors``, their pairs pending."""
-    basis = _Basis(table, field, split, use_product)
-    for v in vectors:
-        basis.append(v)
-    return basis
 
 
 def _reduce_basis(basis, table, field):

@@ -23,7 +23,7 @@ from .modgb import (
 from .monomials import hilbert_coefficient, leads_numerator, series_dimension
 from .poly import Polynomial
 from .rings import RingPresentation, memoized
-from .runs import HilbertRun, syzygies_vectors, tagged_run
+from .runs import HilbertRun, TaggedRun
 
 
 class GradedMatrix:
@@ -442,19 +442,20 @@ def syzygies_over(ring, columns, twists, rels=(), degree=None):
     computed.  Components are reduced to normal form and zero generators
     dropped.
 
-    Without ``degree`` it is the tag-block run (``runs.TaggedRun``) taken
-    to its end (``runs.syzygies_vectors``).  With ``degree`` (a resolution
-    step) the call returns that run stopped after that degree
-    (``runs.tagged_run``); the step passes what the run finds through
-    ``reduced_syzygies``.
+    It constructs one ``runs.TaggedRun`` on the columns and the untagged
+    vectors.  Without ``degree`` the call takes that run to its end and
+    returns the syzygies it found.  With ``degree`` (a resolution step)
+    the call returns the run stopped after that degree; the step passes
+    what the run finds through ``reduced_syzygies``.
     """
     extra = list(rels)
     for rel in ring.relations:
         for i in range(len(twists)):
             extra.append(poly_to_vec(rel, i))
+    run = TaggedRun(ring.ambient, columns, twists, extra).resume(degree)
     if degree is not None:
-        return tagged_run(ring.ambient, columns, tuple(twists), extra, degree)
-    return reduced_syzygies(ring, syzygies_vectors(ring.ambient, columns, tuple(twists), extra))
+        return run
+    return reduced_syzygies(ring, run.new_syzygies())
 
 
 def reduced_syzygies(ring, raw, out=None):
@@ -467,12 +468,6 @@ def reduced_syzygies(ring, raw, out=None):
         if v:
             out.append(v)
     return out
-
-
-def hilbert_certificate(ring, twists, kernel):
-    """A ``runs.HilbertRun`` for a submodule of the free module with the
-    given twists over the ring, whose kernel numerator is ``kernel``."""
-    return _nakayama_run(ring, twists, (), kernel)
 
 
 def nakayama_minimal_subset(ring, twists, vectors, rels=()):
@@ -495,8 +490,11 @@ def nakayama_minimal_subset(ring, twists, vectors, rels=()):
 
 
 def _nakayama_run(ring, twists, rels, kernel):
-    """The ``runs.HilbertRun`` of ``nakayama_minimal_subset`` (no
-    ``kernel``) and of ``hilbert_certificate``.  Over R = S/a the
+    """The one ``runs.HilbertRun`` over a ring, in the free module with
+    the given twists: a pass of ``nakayama_minimal_subset`` (no
+    ``kernel``), or the certificate of a resolution step, given the
+    Hilbert numerator ``kernel`` of the module that the candidates should
+    span (see ``resolutions``).  Over R = S/a the
     multiples g*e_i of the relation basis are its fixed Groebner basis,
     so its normal forms also reduce modulo a and the vectors need no
     reduction beforehand."""

@@ -9,7 +9,6 @@ polynomial, kept as a dict from exponent to nonzero coefficient
 either format.
 """
 
-from functools import lru_cache
 from math import comb
 from operator import add, le, sub
 
@@ -40,9 +39,12 @@ def mono_coprime(a, b):
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-@lru_cache(maxsize=None)
 def monomials_of_degree(n, d):
-    """All exponent tuples of total degree d in n variables, as a tuple."""
+    """All exponent tuples of total degree d in n variables, as a tuple.
+
+    Built afresh on each call: a ring keeps the ones it needs in its
+    memo (its standard monomials per degree), so they go with the ring.
+    """
     if n == 0:
         return ((),) if d == 0 else ()
     if n == 1:

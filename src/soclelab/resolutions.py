@@ -86,8 +86,8 @@ must then be D.
 from .errors import DomainError, StructuralError, TruncationError
 from .modgb import vec_degree
 from .modules import (
+    _nakayama_run,
     block_columns,
-    hilbert_certificate,
     matrix_from_vectors,
     minimalize_presentation,
     nakayama_minimal_subset,
@@ -253,7 +253,7 @@ def _kernel_generators(matrix, kernel):
     certificate, fed = None, 0
     while not run.done:
         if certificate is None:
-            certificate = hilbert_certificate(ring, source, kernel)
+            certificate = _nakayama_run(ring, source, (), kernel)
         certificate.add(raw[fed:])
         fed = len(raw)
         if certificate.resume().deficient is None:

@@ -2,17 +2,19 @@
 taken to their end on them.
 
 ``TaggedRun`` is the tag-block run of the syzygies modulo a submodule
-(``syzygies_vectors``, Macaulay2's and Singular's ``modulo``), and
-``HilbertRun`` is graded Nakayama, with or without a known Hilbert
-series.  A resolution step (see ``resolutions``) stops the tag-block
-run of its kernel at a degree and resumes it where a certificate (a
-``HilbertRun`` with a series) finds the syzygies short; with no Hilbert
-numerator at hand it takes the untagged part of that run on to its end
-to read the numerator off (``_ImageRun``).  Each run keeps its code
-table and ``modgb._Basis`` between calls.  Kernels and certificates are
-advanced only through ``modgb.buchberger_vectors``, so every S-pair of
-theirs is reduced inside that function; a one-shot Nakayama pass
-(``modules.nakayama_minimal_subset``) advances its run directly.
+(Macaulay2's and Singular's ``modulo``), built only by
+``modules.syzygies_over``, and ``HilbertRun`` is graded Nakayama, with
+or without a known Hilbert series, built only by
+``modules._nakayama_run``.  A resolution step (see ``resolutions``)
+stops the tag-block run of its kernel at a degree and resumes it where a
+certificate (a ``HilbertRun`` with a series) finds the syzygies short;
+with no Hilbert numerator at hand it takes the untagged part of that run
+on to its end to read the numerator off (``_ImageRun``).  Each run keeps
+its code table and ``modgb._Basis`` between calls.  Kernels and
+certificates are advanced only through ``modgb.buchberger_vectors``, so
+every S-pair of theirs is reduced inside that function; a one-shot
+Nakayama pass (``modules.nakayama_minimal_subset``) advances its run
+directly.
 """
 
 import heapq
@@ -24,7 +26,6 @@ from .modgb import (
     EXP_BITS,
     VectorOrder,
     _Basis,
-    _new_basis,
     _Outgrown,
     normal_form_vec,
     vec_degree,
@@ -69,66 +70,50 @@ class Run:
                 self.basis = None
 
 
-def syzygies_vectors(ring, columns, twists, extra=()):
-    """Generators of {v : sum_j v_j columns_j lies in <extra>}.
+class TaggedRun(Run):
+    """The tag-block run of the syzygies modulo a submodule, stopped by
+    degree: Macaulay2's and Singular's ``modulo``.
 
     ``columns`` and ``extra`` are homogeneous vectors in the free module
-    with the given twists over the plain polynomial ring.  Only the
-    columns are tagged; ``extra`` enters untagged, so no syzygies among
-    the extra vectors are computed.  The result, a Schreyer generating
-    set and not a Groebner basis, lives in positions 0..len(columns)-1
-    with twists equal to the column degrees.  Correct but not minimal.
-    It is the ``TaggedRun`` on these inputs taken to its end.
-    """
-    return tagged_run(ring, columns, twists, extra, None).new_syzygies()
-
-
-def tagged_run(ring, columns, twists, extra, degree):
-    """The tag-block run of ``syzygies_vectors`` on these inputs, stopped
-    after the pairs of lcm degree <= ``degree`` (None: at its end).
-
-    Its ``new_syzygies()`` are then the first generators of the list that
-    ``syzygies_vectors`` returns, in its order, and they generate the
-    kernel in every degree <= ``degree`` (Schreyer's theorem holds degree
-    by degree: the syzygies of a Groebner basis through degree d come from
-    its S-pairs of lcm degree <= d).
-    """
-    tagged, order = tag_columns(ring, columns, twists)
-    vectors = [v for v in tagged + list(extra) if v]
-    return TaggedRun(vectors, order, ring.field).resume(degree)
-
-
-def tag_columns(ring, columns, twists):
-    """The columns, each with its unit tag after the ``len(twists)``
-    untagged positions, and the tag-block order that twists each tag by
-    its column's degree."""
-    m = len(twists)
-    degs = [vec_degree(v, twists) or 0 for v in columns]
-    tagged = []
-    zero_exps = (0,) * ring.n
-    for i, col in enumerate(columns):
-        v = dict(col)
-        v[(m + i, zero_exps)] = ring.field.one
-        tagged.append(v)
-    return tagged, VectorOrder(ring.order.key, twists=tuple(twists) + tuple(degs), split=m)
-
-
-class TaggedRun(Run):
-    """The tag-block run of ``syzygies_vectors``, stopped by degree.
+    with the given twists over the plain polynomial ring ``ring``.  Each
+    column gets its unit tag after the ``len(twists)`` untagged positions,
+    and the tag-block order twists each tag by its column's degree.  Only
+    the columns are tagged; ``extra`` enters untagged, so no syzygies among
+    the extra vectors are computed.  Taken to its end, ``new_syzygies()``
+    generate {v : sum_j v_j columns_j lies in <extra>}: a Schreyer
+    generating set, not a Groebner basis, in positions
+    0..len(columns)-1 with twists equal to the column degrees, correct but
+    not minimal.
 
     ``advance(d)`` reduces every pending pair of lcm degree <= d: the same
     pairs, in the same order, as the first pairs of the run to the end.
+    The syzygies it has found are then the first generators of the list
+    that the run to the end returns, in its order, and they generate the
+    kernel in every degree <= d (Schreyer's theorem holds degree by
+    degree: the syzygies of a Groebner basis through degree d come from
+    its S-pairs of lcm degree <= d).
     """
 
-    def __init__(self, vectors, order, field):
-        super().__init__(vectors, order, field)
+    def __init__(self, ring, columns, twists, extra=()):
+        m = len(twists)
+        degs = [vec_degree(v, twists) or 0 for v in columns]
+        zero_exps = (0,) * ring.n
+        tagged = []
+        for i, col in enumerate(columns):
+            v = dict(col)
+            v[(m + i, zero_exps)] = ring.field.one
+            tagged.append(v)
+        order = VectorOrder(ring.order.key, twists=tuple(twists) + tuple(degs), split=m)
+        super().__init__(tagged + [v for v in extra if v], order, ring.field)
         self.degree = None
         self._seen = 0
 
     def _start(self):
         table = self.table
-        coded = [table.encode_vec(v) for v in self.vectors]
-        return _new_basis(coded, table, self.order.split, False, self.field)
+        basis = _Basis(table, self.field, self.order.split)
+        for v in self.vectors:
+            basis.append(table.encode_vec(v))
+        return basis
 
     def _advance(self, degree):
         self.basis.reduce_pairs(0 if degree is None else self.table.degree_floor(degree))

@@ -64,11 +64,11 @@ def scan_powers(ring, ideal, t_max, oracle=False, s_max=10):
     if t_max < 1:
         raise HypothesisError("t_max must be >= 1")
 
-    def block(t):
+    rows = []
+    for t in range(1, t_max + 1):
         it = ideal_power(ideal, t)
         module = quotient_module(ring, list(it.generators))
         d = module.krull_dimension()
-        rows = []
         for j in range(0, max(d, 0) + 1):
             row_start = time.monotonic()
             e_val = lc_end(j, module)
@@ -86,10 +86,6 @@ def scan_powers(ring, ideal, t_max, oracle=False, s_max=10):
                     elapsed_ms=int((time.monotonic() - row_start) * 1000),
                 )
             )
-        return rows
-
-    blocks = [block(t) for t in range(1, t_max + 1)]
-    rows = [row for rows_t in blocks for row in rows_t]
     summary = ScanSummary(kind="powers")
     js = sorted({r.j for r in rows})
     for j in js:
@@ -155,10 +151,10 @@ def criterion_check(ring, ideal, t_max, truncation=None):
     kres_for(ring, max(depth_steps, 1))
     a_d = alpha_max(ring, d, steps=depth_steps)
 
-    def block(t):
+    rows, verdicts = [], []
+    for t in range(1, t_max + 1):
         it = ideal_power(ideal, t)
         module = quotient_module(ring, list(it.generators))
-        rows = []
         finite_cs = []
         for j in range(0, d):
             row_start = time.monotonic()
@@ -196,19 +192,17 @@ def criterion_check(ring, ideal, t_max, truncation=None):
         if a_d is not None:
             candidates.append(Fraction(-a_d))
         bound = min(candidates) if candidates else NEG_INF
-        return rows, CriterionVerdict(
-            t=t,
-            c_prime=c_prime,
-            alpha_d=a_d,
-            bound=bound,
-            socle_beg_top=top_socle,
-            passed=top_socle >= bound,
-            vacuous=c_prime is None,
+        verdicts.append(
+            CriterionVerdict(
+                t=t,
+                c_prime=c_prime,
+                alpha_d=a_d,
+                bound=bound,
+                socle_beg_top=top_socle,
+                passed=top_socle >= bound,
+                vacuous=c_prime is None,
+            )
         )
-
-    blocks = [block(t) for t in range(1, t_max + 1)]
-    rows = [row for rows_t, _ in blocks for row in rows_t]
-    verdicts = [v for _, v in blocks]
     return rows, verdicts, d
 
 
@@ -239,7 +233,8 @@ def lemma37_scan(ring, ideal, t_max):
             f"(dual Ext module has positive dimension); scan refused"
         )
 
-    def block(t):
+    rows = []
+    for t in range(1, t_max + 1):
         started = time.monotonic()
         it = ideal_power(ideal, t)
         quotient = quotient_module(ring, list(it.generators))
@@ -250,15 +245,15 @@ def lemma37_scan(ring, ideal, t_max):
             diff = None
         else:
             diff = s_quot - s_ideal
-        return PairedRow(
-            t=t,
-            socle_beg_quotient=s_quot,
-            socle_beg_ideal=s_ideal,
-            difference=diff,
-            elapsed_ms=int((time.monotonic() - started) * 1000),
+        rows.append(
+            PairedRow(
+                t=t,
+                socle_beg_quotient=s_quot,
+                socle_beg_ideal=s_ideal,
+                difference=diff,
+                elapsed_ms=int((time.monotonic() - started) * 1000),
+            )
         )
-
-    rows = [block(t) for t in range(1, t_max + 1)]
     c_quot = _fit_max([(r.t, -r.socle_beg_quotient) for r in rows])
     c_ideal = _fit_max([(r.t, -r.socle_beg_ideal) for r in rows])
     both_bounded = (c_quot is None) == (c_ideal is None)

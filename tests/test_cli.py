@@ -340,3 +340,22 @@ def test_scan_frobenius_svg_draws_the_canonical_socle_line(twisted_file, tmp_pat
     assert payload.startswith("e,")
     _assert_chart(chart, {0})
     assert "socle_beg(omega^[q]) / e against e" in chart.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gb", "{demo}"], "needs --ideal NAME"),
+        (["gb", "{demo}", "--ideal", "NOPE"], "no ideal named 'NOPE'"),
+        (["fedder", "{twisted}", "--e-max", "0"], "e_max must be >= 1"),
+    ],
+)
+def test_in_process_errors_exit_1(demo_file, twisted_file, capsys, argv, message):
+    from soclelab.cli import main
+
+    argv = [a.format(demo=demo_file, twisted=twisted_file) for a in argv]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+    assert message in out.err

@@ -304,3 +304,21 @@ def test_fedder_module_e7_on_the_twisted_cubic():
     report, elapsed = _timed_fedder(7)
     assert elapsed < 5 * FEDDER7_BUDGET_S
     assert (report.q, report.generator_degrees, report.mu) == (128, (424, 424, 424), 3)
+
+
+def test_fedder_module_refuses_a_negative_exponent(RS2):
+    with pytest.raises(DomainError, match="exponent must be >= 0"):
+        fedder_module(RS2, -1)
+
+
+def test_gauge_scan_refuses_e_max_zero(hypersurface):
+    with pytest.raises(DomainError, match="e_max must be >= 1"):
+        gauge_scan(hypersurface, 0)
+
+
+def test_canonical_frobenius_socle_refuses_characteristic_zero():
+    S = PolyRing(field_of(0), ("x", "y"))
+    x, y = S.gens()
+    R = RingPresentation(S, [x * y])
+    with pytest.raises(DomainError, match="positive characteristic"):
+        canonical_frobenius_socle(R, Ideal(R, [S.one]), 1)

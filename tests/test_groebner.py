@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclelab.errors import DomainError
+from soclelab.errors import DomainError, StructuralError
 from soclelab.fields import field_of
 from soclelab.groebner import (
     Ideal,
@@ -17,6 +17,7 @@ from soclelab.groebner import (
     ideal_colon,
     ideal_intersection,
     ideal_power,
+    ideal_sum,
     krull_dimension,
     minimal_generator_degrees,
     minimal_generators,
@@ -744,3 +745,39 @@ def test_colon_is_one_kernel_call_and_no_intersection(monkeypatch, twisted_cubic
     a = Ideal(amb, list(twisted_cubic_gf2.relations))
     ideal_colon(frobenius_power(a, 4), a)
     assert calls == {"syzygies_over": 1, "ideal_intersection": 0}
+
+
+def test_ideal_sum_joins_the_generators():
+    S = PolyRing(field_of(101), ("x", "y"))
+    x, y = S.gens()
+    R = RingPresentation(S)
+    total = ideal_sum(Ideal(R, [x**2]), Ideal(R, [x * y, y**2]))
+    assert total.ring is R
+    assert total.generators == (x**2, x * y, y**2)
+    assert hilbert_function(total, 2) == 0
+
+
+def test_is_zero_on_a_polynomial_ring():
+    S = PolyRing(field_of(101), ("x", "y"))
+    x, _ = S.gens()
+    R = RingPresentation(S)
+    assert Ideal(R, []).is_zero()
+    assert Ideal(R, [S.zero]).is_zero()
+    assert not Ideal(R, [x]).is_zero()
+
+
+@pytest.mark.parametrize("operation", [ideal_sum, ideal_intersection, ideal_colon])
+def test_ideals_of_different_rings_are_refused(operation):
+    S = PolyRing(field_of(101), ("x", "y"))
+    x, y = S.gens()
+    a = Ideal(RingPresentation(S), [x])
+    b = Ideal(RingPresentation(S, [x * y]), [y])
+    with pytest.raises(StructuralError, match="different rings"):
+        operation(a, b)
+
+
+def test_negative_ideal_power_is_refused():
+    S = PolyRing(field_of(101), ("x", "y"))
+    x, _ = S.gens()
+    with pytest.raises(DomainError, match="negative"):
+        ideal_power(Ideal(RingPresentation(S), [x]), -1)

@@ -120,3 +120,28 @@ def test_second_vars_line_rejected():
     with pytest.raises(InputSyntaxError) as err:
         parse_input("field 7\nvars x\nvars y\n")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, bad_word",
+    [
+        ("vars x\nfield7\n", "field7"),
+        ("field 7\nvarsx, y\n", "varsx,"),
+        ('field 7\nvars x, y\nrelationsfoo "x*y"\n', "relationsfoo"),
+    ],
+)
+def test_directives_are_whole_words(text, bad_word):
+    """A keyword glued to what follows it is no directive: the line is
+    refused as unrecognized, with its number."""
+    with pytest.raises(InputSyntaxError, match="unrecognized directive") as err:
+        parse_input(text)
+    assert repr(bad_word) in str(err.value)
+    assert err.value.line == text.count("\n")
+
+
+def test_lines_parse_in_any_order():
+    ring, ideals = parse_input('ideal I = "x", "z"\nrelations "x*y - z^2"\nvars x, y, z\nfield 7\n')
+    assert ring.field.characteristic == 7
+    assert ring.n == 3
+    assert len(ring.relations) == 1
+    assert len(ideals["I"].generators) == 2

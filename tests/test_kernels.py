@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclelab import modgb, modules
+from soclelab import modgb, modules, runs
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, minimal_generators
 from soclelab.linalg import rank
@@ -430,25 +430,30 @@ def test_syzygies_over_differential(char, quotient, nvars, target, ncols, nrels,
 
 
 def _count_kernel_work(monkeypatch):
-    """Count normal forms and returned vectors inside syzygies_vectors."""
+    """Count normal forms and returned vectors inside the tag-block runs
+    that ``syzygies_over`` constructs."""
     seen = {"normal_forms": 0, "vectors": 0, "inside": False}
-    normal_form, kernel = modgb.normal_form_vec, modules.syzygies_vectors
+    normal_form = modgb.normal_form_vec
 
     def counted_normal_form(*args):
         seen["normal_forms"] += seen["inside"]
         return normal_form(*args)
 
-    def counted_kernel(*args):
-        seen["inside"] = True
-        try:
-            out = kernel(*args)
-        finally:
-            seen["inside"] = False
-        seen["vectors"] += len(out)
-        return out
+    class CountedRun(runs.TaggedRun):
+        def resume(self, degree=None):
+            seen["inside"] = True
+            try:
+                return super().resume(degree)
+            finally:
+                seen["inside"] = False
+
+        def new_syzygies(self):
+            out = super().new_syzygies()
+            seen["vectors"] += len(out)
+            return out
 
     monkeypatch.setattr(modgb, "normal_form_vec", counted_normal_form)
-    monkeypatch.setattr(modules, "syzygies_vectors", counted_kernel)
+    monkeypatch.setattr(modules, "TaggedRun", CountedRun)
     return seen
 
 

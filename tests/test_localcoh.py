@@ -482,6 +482,30 @@ def test_canonical_ideal_search_order(ring, generators, shift, a_invariant):
     assert (data.shift, data.a_invariant, data.embedding_degree) == (shift, a_invariant, shift)
 
 
+@pytest.mark.parametrize(
+    "ring, candidates",
+    [(lambda: _coordinate_axes(2, "xyz"), 7), (lambda: _coordinate_axes(3, "xyzw"), 27)],
+    ids=["axes3-gf2", "axes4-gf3"],
+)
+def test_canonical_ideal_tests_one_candidate_per_line(ring, candidates, monkeypatch):
+    # c*phi and phi have the same kernel, so the GF(p) tier tries one
+    # tuple per line through the origin and no multiple of a witness it
+    # tried alone: 7 candidates in place of 10 on the axes over GF(2), 27
+    # in place of 44 on the four axes over GF(3).
+    drawn = []
+    search = localcoh._search_coefficients
+
+    def counted(*args):
+        for combo in search(*args):
+            drawn.append(combo)
+            yield combo
+
+    monkeypatch.setattr(localcoh, "_search_coefficients", counted)
+    canonical_ideal(ring())
+    assert len(drawn) == candidates
+    assert len(set(drawn)) == len(drawn)
+
+
 def test_canonical_ideal_draws_no_coefficient_before_it_needs_one(twisted_cubic_gf2, monkeypatch):
     draws = []
     original = random.Random.randrange
@@ -1069,3 +1093,20 @@ def _twist_stage(j, module, ell):
     res = resolutions.minimal_free_resolution(module)
     twists = [b for k in (n - j - 1, n - j, n - j + 1) for b in res.module_twists(k)]
     return max([2] + [1 + b - n - ell for b in twists])
+
+
+def _zero_modules(ring):
+    """The zero module, presented with no generator and as R/(1)."""
+    empty = ModulePresentation(ring, GradedMatrix(ring, (), (), []))
+    return [empty, quotient_module(ring, [ring.ambient.one])]
+
+
+def test_module_dimension_of_the_zero_module(presentation_xy):
+    for zero in _zero_modules(presentation_xy):
+        assert module_dimension(zero) == zero.krull_dimension() == -1
+
+
+def test_regularity_of_the_zero_module_is_refused(presentation_xy):
+    for zero in _zero_modules(presentation_xy):
+        with pytest.raises(DomainError, match="zero module"):
+            regularity(zero)

@@ -2,8 +2,8 @@
 
 The engine codes every term as one int (``modgb.CodeTable``).  The checks
 here are that the codes realize the term order and the monomial
-arithmetic on every order kind, and that ``buchberger_vectors`` and
-``syzygies_vectors`` return exactly what the old engine returns (same
+arithmetic on every order kind, and that ``buchberger_vectors`` and the
+tag-block run ``runs.TaggedRun`` return exactly what the old engine returns (same
 vectors, same terms in the same order, same list order).  The old engine,
 which keyed terms by ``(position, exponent tuple)`` and ordered them by
 rank tuples, is kept below as the reference.
@@ -38,7 +38,7 @@ from soclelab.monomials import (
 from soclelab.orders import DEGLEX, DEGREVLEX, EliminationOrder, MonomialOrder
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
-from soclelab.runs import syzygies_vectors
+from soclelab.runs import TaggedRun
 
 CHARS = [2, 101, 32003, 0]
 
@@ -382,8 +382,8 @@ def test_monomial_relation_basis_reduces_no_s_vector(monkeypatch):
 
 
 def test_tag_block_runs_equal_the_reference():
-    """syzygies_vectors, with and without untagged extra vectors: the
-    Schreyer generating sets are equal, term for term."""
+    """The tag-block run to its end, with and without untagged extra
+    vectors: the Schreyer generating sets are equal, term for term."""
     for char in CHARS:
         for names in (("x", "y", "z"), ("a", "b", "c", "d")):
             ring = PolyRing(field_of(char), names)
@@ -399,7 +399,7 @@ def test_tag_block_runs_equal_the_reference():
                         for pos, tw in enumerate(twists):
                             vec.update(_random_poly_vec(rng, F, ring.n, degree - tw, 2, pos=pos))
                         target.append(vec)
-                new = syzygies_vectors(ring, columns, twists, extra)
+                new = TaggedRun(ring, columns, twists, extra).resume().new_syzygies()
                 ref = _reference_syzygies(ring, columns, twists, extra)
                 assert _items(new) == _items(ref)
 

@@ -23,10 +23,10 @@ from soclelab.frobenius import frobenius_power
 from soclelab.groebner import Ideal, ideal_power
 from soclelab.localcoh import canonical_ideal, ideal_as_module, module_depth, regularity
 from soclelab.modules import (
+    _nakayama_run,
     ModulePresentation,
     block_columns,
     free_module,
-    hilbert_certificate,
     matrix_from_vectors,
     minimalize_presentation,
     nakayama_minimal_subset,
@@ -239,10 +239,10 @@ def test_the_certificate_names_the_degree_of_a_missing_syzygy():
     laurent_add(kernel, M.hilbert_numerator())
     columns = block_columns(kept)
     for j, degree in enumerate(degrees):
-        run = hilbert_certificate(R, d1.source, kernel)
+        run = _nakayama_run(R, d1.source, (), kernel)
         run.add(columns[:j] + columns[j + 1 :])
         assert run.resume().deficient == degree
-    run = hilbert_certificate(R, d1.source, kernel)
+    run = _nakayama_run(R, d1.source, (), kernel)
     run.add(columns)
     assert run.resume().deficient is None
     assert run.kept == list(range(len(columns)))
@@ -266,7 +266,7 @@ def test_the_certificate_restarts_when_later_candidates_outgrow_its_table():
     raw = syzygies_over(R, block_columns(d1), d1.target)
     degrees = [modgb.vec_degree(v, d1.source) for v in raw]
     assert degrees == sorted(degrees) and degrees[:2] == [4, 40002]
-    run = hilbert_certificate(R, d1.source, kernel)
+    run = _nakayama_run(R, d1.source, (), kernel)
     run.add(raw[:1])
     assert run.resume().deficient == 40002
     assert run.table.bits == 15
@@ -320,7 +320,7 @@ def _assert_certificates_keep_what_nakayama_keeps(matrices):
         kernel = _free_numerator(ring, d.source)
         laurent_add(kernel, _free_numerator(ring, d.target), scale=-1)
         laurent_add(kernel, ModulePresentation(ring, d).hilbert_numerator())
-        run = hilbert_certificate(ring, d.source, kernel)
+        run = _nakayama_run(ring, d.source, (), kernel)
         run.add(raw)
         assert run.resume().deficient is None
         assert run.kept == nakayama_minimal_subset(ring, d.source, raw)

@@ -210,3 +210,17 @@ def test_oracle_scan_of_the_twisted_cubic_powers():
         (3, 2, 2, 2, True),
     ]
     assert elapsed < 5 * CURVE_ORACLE_BUDGET_S
+
+
+@pytest.mark.parametrize("scan", [scan_powers, criterion_check, lemma37_scan])
+def test_scans_refuse_t_max_zero(setting, scan):
+    S, R = setting
+    x, _ = S.gens()
+    with pytest.raises(HypothesisError, match="t_max must be >= 1"):
+        scan(R, Ideal(R, [x]), 0)
+
+
+def test_criterion_check_refuses_the_unit_ideal(setting):
+    S, R = setting
+    with pytest.raises(HypothesisError, match="proper ideal"):
+        criterion_check(R, Ideal(R, [S.one]), 1)
