@@ -63,7 +63,8 @@ class Ideal:
         )
 
     def is_zero(self):
-        return not self.groebner()
+        """True when I = 0 in R: every generator lies in the relations."""
+        return all(self.ring.is_zero_in_quotient(f) for f in self.generators)
 
     def is_unit(self):
         gb = self.groebner()

@@ -27,7 +27,10 @@ The same pair step (``_Basis``) serves four jobs:
   in turn decides which candidates are minimal generators; given the
   Hilbert series of a module that holds them, it also drops the pairs
   of a degree once the lead terms fill it and says whether the
-  candidates span the module.
+  candidates span the module.  Its basis is never an output and what it
+  decides depends only on the leads and on full normal forms of the
+  candidates, so its S-pair remainders are only top-reduced (reduced
+  until the lead is irreducible); the other runs fully reduce them.
 
 The first two are one-shot calls of ``buchberger_vectors``.  The tag
 block and Nakayama runs keep their state in the objects of
@@ -41,7 +44,7 @@ degree component so that graded inputs are processed degree by degree.
 import functools
 import heapq
 from itertools import chain
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 
 from .errors import AlgebraError, StructuralError
 from .monomials import mono_coprime, mono_lcm
@@ -320,7 +323,10 @@ def normal_form_vec(vec, basis, table, field):
 
     ``basis`` is a list of (coded vector, lead code) pairs under
     ``table``.  The first element whose lead divides the current lead
-    reduces it.
+    reduces it, and every term left is reduced in turn.  The S-pairs of
+    ``buchberger_vectors``, ``runs.TaggedRun`` and ``runs._ImageRun`` are
+    reduced so, and so is every candidate that ``runs.HilbertRun``
+    decides; only that run's own S-pairs are top-reduced (``_Basis.top``).
 
     Lead terms come off a heap of codes: every code is pushed when it
     enters the work vector, and one that has cancelled since is skipped
@@ -334,7 +340,20 @@ def normal_form_vec(vec, basis, table, field):
     """
     if not basis:
         return dict(vec)
-    p = field.characteristic
+    return _reduce(vec, basis, table, field.characteristic, True)
+
+
+def _reduce(vec, basis, table, p, full):
+    """``vec`` reduced by a nonempty ``basis`` as in ``normal_form_vec``:
+    fully, or, unless ``full``, only until its lead is irreducible (or
+    it is zero).
+
+    The tail of a top-reduced remainder never leaves the heap, so its
+    terms are checked against the guard bits together before it is
+    returned: a term past the fields sets a guard bit of the OR of all
+    the codes.  Left unchecked, a later shift of that term could carry
+    out of its field into the next one.
+    """
     guard, mask, absorb = table.guard, table.mask, table.absorb
     work = dict(vec)
     heap = list(work)
@@ -352,9 +371,13 @@ def normal_form_vec(vec, basis, table, field):
             if not (t_abs - lead) & mask:
                 break
         else:
-            rem[t] = c
-            del work[t]
-            continue
+            if full:
+                rem[t] = c
+                del work[t]
+                continue
+            if functools.reduce(or_, work) & guard:
+                raise _Outgrown("a term outgrew its code table")
+            return work
         for new in _sub_multiple(work, g, c, t - lead, p):
             heapq.heappush(heap, new)
     return rem
@@ -373,6 +396,12 @@ class _Basis:
     pairs through ``_remainder``, most through ``reduce_pairs``: the
     coprimality criterion when ``use_product`` is set, the chain
     criterion always, then the S-vector and its normal form.
+
+    That normal form is full (``normal_form_vec``) unless ``top`` is set,
+    which only ``runs.HilbertRun`` does: its basis is never an output and
+    its stopping rule reads only leads, so each remainder is reduced only
+    until its lead is irreducible and joins the basis with its tail as it
+    is (``_reduce``; the proof is in the ``HilbertRun`` docstring).
     """
 
     def __init__(self, table, field, split=None, use_product=False, cap=0):
@@ -381,6 +410,7 @@ class _Basis:
         self.split = split
         self.use_product = use_product
         self.cap = cap
+        self.top = False
         self.elements = []
         self.heads = []
         self.heap = []  # (-lcm code, i, j, lcm code)
@@ -448,6 +478,8 @@ class _Basis:
         spoly = {}
         _sub_multiple(spoly, gi, field.neg(field.one), lcm - lti, p)
         _sub_multiple(spoly, gj, field.one, lcm - ltj, p)
+        if self.top:
+            return _reduce(spoly, basis, self.table, p, False)
         return normal_form_vec(spoly, basis, self.table, field)
 
 

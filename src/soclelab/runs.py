@@ -262,6 +262,32 @@ class HilbertRun(Run):
     a larger term), the leads are distinct, and no earlier lead divides
     any of their terms, so the new basis again generates M_<d' for the
     next degree d', and every new S-pair has lcm degree > d.
+
+    **Why the S-pairs only top-reduce.**  A pair's remainder is reduced
+    only until its lead is irreducible, and joins the basis with its tail
+    as it is (``_Basis.top``); the rels and candidates still take full
+    normal forms.  Nothing that the run decides changes:
+
+    * Buchberger's criterion asks only that each S-pair reduce to zero
+      by lead reductions, which a remainder that is zero or joins the
+      basis provides.  So up to degree d the basis is a Groebner basis of
+      M_<d, tail-reduced or not.  Its multiples led by the degree-d terms
+      of in(M_<d), one per term, then span (M_<d)_d, and the full normal
+      form of v in F_d is the one vector congruent to v modulo (M_<d)_d
+      with no term in in(M_<d): a function of v and M_<d, whatever the
+      tails.  So ``Span.add`` decides the same, and the span rows that
+      join the basis are the same vectors.
+    * Of one S-vector against one basis, the top-reduced remainder has
+      the lead of the full one, and is zero exactly when the full one is:
+      full reduction pops the same terms until the first irreducible one,
+      its lead.  Later S-vectors carry other tails, so within a degree
+      the leads may come in another order.  But each new lead of degree
+      d lies in in(M_<d) and outside the leads before it, and lowers D[d]
+      by exactly one, so D[d] reaches 0, and the rest of the degree is
+      dropped, exactly when the leads fill in(Z)_d; and when a degree
+      ends, its new leads are the minimal generators of in(M_<d) in that
+      degree, in either run.  So ``_lower`` has lowered D by the same
+      leads, and D, the drops and ``deficient`` are the same.
     """
 
     def __init__(self, order, field, fixed, rels, kernel, n):
@@ -286,6 +312,7 @@ class HilbertRun(Run):
     def _start(self):
         table = self.table
         basis = _Basis(table, self.field)
+        basis.top = True
         for v in self.vectors[: self.nfixed]:
             basis.append(table.encode_vec(v), pairs=False)
         self.pending, self.kept = {}, []

@@ -766,6 +766,19 @@ def test_is_zero_on_a_polynomial_ring():
     assert not Ideal(R, [x]).is_zero()
 
 
+def test_is_zero_over_a_quotient_ring():
+    # The ideal's Groebner basis holds the relation xy, so it is never
+    # empty here; the ideal is zero exactly when each generator is zero in R.
+    S = PolyRing(field_of(101), ("x", "y"))
+    x, y = S.gens()
+    R = RingPresentation(S, [x * y])
+    assert Ideal(R, []).is_zero()
+    assert Ideal(R, [x * y]).is_zero()
+    assert Ideal(R, [x**2 * y, 3 * x * y]).is_zero()
+    assert not Ideal(R, [x * y, x]).is_zero()
+    assert not Ideal(R, [x**2 + x * y]).is_zero()
+
+
 @pytest.mark.parametrize("operation", [ideal_sum, ideal_intersection, ideal_colon])
 def test_ideals_of_different_rings_are_refused(operation):
     S = PolyRing(field_of(101), ("x", "y"))

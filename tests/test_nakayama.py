@@ -177,15 +177,8 @@ def test_kept_lists_equal_the_reference_on_quadric_syzygies(char):
     assert len(kept) < len(syz)
 
 
-def test_wide_exponents_restart_on_wider_fields(monkeypatch):
-    # x^(N-1) y = y^N modulo x - y, and y^N, N = 2^15, outgrows the 15-bit
-    # exponent fields the input needs: the run starts over on 30 bits.
-    S = PolyRing(field_of(101), ("x", "y"))
-    ring = RingPresentation(S, [])
-    x, y = S.gens()
-    n = 1 << 15
-    vectors = [poly_to_vec(x ** (n - 1) * y), poly_to_vec(x ** (n - 2) * y**2)]
-    rels = [poly_to_vec(x - y)]
+def _record_widths(monkeypatch):
+    """The exponent-field width of each code table built from now on."""
     widths = []
     table = VectorOrder.table
 
@@ -195,11 +188,47 @@ def test_wide_exponents_restart_on_wider_fields(monkeypatch):
         return out
 
     monkeypatch.setattr(VectorOrder, "table", recording)
+    return widths
+
+
+def test_wide_exponents_restart_on_wider_fields(monkeypatch):
+    # x^(N-1) y = y^N modulo x - y, and y^N, N = 2^15, outgrows the 15-bit
+    # exponent fields the input needs: the run starts over on 30 bits.
+    S = PolyRing(field_of(101), ("x", "y"))
+    ring = RingPresentation(S, [])
+    x, y = S.gens()
+    n = 1 << 15
+    vectors = [poly_to_vec(x ** (n - 1) * y), poly_to_vec(x ** (n - 2) * y**2)]
+    rels = [poly_to_vec(x - y)]
+    widths = _record_widths(monkeypatch)
     kept = nakayama_minimal_subset(ring, (0,), vectors, rels)
     assert widths == [15, 30]
     assert kept == [0]
     monkeypatch.undo()
     assert kept == _reference_nakayama_minimal_subset(ring, (0,), vectors, rels)
+
+
+def test_outgrown_tail_of_a_top_reduced_pair_remainder_restarts(monkeypatch):
+    # f = x^3 y + y^4 and g = x^2 y^(N-3) + x y^(N-2), N = 2^15, fit in
+    # 15 bits.  Their S-vector y^(N-4) f - x g = y^N - x^2 y^(N-2)
+    # top-reduces by y g to y^N + x y^(N-1), whose lead fits and is
+    # irreducible; only its tail y^N outgrows the fields, and that term is
+    # never popped.  The top degree's candidate x^(N-4) f reduces by f
+    # alone, so nothing later would pop y^N: the check on the remainder's
+    # terms is what starts the run over on 30 bits.
+    S = PolyRing(field_of(101), ("x", "y"))
+    ring = RingPresentation(S, [])
+    x, y = S.gens()
+    n = 1 << 15
+    f = x**3 * y + y**4
+    g = x**2 * y ** (n - 3) + x * y ** (n - 2)
+    vectors = [poly_to_vec(f), poly_to_vec(g), poly_to_vec(x ** (n - 4) * f)]
+    widths = _record_widths(monkeypatch)
+    kept = nakayama_minimal_subset(ring, (0,), vectors)
+    assert widths == [15, 30]
+    assert kept == [0, 1]
+    monkeypatch.undo()
+    assert kept == _reference_nakayama_minimal_subset(ring, (0,), vectors)
 
 
 def test_rels_size_the_code_table(monkeypatch):
@@ -211,15 +240,7 @@ def test_rels_size_the_code_table(monkeypatch):
     x, y, z = S.gens()
     n = 1 << 16
     m = x**30000 * y**30000 * z**5536
-    widths = []
-    table = VectorOrder.table
-
-    def recording(self, vecs, bits=modgb.EXP_BITS):
-        out = table(self, vecs, bits)
-        widths.append(out.bits)
-        return out
-
-    monkeypatch.setattr(VectorOrder, "table", recording)
+    widths = _record_widths(monkeypatch)
     rels = [poly_to_vec(x**n), poly_to_vec(y**n - m)]
     kept = nakayama_minimal_subset(ring, (0,), [poly_to_vec(m)], rels)
     assert widths == [17]
