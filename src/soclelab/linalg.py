@@ -32,6 +32,7 @@ class Span:
         self.rows = {}        # pivot -> entries right of the pivot
         self.history = {}     # pivot -> combination of inserted vectors giving the row
         self.n_inserted = 0
+        self.relation = None  # left by the last tracked dependent insertion
 
     @property
     def rank(self):
@@ -93,11 +94,16 @@ class Span:
         return {k: F.neg(v) for k, v in comb.items() if v}
 
     def add(self, vec):
-        """Insert a vector; returns True if it enlarged the span."""
+        """Insert a vector; returns True if it enlarged the span.  With
+        tracking, one that did not leaves in ``relation`` the combination
+        {insertion index: coefficient} of the inserted vectors that is zero:
+        1 at its own index, the rest on earlier insertions that enlarged it."""
         comb = {self.n_inserted: self.field.one} if self.track else None
         self.n_inserted += 1
         red = self._reduce(vec, comb)
         if not red:
+            if comb is not None:
+                self.relation = {k: c for k, c in comb.items() if c}
             return False
         piv = min(red)
         c = self.field.inv(red.pop(piv))
@@ -157,13 +163,13 @@ def nullspace(field, rows, width):
 
 
 class QuotientSpace:
-    """H = ker A / im B for matrices with AB = 0, from two ranks.
+    """H = ker A / im B for matrices with AB = 0, from the columns of A.
 
     ``image`` is an untracked echelon basis of im B.  Its non-pivot
-    columns, ``free``, index a complement C of im B, and ker A is im B
-    plus ker A on C, so H is ker(A|C) and dim H = #free - rank(A|C);
-    ``restricted`` holds the rows of A|C.  The representatives, the
-    reduced kernel basis of A|C, are built on first use.  The argument
+    columns, ``free``, index a complement C of im B, and H is ker(A|C).
+    The columns of A|C go into one tracked Span in increasing order; each
+    one that reduces to zero leaves a relation, its reduced kernel vector,
+    so ``dim`` counts them and ``reps`` are their relations.  The argument
     is written out in the ``soclelab.localcoh`` docstring, whose Hom
     complexes are the callers.
 
@@ -176,29 +182,17 @@ class QuotientSpace:
         self.image = Span(field, width)
         for v in image_vectors:
             self.image.add(v)
-        self.free = [k for k in range(width) if k not in self.image.rows]
-        self.restricted = Span(field, len(self.free))
-        if out_cols:
-            for row in transpose([out_cols[k] for k in self.free], out_width):
-                self.restricted.add(row)
-        self.dim = len(self.free) - self.restricted.rank
-        self._reps = self.unit = None
-
-    @property
-    def reps(self):
-        """Cocycles whose classes form a basis of H: rep h is 1 at its own
-        free column (``unit`` maps it to h), 0 at every other rep's, and
-        otherwise lives on the pivots of A|C."""
-        if self._reps is None:
-            free, rows = self.free, self.restricted.rows
-            self._reps = [
-                {free[k]: c for k, c in z.items()} for z in self.restricted.kernel()
-            ]
-            self.unit = {
-                free[k]: h
-                for h, k in enumerate(k for k in range(len(free)) if k not in rows)
-            }
-        return self._reps
+        self.free = free = sorted(set(range(width)).difference(self.image.pivots))
+        # reps: cocycles whose classes form a basis of H.  Rep h is 1 at its
+        # own free column (``unit`` maps it to h), 0 at every other rep's,
+        # and otherwise lives on the independent columns of A|C.
+        self.reps, self.unit = [], {}
+        columns = Span(field, out_width, track=True)
+        for k in free:
+            if not columns.add(out_cols[k] if out_cols else {}):
+                self.unit[k] = len(self.reps)
+                self.reps.append({free[i]: c for i, c in columns.relation.items()})
+        self.dim = len(self.reps)
 
     def coords(self, vec):
         """Sparse coordinates {rep index: coefficient} of a cocycle.

@@ -24,18 +24,26 @@ columns span a complement C of im B in V.  As im B lies in ker A,
 ker A = im B + (ker A meet C), a direct sum: write v in ker A as b + c
 with b in im B and c in C; then c = v - b lies in ker A.  Hence
 H = ker A / im B is isomorphic to ker A meet C, the kernel of A
-restricted to the columns of C, and dim H = #free - rank(A restricted
-to C).  So a dimension costs two ranks and no kernel basis.
+restricted to the columns of C.
 
-Representatives, which only the socle maps need, are built on first
-use as the reduced kernel basis of A restricted to C: one vector per
-non-pivot column u of that restriction, 1 at u and 0 at every other
-such column.  Coordinates need no tracked span: the remainder of a
-cocycle modulo im B (echelon reduction, zero at every pivot of im B) is
-its component in C, which lies in ker A and so is the combination of
-the representatives with its own entries at their columns u.  A vector
-whose remainder is not that combination is no cocycle, and raises
-AlgebraError.
+That kernel is read off the columns of A|C (A restricted to C), inserted
+in increasing order into one tracked span.  A column that reduces to
+zero lies in the span of the earlier ones.  Row operations keep every
+linear relation among the columns, and in a reduced row echelon form a
+column is a pivot column exactly when it is no combination of the
+columns before it; so the dependent columns are exactly the non-pivot
+columns of the reduced row echelon form of the rows of A|C, and
+dim H = #free - rank(A|C) is their number.  The relation
+a dependent column u leaves is 1 at u and otherwise lives on earlier
+independent columns, so it is 0 at every other dependent column; a
+kernel vector is fixed by its entries at the non-pivot columns, so this
+relation is the reduced kernel vector of u.  The relations are the
+representatives, and no kernel basis is built.  Coordinates need no
+further span: the remainder of a cocycle modulo im B (echelon
+reduction, zero at every pivot of im B) is its component in C, which
+lies in ker A and so is the combination of the representatives with its
+own entries at their columns u.  A vector whose remainder is not that
+combination is no cocycle, and raises AlgebraError.
 
 Which Koszul stage equals the limit.  Stage s is H^j(x^s; M), the
 cohomology of the Koszul complex on x_1^s, ..., x_n^s with coefficients
@@ -76,12 +84,12 @@ come from one reduced Groebner basis of M's relations
 (``ModulePresentation.relation_basis``), reduced
 by the same ``modgb`` normal-form engine that computes the resolution's
 syzygies and minimal generators on the duality route.  The Hom complexes,
-the two ranks of each stage (``linalg.QuotientSpace``), the
+the cohomology of each stage (``linalg.QuotientSpace``), the
 representatives and the socle maps are the oracle's own sparse linear
 algebra.  The tests keep the Span-based pieces, which use no module
-Groebner basis, and the old cohomology route (a kernel basis from
-``nullspace`` inserted after the image into one tracked Span), as
-independent references.
+Groebner basis, and two older cohomology routes (a kernel basis from
+``nullspace`` inserted after the image into one tracked Span, and the
+rows of A|C with their reduced kernel basis), as independent references.
 """
 
 import itertools

@@ -130,13 +130,11 @@ def matrix_from_vectors(ring, target, vectors, source=None):
         for v in vectors:
             d = vec_degree(v, target)
             source.append(0 if d is None else d)
-    entries = []
-    for i in range(len(target)):
-        row = []
-        for v in vectors:
-            terms = {m: c for (pos, m), c in v.items() if pos == i}
-            row.append(Polynomial(amb, terms))
-        entries.append(row)
+    grid = [[{} for _ in vectors] for _ in target]
+    for j, v in enumerate(vectors):
+        for (pos, m), c in v.items():
+            grid[pos][j][m] = c
+    entries = [[Polynomial(amb, terms) for terms in row] for row in grid]
     return GradedMatrix(ring, target, tuple(source), entries)
 
 
@@ -317,7 +315,7 @@ class GradedPiece:
     def __init__(self, module, degree):
         self.module = module
         self.degree = degree
-        self._memo = {}  # ("mult", f) -> multiplication matrix
+        self._memo = {}  # ("mult", f) -> its matrix; "term_nf" -> normal forms
         ring, twists = module.ring, module.matrix.target
         reducer = module.relation_basis()
         self.terms, self.codes, self.table = [], [], None
@@ -370,8 +368,10 @@ class GradedPiece:
 
     def _multiplication_columns(self, f):
         """The columns of ``multiplication_matrix``, shifted in code space
-        on the target's table.  A vector whose terms are all standard is
-        its own normal form."""
+        on the target's table.  Normal forms are linear, so a column sums
+        the coordinates of the shifted terms of f: a standard term's slot,
+        or its normal form, computed once and kept by code in the target's
+        memo ("term_nf") for every f that reaches the term."""
         target = self.module.piece(self.degree + f.degree())
         if not (self.terms and target.terms):
             return [{} for _ in self.terms]
@@ -382,12 +382,24 @@ class GradedPiece:
         shifts = [(table.step(e), c) for e, c in f.terms.items()]
         reducer = self.module.relation_basis()
         basis, field = reducer.coded(table)[0], reducer.field
+        p, one = field.characteristic, field.one
+        known = memoized(target, "term_nf", dict)
         cols = []
         for u in codes:
-            vec = {u + step: c for step, c in shifts}
-            if not all(map(slots.__contains__, vec)):
-                vec = normal_form_vec(vec, basis, table, field)
-            cols.append({slots[t]: c for t, c in vec.items()})
+            col = {}
+            for step, c in shifts:
+                t = u + step
+                if t in slots:
+                    coords = ((slots[t], one),)
+                elif t in known:
+                    coords = known[t]
+                else:
+                    nf = normal_form_vec({t: one}, basis, table, field)
+                    coords = known[t] = [(slots[r], a) for r, a in nf.items()]
+                for k, a in coords:
+                    v = col.get(k, 0) + c * a
+                    col[k] = v % p if p else v
+            cols.append({k: v for k, v in col.items() if v} if len(shifts) > 1 else col)
         return cols
 
 

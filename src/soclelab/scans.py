@@ -106,7 +106,12 @@ def _oracle_spot_check(module, j, socle_val, end_val, s_max=10):
     if socle_val in (POS_INF, NEG_INF) or end_val in (POS_INF, NEG_INF):
         # Vanishing cohomology: the oracle must agree somewhere cheap.
         dim0, _ = koszul_piece(j, module, 0, s_max)
-        return dim0 == 0
+        if dim0:
+            raise HypothesisError(
+                f"oracle disagrees with duality route at j={j}: "
+                f"H^{j} vanishes, but the oracle has dimension {dim0} in degree 0"
+            )
+        return True
     top, _ = koszul_piece(j, module, end_val, s_max)
     past, _ = koszul_piece(j, module, end_val + 1, s_max)
     soc, _ = socle_piece(j, module, socle_val, s_max)

@@ -1,4 +1,5 @@
-"""The Span-based degree piece, kept as an independent reference.
+"""The Span-based degree piece and the row route of ``QuotientSpace``,
+kept as independent references.
 
 ``modules.GradedPiece`` reads a degree piece of a presented module F/N off
 the reduced Groebner basis of N: standard terms for a basis, normal forms
@@ -9,9 +10,15 @@ inserted into a dense ``linalg.Span``.  It uses no Groebner basis of the
 module, only the ring's standard monomials and normal forms, so tests of
 the pieces and of ``syzygies_over`` can check against linear algebra that
 does not share the module's normal-form engine.
+
+``RowQuotientSpace`` is the cohomology route ``linalg.QuotientSpace``
+replaced: it inserts the rows of A|C, counts dim H as #free - rank, and
+builds the representatives as the reduced kernel basis of those rows
+(``Span.kernel``) on first use.
 """
 
-from soclelab.linalg import Span
+from soclelab.errors import AlgebraError
+from soclelab.linalg import Span, transpose
 from soclelab.modules import block_columns, vec_reduce_components
 from soclelab.monomials import mono_mul
 
@@ -82,3 +89,49 @@ class ReferencePiece:
             i, m = self.basis[k]
             cols.append(target.project({(i, mono_mul(mm, m)): c for mm, c in f.terms.items()}))
         return cols
+
+
+class RowQuotientSpace:
+    """H = ker A / im B for AB = 0, from the rows of A restricted to the
+    complement C of im B; same arguments and attributes as
+    ``linalg.QuotientSpace``."""
+
+    def __init__(self, field, width, image_vectors, out_cols, out_width):
+        self.image = Span(field, width)
+        for v in image_vectors:
+            self.image.add(v)
+        self.free = [k for k in range(width) if k not in self.image.rows]
+        self.restricted = Span(field, len(self.free))
+        if out_cols:
+            for row in transpose([out_cols[k] for k in self.free], out_width):
+                self.restricted.add(row)
+        self.dim = len(self.free) - self.restricted.rank
+        self._reps = self.unit = None
+
+    @property
+    def reps(self):
+        """The reduced kernel basis of A|C, one vector per non-pivot column
+        u, 1 at u; ``unit`` maps free[u] to its index."""
+        if self._reps is None:
+            free, rows = self.free, self.restricted.rows
+            self._reps = [
+                {free[k]: c for k, c in z.items()} for z in self.restricted.kernel()
+            ]
+            self.unit = {
+                free[k]: h
+                for h, k in enumerate(k for k in range(len(free)) if k not in rows)
+            }
+        return self._reps
+
+    def coords(self, vec):
+        reps = self.reps
+        rem = self.image.reduce(vec)
+        unit, p = self.unit, self.image.p
+        out = {unit[k]: c for k, c in rem.items() if k in unit}
+        for h, c in out.items():
+            for k, a in reps[h].items():
+                v = rem.get(k, 0) - c * a
+                rem[k] = v % p if p else v
+        if any(rem.values()):
+            raise AlgebraError("vector escapes the cohomology subquotient")
+        return out

@@ -110,6 +110,19 @@ def test_socle_oracle_refuses_a_wrong_end_degree(demo_file, monkeypatch, capsys)
     assert "oracle disagrees" in capsys.readouterr().err
 
 
+def test_scan_oracle_refuses_a_class_on_a_vanishing_row(demo_file, monkeypatch, capsys):
+    # H^0 of S/(x) vanishes; an oracle class in degree 0 exits with code 2.
+    from soclelab import cli
+    from test_scans import _oracle_nonzero_at_h0
+
+    argv = ["scan-powers", demo_file, "--ideal", "J", "--t-max", "1", "--oracle"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    _oracle_nonzero_at_h0(monkeypatch)
+    assert cli.main(argv) == 2
+    assert "oracle disagrees with duality route at j=0" in capsys.readouterr().err
+
+
 def test_canonical_subcommand(twisted_file):
     out = run_cli("canonical", twisted_file)
     assert out.returncode == 0

@@ -1,12 +1,17 @@
-"""The sparse semi-echelon Span against a dense, fully reduced reference."""
+"""The sparse semi-echelon Span against a dense, fully reduced reference,
+and QuotientSpace against the row route it replaced."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from soclelab.errors import AlgebraError
 from soclelab.fields import QQ, field_of
-from soclelab.linalg import Span, nullspace, rank, transpose
+from soclelab.linalg import QuotientSpace, Span, nullspace, rank, transpose
+from span_reference import RowQuotientSpace
 
 
 class DenseSpan:
@@ -152,8 +157,17 @@ def test_span_matches_dense_reference(F, width, seed):
     rng = random.Random(1000 * width + 10 * seed + F.characteristic % 97)
     rows = random_rows(F, rng, width, width + 6)
     new, ref = Span(F, width, track=True), DenseSpan(F, width, track=True)
-    for row in rows:
-        assert new.add(sparse(row, rng)) == ref.add(row)
+    for k, row in enumerate(rows):
+        added = new.add(sparse(row, rng))
+        assert added == ref.add(row)
+        if added:
+            continue
+        # The relation of a dependent insertion: 1 at its own index, the
+        # rest on earlier insertions, combining the rows to zero.
+        rel = new.relation
+        assert rel[k] == F.one and max(rel) == k and all(c != 0 for c in rel.values())
+        combo = [sum(F.of(rows[i][j]) * c for i, c in rel.items()) for j in range(width)]
+        assert not canonical(F, combo)
     assert new.rank == ref.rank == rank(F, [sparse(r, rng) for r in rows], width)
     assert new.pivots == sorted(ref.pivots)
 
@@ -211,3 +225,95 @@ def test_rows_are_semi_echelon_without_back_substitution():
 
 def test_transpose():
     assert transpose([{0: 1, 2: 5}, {}, {1: 4}], 3) == [{0: 1}, {2: 4}, {0: 5}]
+
+
+# -- QuotientSpace: the columns of A|C against the rows ------------------------
+
+
+def _coefficient(F, rng):
+    return F.of(rng.randint(1, F.characteristic - 1 if F.characteristic else 9))
+
+
+def _sparse_vector(F, rng, width, density):
+    return {j: _coefficient(F, rng) for j in range(width) if rng.random() < density}
+
+
+def _combine(F, rng, vectors, count):
+    """Up to ``count`` random combinations of the vectors, zeros dropped."""
+    out = []
+    for _ in range(count):
+        v = {}
+        for u in rng.sample(vectors, min(len(vectors), rng.randint(1, 3))):
+            c = _coefficient(F, rng)
+            for j, a in u.items():
+                v[j] = F.add(v.get(j, F.zero), F.mul(c, a))
+        out.append({j: a for j, a in v.items() if not F.is_zero(a)})
+    return out
+
+
+def _complex(F, rng, width, n_image, n_out, kind):
+    """B by its columns in V (width ``width``) and A by its columns of
+    length out_width, with AB = 0.  ``kind``: "random"; "full", B of full
+    rank; "none", A absent (no columns); "zero", A = 0 with rows."""
+    if kind == "full":
+        image = []
+        for k in rng.sample(range(width), width):
+            v = _sparse_vector(F, rng, width, 0.3)
+            v[k] = F.one
+            image.append({j: a for j, a in v.items() if j >= k})
+    else:
+        image = [_sparse_vector(F, rng, width, 0.3) for _ in range(n_image)]
+        image += _combine(F, rng, image, 2) if image else []
+    # Rows of A: combinations of the vectors orthogonal to every column of B.
+    left = nullspace(F, image, width)
+    rows = _combine(F, rng, left, n_out) if left and kind == "random" else []
+    if kind == "none":
+        return image, [], 0
+    if kind == "zero":
+        return image, [{} for _ in range(width)], n_out
+    return image, transpose(rows, width), len(rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    char=st.sampled_from([2, 101, 0]),
+    width=st.integers(0, 10),
+    n_image=st.integers(0, 5),
+    n_out=st.integers(0, 8),
+    kind=st.sampled_from(["random", "random", "full", "none", "zero"]),
+    seed=st.integers(0, 2**16),
+)
+@example(char=101, width=0, n_image=0, n_out=3, kind="random", seed=1)
+@example(char=2, width=6, n_image=2, n_out=0, kind="none", seed=2)
+@example(char=0, width=6, n_image=2, n_out=4, kind="zero", seed=3)
+@example(char=101, width=7, n_image=0, n_out=5, kind="full", seed=4)
+def test_quotient_space_equals_the_row_route(char, width, n_image, n_out, kind, seed):
+    F = field_of(char)
+    rng = random.Random(seed)
+    image, out_cols, out_width = _complex(F, rng, width, n_image, n_out, kind)
+    # AB = 0: every column of B is sent to zero.
+    for b in image:
+        img = {}
+        for k, c in b.items():
+            for r, a in (out_cols[k] if out_cols else {}).items():
+                img[r] = F.add(img.get(r, F.zero), F.mul(c, a))
+        assert all(F.is_zero(v) for v in img.values())
+    new = QuotientSpace(F, width, image, out_cols, out_width)
+    ref = RowQuotientSpace(F, width, image, out_cols, out_width)
+    assert new.free == ref.free
+    assert new.dim == ref.dim == len(new.reps)
+    assert new.reps == ref.reps
+    assert new.unit == ref.unit
+    if kind == "full":
+        assert new.dim == 0
+    # Cocycles: combinations of the reps plus a boundary; and arbitrary vectors.
+    cocycles = _combine(F, rng, new.reps + image, 4) if new.reps + image else []
+    for vec in cocycles + [_sparse_vector(F, rng, width, 0.4) for _ in range(3)]:
+        try:
+            expected = ref.coords(vec)
+        except AlgebraError:
+            with pytest.raises(AlgebraError):
+                new.coords(vec)
+            assert vec not in cocycles
+            continue
+        assert new.coords(vec) == expected

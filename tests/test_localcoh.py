@@ -43,6 +43,7 @@ from soclelab.linalg import Span, nullspace, rank, transpose
 from soclelab.modgb import vec_degree
 from soclelab.poly import NEG_INF, POS_INF, PolyRing, format_polynomial
 from soclelab.rings import RingPresentation
+from span_reference import RowQuotientSpace
 
 
 def powers_of_maximal_ideal(ring_presentation, t):
@@ -900,32 +901,33 @@ def test_coords_of_a_non_cocycle_raises(presentation_xy, ring_xy):
         assert stage.quotient.coords(rep) == {h: 1}
 
 
-def test_only_the_socle_builds_kernel_bases(monkeypatch):
-    # koszul_piece reads dim H off two ranks; socle_piece needs reps on
-    # its source stage and coordinates on its target stage, one reduced
-    # kernel basis each.
+def test_the_oracle_builds_no_kernel_basis(monkeypatch):
+    # Each stage reads its reps off the relations of the dependent columns
+    # of A|C as it inserts them; the row route built the reduced kernel
+    # basis of the rows of A|C (Span.kernel) for them.  The reps are the
+    # same vectors.
     S = PolyRing(field_of(101), ("x", "y", "z"))
     x, y, z = S.gens()
     R = RingPresentation(S)
     M = quotient_module(R, ideal_power(Ideal(R, [x * y, y * z, z * x]), 2).generators)
     builds = []
-    original = Span.kernel
-
-    def counting(span):
-        builds.append(span)
-        return original(span)
-
-    monkeypatch.setattr(Span, "kernel", counting)
+    monkeypatch.setattr(Span, "kernel", lambda span: builds.append(span))
     for ell in range(-4, 3):
         koszul_piece(1, M, ell)
-    assert builds == []
     ell = socle_begin(1, M)
-    assert koszul_piece(1, M, ell)[0] > 0 and builds == []
     dim, s = socle_piece(1, M, ell)
-    assert dim > 0 and len(builds) == 2
-    # Both stages keep their basis: the same call builds none.
-    assert socle_piece(1, M, ell) == (dim, s)
-    assert len(builds) == 2
+    assert dim > 0 and builds == []
+    monkeypatch.undo()
+    stages = [v for k, v in M._memo.items() if k[0] == "koszul"]
+    assert len(stages) >= 8 and sum(stage.dim > 0 for stage in stages) >= 2
+    for stage in stages:
+        j, ell, s = stage.j, stage.ell, stage.s
+        twists = (j * s,) * len(stage.subsets)
+        width = sum(M.piece(ell + a).dim for a in twists)
+        image = localcoh._hom_map(M, localcoh._koszul_matrix(R, s, j), ell)[0] if j and width else []
+        out = localcoh._hom_map(M, localcoh._koszul_matrix(R, s, j + 1), ell) if width else ([], 0)
+        ref = RowQuotientSpace(R.field, width, image, *out)
+        assert (stage.quotient.reps, stage.quotient.unit) == (ref.reps, ref.unit)
 
 
 # Seconds budgeted per field for the degree-by-degree comparison with

@@ -6,13 +6,15 @@ from soclelab.groebner import Ideal, minimal_generator_degrees
 from soclelab.localcoh import ideal_as_module
 from soclelab.modules import (
     GradedMatrix,
+    block_columns,
     free_module,
+    matrix_from_vectors,
     module_hilbert,
     quotient_module,
     s_presentation,
 )
 from soclelab.monomials import monomials_of_degree
-from soclelab.poly import PolyRing
+from soclelab.poly import Polynomial, PolyRing
 from soclelab.resolutions import (
     minimal_free_resolution,
     module_hom,
@@ -289,3 +291,38 @@ def test_truncated_resolution_over_regular_stops(presentation_xy, ring_xy):
     res = truncated_resolution(quotient_module(presentation_xy, [x, y]), 6)
     assert res.length == 2
     assert res.complete
+
+
+def _reference_grid(amb, target, vectors):
+    """The entries as the old loop built them: one scan of every vector
+    per cell."""
+    return [
+        [Polynomial(amb, {m: c for (pos, m), c in v.items() if pos == i}) for v in vectors]
+        for i in range(len(target))
+    ]
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_matrix_from_vectors_equals_the_cell_by_cell_grid(char):
+    S = PolyRing(field_of(char), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    R = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+    res = minimal_free_resolution(quotient_module(R, [a**2, b * d]))
+    seen = 0
+    for mat in res.matrices:
+        vectors = block_columns(mat) + [{}]
+        built = matrix_from_vectors(R, mat.target, vectors, mat.source + (0,))
+        ref = _reference_grid(S, mat.target, vectors)
+        assert [[f.terms for f in row] for row in built.entries] == [
+            [f.terms for f in row] for row in ref
+        ]
+        assert [[list(f.terms) for f in row] for row in built.entries] == [
+            [list(f.terms) for f in row] for row in ref
+        ]
+        # Without a source list the degrees are read off the vectors.
+        assert matrix_from_vectors(R, mat.target, vectors[:-1]).source == mat.source
+        seen += len(vectors) * len(mat.target)
+    assert seen >= 20
+    # Validation still runs: a column of mixed degrees is refused.
+    with pytest.raises(StructuralError):
+        matrix_from_vectors(R, (0, 0), [{(0, (1, 0, 0, 0)): 1, (1, (2, 0, 0, 0)): 1}], (1,))

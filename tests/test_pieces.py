@@ -17,11 +17,19 @@ import time
 
 import pytest
 
+import soclelab.modules as modules
+
 from soclelab.errors import UnstableLimitError
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, hilbert_function, ideal_power, krull_dimension
 from soclelab.linalg import rank
-from soclelab.localcoh import ext_dual, koszul_piece, module_dimension, socle_piece
+from soclelab.localcoh import (
+    canonical_module,
+    ext_dual,
+    koszul_piece,
+    module_dimension,
+    socle_piece,
+)
 from soclelab.modules import (
     GradedMatrix,
     GradedPiece,
@@ -30,7 +38,7 @@ from soclelab.modules import (
     quotient_module,
     s_presentation,
 )
-from soclelab.monomials import monomials_of_degree
+from soclelab.monomials import mono_mul, monomials_of_degree
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
 from span_reference import ReferencePiece
@@ -149,6 +157,52 @@ def test_pieces_match_the_span_reference(char, quotient):
             seen += 1
     assert seen >= 20 and nonzero >= 10 and zero_projections >= 5 and ranks >= 20
     assert duals >= 1
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_multiplication_columns_are_projections_of_the_shifted_terms(char, monkeypatch):
+    # A column sums the kept normal forms of the shifted terms of f; it must
+    # be the projection of the shifted basis vector, entry for entry, and
+    # each term's normal form is computed once.
+    S = _ring(char, False)
+    tc = _ring(char, True)
+    a, b, c, d = S.ambient.gens()
+    curve = Ideal(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+    modules_ = [
+        quotient_module(S, ideal_power(curve, 2).generators),
+        quotient_module(tc, [a * b + c**2]).twist(1),
+        canonical_module(tc),
+    ]
+    calls = []
+    original = modules.normal_form_vec
+
+    def counting(vec, *args):
+        calls.append(vec)
+        return original(vec, *args)
+
+    monkeypatch.setattr(modules, "normal_form_vec", counting)
+    columns = nonzero = 0
+    for module in modules_:
+        low = min(module.matrix.target)
+        for deg in range(low, low + 4):
+            piece = module.piece(deg)
+            for f in (a + b, b**2 - a * c, d):
+                target = module.piece(deg + f.degree())
+                cols = piece.multiplication_matrix(f)
+                shifted = [
+                    {(i, mono_mul(m, e)): coef for e, coef in f.terms.items()}
+                    for i, m in piece.terms
+                ]
+                assert cols == [target.project(v) for v in shifted]
+                columns += len(cols)
+                nonzero += sum(map(bool, cols))
+        # Only single terms were reduced, each once: the pieces keep every
+        # normal form computed.
+        assert all(len(v) == 1 for v in calls)
+        pieces = [v for k, v in module._memo.items() if k[0] == "piece"]
+        assert sum(len(p._memo.get("term_nf", ())) for p in pieces) == len(calls) > 0
+        calls.clear()
+    assert columns >= 100 and nonzero >= 50
 
 
 @pytest.mark.parametrize("char", CHARS)

@@ -39,6 +39,33 @@ def test_scan_powers_principal(setting):
     assert all(ends[(t, 0)] == NEG_INF for t in (1, 2, 3))
 
 
+def _oracle_nonzero_at_h0(monkeypatch):
+    """Make the oracle see a class in H^0 in every degree, where the
+    duality route says H^0 of S/(x^t) vanishes."""
+    from soclelab import scans
+
+    true_piece = scans.koszul_piece
+
+    def wrong(j, module, ell, s_max=10):
+        return (1, 2) if j == 0 else true_piece(j, module, ell, s_max)
+
+    monkeypatch.setattr(scans, "koszul_piece", wrong)
+
+
+def test_an_oracle_class_on_a_vanishing_row_raises(setting, monkeypatch):
+    S, R = setting
+    x, _ = S.gens()
+    # H^0 of S/(x) vanishes; every row passes with the true oracle.
+    rows, _ = scan_powers(R, Ideal(R, [x]), 2, oracle=True)
+    assert [(r.j, r.lc_end, r.oracle_checked) for r in rows if r.t == 1] == [
+        (0, NEG_INF, True),
+        (1, -1, True),
+    ]
+    _oracle_nonzero_at_h0(monkeypatch)
+    with pytest.raises(HypothesisError, match=r"j=0.*degree 0"):
+        scan_powers(R, Ideal(R, [x]), 2, oracle=True)
+
+
 def test_scan_rows_match_direct_calls(setting):
     S, R = setting
     x, y = S.gens()
