@@ -137,22 +137,6 @@ class Span:
         return {j: v * c % p if p else v * c for j, v in vec.items() if v}
 
 
-def transpose(vectors, length):
-    """Rows of the matrix whose columns are the given vectors of that length."""
-    rows = [{} for _ in range(length)]
-    for k, vec in enumerate(vectors):
-        for r, c in vec.items():
-            rows[r][k] = c
-    return rows
-
-
-def rank(field, rows, width):
-    sp = Span(field, width)
-    for r in rows:
-        sp.add(r)
-    return sp.rank
-
-
 def nullspace(field, rows, width):
     """Basis of {v : A v = 0} for the matrix with the given rows; see
     ``Span.kernel``."""

@@ -73,9 +73,16 @@ limit is 0 whatever the twists say; dim M_ell is read off the Hilbert
 series of M (``modules.module_hilbert``), with no piece built.  For
 j > dim M, H^j_m(M) = 0 by Grothendieck's vanishing theorem
 (Bruns-Herzog 3.5.7), although a stage below s0 need not be 0.
-Multiplication by a variable commutes with the transitions, and s0
-for ell + 1 is at most s0 for ell, so the socle maps from degree ell
-to ell + 1 are read at stage s0(ell) on both sides.
+
+The socle from one Span.  A stage is the ``linalg.QuotientSpace`` of its
+Hom complex, memoized on the module; its C(n, j) blocks, one per
+j-subset, are M_{ell + js}.  Multiplication by a variable commutes with
+the transitions, and s0 for ell + 1 is at most s0 for ell, so the socle
+in degree ell is read at stage s0(ell) on both sides: each
+representative h of degree ell goes to (x_1 h, ..., x_n h), each x_i h
+taken block by block through one multiplication matrix of M_{ell + js}
+and written in the coordinates of the stage of degree ell + 1.  The
+socle has dimension dim H_ell minus the rank of those vectors.
 
 What the two routes share.  s0 reads only twists of the minimal free
 resolution that the duality route memoizes.  The oracle's degree pieces
@@ -84,8 +91,8 @@ come from one reduced Groebner basis of M's relations
 (``ModulePresentation.relation_basis``), reduced
 by the same ``modgb`` normal-form engine that computes the resolution's
 syzygies and minimal generators on the duality route.  The Hom complexes,
-the cohomology of each stage (``linalg.QuotientSpace``), the
-representatives and the socle maps are the oracle's own sparse linear
+the cohomology of each stage (``linalg.QuotientSpace``), its
+representatives and the socle's Span are the oracle's own sparse linear
 algebra.  The tests keep the Span-based pieces, which use no module
 Groebner basis, and two older cohomology routes (a kernel basis from
 ``nullspace`` inserted after the image into one tracked Span, and the
@@ -95,6 +102,7 @@ rows of A|C with their reduced kernel basis), as independent references.
 import itertools
 import random
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import (
     AlgebraError,
@@ -104,7 +112,7 @@ from .errors import (
     UnstableLimitError,
 )
 from .groebner import Ideal, minimal_generator_degrees
-from .linalg import QuotientSpace, rank, transpose
+from .linalg import QuotientSpace, Span
 from .modgb import poly_to_vec
 from .modules import (
     GradedMatrix,
@@ -309,58 +317,22 @@ def _koszul_matrix(ring, s, j):
     return memoized(ring, ("koszul_matrix", s, j), build)
 
 
-class _KoszulPiece:
-    """Cohomology of Hom(Koszul(x_1^s..x_n^s), M) in one internal degree."""
+def _koszul_stage(module, j, ell, s):
+    """Stage s of H^j_m(M)_ell: the ``QuotientSpace`` of Hom(K_., M)_ell at
+    K_j, K_. the Koszul complex on x_1^s, ..., x_n^s (``_koszul_matrix``
+    orders its blocks).  Memoized on the module."""
 
-    def __init__(self, module, j, ell, s):
-        self.module = module
-        self.j = j
-        self.ell = ell
-        self.s = s
+    def build():
         ring = module.ring
-        self.subsets = list(itertools.combinations(range(ring.ambient.n), j))
-        self.block_dim = module.piece(ell + j * s).dim
-        self.quotient = _hom_cohomology(
+        return _hom_cohomology(
             module,
-            (j * s,) * len(self.subsets),
+            (j * s,) * comb(ring.ambient.n, j),
             _koszul_matrix(ring, s, j) if j else None,
             _koszul_matrix(ring, s, j + 1),
             ell,
         )
 
-    @property
-    def dim(self):
-        return self.quotient.dim
-
-    def map_blockwise(self, poly_for_subset, target_piece):
-        """Matrix of a chain map given per subset, into another piece.
-
-        ``poly_for_subset(T)`` returns the multiplier polynomial for the
-        block T; the target piece must have the same subset layout.
-        """
-        if not self.dim:
-            return []
-        reps = self.quotient.reps
-        src_piece = self.module.piece(self.ell + self.j * self.s)
-        mms = [src_piece.multiplication_matrix(poly_for_subset(T)) for T in self.subsets]
-        tgt_block = target_piece.block_dim
-        cols = []
-        for rep in reps:
-            # Plain int or Fraction sums: the span reduces its input mod p.
-            out = {}
-            for src, c in rep.items():
-                tk, b = divmod(src, self.block_dim)
-                base = tk * tgt_block
-                for r, v in mms[tk][b].items():
-                    out[base + r] = out.get(base + r, 0) + c * v
-            cols.append(target_piece.quotient.coords(out))
-        return cols
-
-
-def _koszul_stage(module, j, ell, s):
-    return memoized(
-        module, ("koszul", j, ell, s), lambda: _KoszulPiece(module, j, ell, s)
-    )
+    return memoized(module, ("koszul", j, ell, s), build)
 
 
 def _limit_stage(j, module, ell, s_max):
@@ -410,7 +382,8 @@ def socle_piece(j, module, ell, s_max=10):
 
     The joint kernel of the variable multiplications from stage s0 of
     degree ell to the same stage of degree ell + 1, counted as dim H_ell
-    minus the rank of the stacked multiplication matrices.  s0 for ell is
+    minus the rank of one Span of the images (x_1 h, ..., x_n h) of the
+    representatives h (module docstring).  s0 for ell is
     at least s0 for ell + 1, so both stages equal their limits and the
     multiplications are those of H^j_m(M).  The answer is (0, 2) where
     ``koszul_piece`` gives it.  Raises UnstableLimitError when s0 >= s_max.
@@ -423,12 +396,26 @@ def socle_piece(j, module, ell, s_max=10):
     if a0.dim == 0:
         return 0, s
     b0 = _koszul_stage(module, j, ell + 1, s)
-    ring = module.ring
-    rows = []
-    for var in ring.ambient.gens():
-        cols = a0.map_blockwise(lambda T, f=var: f, b0)
-        rows.extend(transpose(cols, b0.dim))
-    return a0.dim - rank(ring.field, rows, a0.dim), s
+    source = module.piece(ell + j * s)
+    block, tgt_block = source.dim, module.piece(ell + 1 + j * s).dim
+    mults = [source.multiplication_matrix(x) for x in module.ring.ambient.gens()]
+    # One vector per rep h: (x_1 h, ..., x_n h) in b0's coordinates.
+    images = Span(module.ring.field, len(mults) * b0.dim)
+    for rep in a0.reps:
+        stacked = {}
+        for i, mm in enumerate(mults):
+            # Plain int or Fraction sums: coords reduces its input mod p.
+            out = {}
+            for k, c in rep.items():
+                subset, b = divmod(k, block)
+                base = subset * tgt_block
+                for r, v in mm[b].items():
+                    out[base + r] = out.get(base + r, 0) + c * v
+            base = i * b0.dim
+            for h, c in b0.coords(out).items():
+                stacked[base + h] = c
+        images.add(stacked)
+    return a0.dim - images.rank, s
 
 
 # ---------------------------------------------------------------------------

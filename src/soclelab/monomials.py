@@ -10,7 +10,7 @@ either format.
 """
 
 from math import comb
-from operator import add, le, sub
+from operator import add, le
 
 
 def mono_mul(a, b):
@@ -24,11 +24,6 @@ def mono_degree(a):
 def mono_divides(a, b):
     """True iff x^a divides x^b."""
     return all(map(le, a, b))
-
-
-def mono_div(b, a):
-    """Exponent vector of x^b / x^a; caller guarantees divisibility."""
-    return tuple(map(sub, b, a))
 
 
 def mono_lcm(a, b):

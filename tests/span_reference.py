@@ -15,12 +15,38 @@ does not share the module's normal-form engine.
 replaced: it inserts the rows of A|C, counts dim H as #free - rank, and
 builds the representatives as the reduced kernel basis of those rows
 (``Span.kernel``) on first use.
+
+Also here: the small helpers that only the references use, ``transpose``
+and ``rank`` of sparse matrices and ``mono_div`` of exponent vectors.
 """
 
+from operator import sub
+
 from soclelab.errors import AlgebraError
-from soclelab.linalg import Span, transpose
+from soclelab.linalg import Span
 from soclelab.modules import block_columns, vec_reduce_components
 from soclelab.monomials import mono_mul
+
+
+def transpose(vectors, length):
+    """Rows of the matrix whose columns are the given vectors of that length."""
+    rows = [{} for _ in range(length)]
+    for k, vec in enumerate(vectors):
+        for r, c in vec.items():
+            rows[r][k] = c
+    return rows
+
+
+def rank(field, rows, width):
+    sp = Span(field, width)
+    for r in rows:
+        sp.add(r)
+    return sp.rank
+
+
+def mono_div(b, a):
+    """Exponent vector of x^b / x^a; caller guarantees divisibility."""
+    return tuple(map(sub, b, a))
 
 
 def free_piece_basis(ring, twists, degree):

@@ -36,15 +36,15 @@ from soclelab.modgb import (
 from soclelab.monomials import (
     hilbert_coefficient,
     hilbert_numerator,
-    mono_div,
     mono_divides,
     mono_mul,
     monomials_of_degree,
     series_dimension,
 )
 from soclelab.orders import DEGREVLEX, EliminationOrder
-from soclelab.poly import PolyRing, Polynomial
+from soclelab.poly import PolyRing, Polynomial, parse_polynomial
 from soclelab.rings import RingPresentation
+from span_reference import mono_div
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_zero_ideal_empty_basis(R7):
 def test_spairs_reduce_to_zero(S7, R7):
     x, y = S7.gens()
     gb = list(buchberger(Ideal(R7, [x**2 + y**2, x * y])))
-    from soclelab.monomials import mono_div, mono_lcm
+    from soclelab.monomials import mono_lcm
 
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
@@ -794,3 +794,20 @@ def test_negative_ideal_power_is_refused():
     x, _ = S.gens()
     with pytest.raises(DomainError, match="negative"):
         ideal_power(Ideal(RingPresentation(S), [x]), -1)
+
+
+@pytest.mark.parametrize(
+    "ring, generator, message",
+    [
+        ("ambient", "x", "ideal needs a ring presentation"),
+        ("presentation", "z", "generator from a different ambient ring"),
+        ("presentation", "x^2 + y", "ideal generators must be homogeneous"),
+    ],
+)
+def test_ideal_constructor_checks(ring, generator, message):
+    S = PolyRing(field_of(101), ("x", "y"))
+    other = PolyRing(field_of(101), ("x", "y", "z"))
+    R = RingPresentation(S)
+    f = parse_polynomial(other if generator == "z" else S, generator)
+    with pytest.raises(StructuralError, match=message):
+        Ideal(S if ring == "ambient" else R, [f])

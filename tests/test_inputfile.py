@@ -145,3 +145,21 @@ def test_lines_parse_in_any_order():
     assert ring.n == 3
     assert len(ring.relations) == 1
     assert len(ideals["I"].generators) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("field 7.5\nvars x\n", "integer characteristic", 1),
+        ("field p\nvars x\n", "integer characteristic", 1),
+        ("field 7\nvars , ,\n", "at least one name", 2),
+        ('field 7\nvars x\nideal = "x"\n', "malformed ideal declaration", 3),
+        ('field 7\nvars x\nideal I "x"\n', "malformed ideal declaration", 3),
+        ('field 7\nideal I = "x"\n', "missing 'vars' line", None),
+    ],
+    ids=["decimal-field", "named-field", "empty-vars", "unnamed-ideal", "no-equals", "no-vars"],
+)
+def test_malformed_lines_rejected(text, message, line):
+    with pytest.raises(InputSyntaxError, match=message) as err:
+        parse_input(text)
+    assert err.value.line == line

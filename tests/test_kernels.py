@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from soclelab import modgb, modules, runs
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, minimal_generators
-from soclelab.linalg import rank
 from soclelab.localcoh import ideal_as_module
 from soclelab.modgb import VectorOrder, buchberger_vectors, vec_degree
 from soclelab.modules import (
@@ -39,7 +38,7 @@ from soclelab.monomials import mono_mul, monomials_of_degree
 from soclelab.poly import PolyRing
 from soclelab.resolutions import _hom_free_into, minimal_free_resolution, syzygy
 from soclelab.rings import RingPresentation
-from span_reference import ReferencePiece, free_piece_basis
+from span_reference import ReferencePiece, free_piece_basis, rank
 
 CHARS = [2, 101, 0]
 

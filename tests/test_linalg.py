@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from soclelab.errors import AlgebraError
 from soclelab.fields import QQ, field_of
-from soclelab.linalg import QuotientSpace, Span, nullspace, rank, transpose
-from span_reference import RowQuotientSpace
+from soclelab.linalg import QuotientSpace, Span, nullspace
+from span_reference import RowQuotientSpace, rank, transpose
 
 
 class DenseSpan:

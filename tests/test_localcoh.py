@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from soclelab.errors import AlgebraError, DomainError, UnstableLimitError
+from soclelab.errors import AlgebraError, DomainError, TruncationError, UnstableLimitError
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, ideal_power, minimal_generator_degrees
 import soclelab.localcoh as localcoh
@@ -12,6 +14,7 @@ import soclelab.resolutions as resolutions
 from soclelab.localcoh import (
     _class_nonzero_in_hom,
     _koszul_stage,
+    _limit_stage,
     alpha_max,
     alpha_table,
     canonical_ideal,
@@ -39,11 +42,11 @@ from soclelab.modules import (
     module_hilbert,
     quotient_module,
 )
-from soclelab.linalg import Span, nullspace, rank, transpose
+from soclelab.linalg import Span, nullspace
 from soclelab.modgb import vec_degree
 from soclelab.poly import NEG_INF, POS_INF, PolyRing, format_polynomial
 from soclelab.rings import RingPresentation
-from span_reference import RowQuotientSpace
+from span_reference import RowQuotientSpace, rank, transpose
 
 
 def powers_of_maximal_ideal(ring_presentation, t):
@@ -167,20 +170,22 @@ def test_oracle_zero_module(presentation_xy):
     assert socle_piece(1, zero, -1)[0] == 0
 
 
-def test_map_blockwise_builds_each_multiplication_matrix_once(
+def test_socle_piece_builds_one_multiplication_matrix_per_variable(
     presentation_xy, ring_xy, monkeypatch
 ):
+    # The two reps of the stage share the source piece's matrix of each
+    # variable, and a second call finds both in the piece's memo.
     x, y = ring_xy.gens()
     M = quotient_module(presentation_xy, [x * y])
-    a, b = _koszul_stage(M, 1, -1, 2), _koszul_stage(M, 1, -1, 3)
-    assert a.dim == b.dim == 2 and len(a.subsets) == 2
+    j, ell = 1, -1
+    s = _limit_stage(j, M, ell, 10)
+    assert _koszul_stage(M, j, ell, s).dim == 2
+    _koszul_stage(M, j, ell + 1, s)
     builds = _count_multiplication_builds(monkeypatch)
-    cols = a.map_blockwise(lambda T: x if T == (0,) else y, b)
-    # One matrix per subset, shared by every quotient representative.
-    assert len(builds) == len(a.subsets)
-    assert len(cols) == a.dim
-    assert a.map_blockwise(lambda T: x if T == (0,) else y, b) == cols
-    assert len(builds) == len(a.subsets)
+    assert socle_piece(j, M, ell) == (0, s)
+    assert builds == [(ell + j * s, x), (ell + j * s, y)]
+    assert socle_piece(j, M, ell) == (0, s)
+    assert len(builds) == 2
 
 
 def _count_multiplication_builds(monkeypatch):
@@ -283,6 +288,25 @@ def test_oracle_rejects_a_negative_cohomological_index(presentation_xy, oracle):
     S_mod = free_module(presentation_xy, (0,))
     with pytest.raises(DomainError, match="cohomological index"):
         oracle(-1, S_mod, 0)
+
+
+@pytest.mark.parametrize(
+    "read, message",
+    [
+        (lambda R, M: ext_k_piece(R, 3, M, 0, truncation=2), "truncated below the requested index"),
+        (lambda R, M: alpha_max(R, 3, steps=2), "truncated before step 3"),
+    ],
+    ids=["ext_k_piece", "alpha_max"],
+)
+def test_reads_past_a_truncated_residue_field_resolution_raise(read, message):
+    # Over the twisted cubic the resolution of k is infinite; a fresh ring
+    # keeps no deeper one in its memo.
+    S = PolyRing(field_of(101), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    R = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
+    with pytest.raises(TruncationError, match=message):
+        read(R, quotient_module(R, []))
+    assert not kres_for(R, 2).complete
 
 
 # -- Ext against k --------------------------------------------------------------
@@ -663,12 +687,51 @@ class _ReferenceQuotientSpace:
         return {h: combo[k] for h, k in enumerate(self.rep_slots) if k in combo}
 
 
+def _map_blockwise(stage, poly_for_subset, target):
+    """Matrix of a chain map given per subset, from one stage into another
+    with the same subset layout: the columns, in the target's
+    coordinates, of the images of the stage's reps, block T of a rep
+    multiplied by ``poly_for_subset(T)``.  The stages need ``module``,
+    ``j``, ``ell``, ``s``, ``subsets``, ``block_dim``, ``quotient`` and
+    ``dim``, as ``_ReferenceKoszulPiece`` and ``_stage_view`` have."""
+    if not stage.dim:
+        return []
+    src_piece = stage.module.piece(stage.ell + stage.j * stage.s)
+    mms = [src_piece.multiplication_matrix(poly_for_subset(T)) for T in stage.subsets]
+    cols = []
+    for rep in stage.quotient.reps:
+        out = {}
+        for src, c in rep.items():
+            tk, b = divmod(src, stage.block_dim)
+            base = tk * target.block_dim
+            for r, v in mms[tk][b].items():
+                out[base + r] = out.get(base + r, 0) + c * v
+        cols.append(target.quotient.coords(out))
+    return cols
+
+
+def _stage_view(module, j, ell, s):
+    """The stage ``_koszul_stage`` memoizes, with the layout that
+    ``_map_blockwise`` reads."""
+    quotient = _koszul_stage(module, j, ell, s)
+    return SimpleNamespace(
+        module=module,
+        j=j,
+        ell=ell,
+        s=s,
+        subsets=list(itertools.combinations(range(module.ring.ambient.n), j)),
+        block_dim=module.piece(ell + j * s).dim,
+        quotient=quotient,
+        dim=quotient.dim,
+    )
+
+
 class _ReferenceKoszulPiece:
     """The old stage: the delta^j rows and the delta^{j-1} columns, each
     built by its own loop over the subsets, with one multiplication
     matrix per variable and per differential."""
 
-    map_blockwise = localcoh._KoszulPiece.map_blockwise
+    map_blockwise = _map_blockwise
 
     def __init__(self, module, j, ell, s):
         self.module = module
@@ -853,7 +916,7 @@ def test_koszul_stage_matches_the_old_loops(char):
         for j in range(n + 1):
             for ell in sorted(rng.sample(range(-2 * n, 3), 2)):
                 for s in (2, 3, 4):
-                    new = localcoh._KoszulPiece(M, j, ell, s)
+                    new = _stage_view(M, j, ell, s)
                     ref = _ReferenceKoszulPiece(M, j, ell, s)
                     assert new.dim == ref.dim
                     assert (new.subsets, new.block_dim) == (ref.subsets, ref.block_dim)
@@ -876,29 +939,64 @@ def test_koszul_stage_matches_the_old_loops(char):
                     # The stage transition and one socle multiplication.
                     var = gens[rng.randrange(n)]
                     for mult, shift in ((multiplier, (0, 1)), (lambda T: var, (1, 0))):
-                        new_t = localcoh._KoszulPiece(M, j, ell + shift[0], s + shift[1])
+                        new_t = _stage_view(M, j, ell + shift[0], s + shift[1])
                         ref_t = _ReferenceKoszulPiece(M, j, ell + shift[0], s + shift[1])
                         Q = _change_of_basis(new_t, ref_t)
-                        new_map = new.map_blockwise(mult, new_t)
+                        new_map = _map_blockwise(new, mult, new_t)
                         ref_map = ref.map_blockwise(mult, ref_t)
                         assert _matmul(F, ref_map, P) == _matmul(F, Q, new_map)
     assert nonzero >= 20
 
 
+def _reference_socle_piece(j, module, ell, s):
+    """The old socle count at stage s: the reference stage's maps by each
+    variable into the stage of degree ell + 1, transposed into rows and
+    stacked, and dim H_ell minus their rank."""
+    ring = module.ring
+    a = _ReferenceKoszulPiece(module, j, ell, s)
+    if not a.dim:
+        return 0
+    b = _ReferenceKoszulPiece(module, j, ell + 1, s)
+    rows = []
+    for var in ring.ambient.gens():
+        rows.extend(transpose(a.map_blockwise(lambda T, f=var: f, b), b.dim))
+    return a.dim - rank(ring.field, rows, a.dim)
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_socle_piece_matches_the_old_route(char):
+    # Every (module, j, ell) with a stage; where a rule answers with no
+    # stage, socle_piece gives (0, 2).
+    staged = socles = 0
+    for ring, M in _hom_complex_modules(char):
+        n = ring.ambient.n
+        for j in range(n + 1):
+            for ell in range(-2 * n - 2, 4):
+                s = _limit_stage(j, M, ell, 20)
+                dim = socle_piece(j, M, ell, s_max=20)
+                if s is None:
+                    assert dim == (0, 2)
+                    continue
+                assert dim == (_reference_socle_piece(j, M, ell, s), s), (j, ell)
+                staged += 1
+                socles += dim[0] > 0
+    assert staged >= 150 and socles >= 8, (staged, socles)
+
+
 def test_coords_of_a_non_cocycle_raises(presentation_xy, ring_xy):
     x, y = ring_xy.gens()
     M = quotient_module(presentation_xy, [x * y])
-    stage = localcoh._KoszulPiece(M, 1, -1, 2)
+    stage = _koszul_stage(M, 1, -1, 2)
     assert stage.dim == 2
     out_cols, _ = localcoh._hom_map(M, localcoh._koszul_matrix(M.ring, 2, 2), -1)
     escaping = [k for k, col in enumerate(out_cols) if col]
     assert escaping
     for k in escaping:
         with pytest.raises(AlgebraError, match="escapes"):
-            stage.quotient.coords({k: 1})
+            stage.coords({k: 1})
     # A cocycle still has coordinates: each rep is its own unit vector.
-    for h, rep in enumerate(stage.quotient.reps):
-        assert stage.quotient.coords(rep) == {h: 1}
+    for h, rep in enumerate(stage.reps):
+        assert stage.coords(rep) == {h: 1}
 
 
 def test_the_oracle_builds_no_kernel_basis(monkeypatch):
@@ -918,16 +1016,14 @@ def test_the_oracle_builds_no_kernel_basis(monkeypatch):
     dim, s = socle_piece(1, M, ell)
     assert dim > 0 and builds == []
     monkeypatch.undo()
-    stages = [v for k, v in M._memo.items() if k[0] == "koszul"]
-    assert len(stages) >= 8 and sum(stage.dim > 0 for stage in stages) >= 2
-    for stage in stages:
-        j, ell, s = stage.j, stage.ell, stage.s
-        twists = (j * s,) * len(stage.subsets)
-        width = sum(M.piece(ell + a).dim for a in twists)
+    stages = {k[1:]: v for k, v in M._memo.items() if k[0] == "koszul"}
+    assert len(stages) >= 8 and sum(stage.dim > 0 for stage in stages.values()) >= 2
+    for (j, ell, s), stage in stages.items():
+        width = math.comb(3, j) * M.piece(ell + j * s).dim
         image = localcoh._hom_map(M, localcoh._koszul_matrix(R, s, j), ell)[0] if j and width else []
         out = localcoh._hom_map(M, localcoh._koszul_matrix(R, s, j + 1), ell) if width else ([], 0)
         ref = RowQuotientSpace(R.field, width, image, *out)
-        assert (stage.quotient.reps, stage.quotient.unit) == (ref.reps, ref.unit)
+        assert (stage.reps, stage.unit) == (ref.reps, ref.unit)
 
 
 # Seconds budgeted per field for the degree-by-degree comparison with
@@ -995,17 +1091,17 @@ def test_koszul_stage_builds_n_multiplication_matrices_per_differential(
     builds = _count_multiplication_builds(monkeypatch)
     for j in range(n + 1):
         builds.clear()
-        localcoh._KoszulPiece(free_module(presentation_xyz, (0,)), j, 0, 2)
+        _koszul_stage(free_module(presentation_xyz, (0,)), j, 0, 2)
         assert len(builds) == n * ((j > 0) + (j < n))
     # The pieces keep their matrices: a second stage whose differential
     # multiplies the same degree by the same x_i^s builds none, and one
     # that shares one of its two differentials builds only the other's.
     M = free_module(presentation_xyz, (0,))
-    localcoh._KoszulPiece(M, 1, 0, 2)
+    _koszul_stage(M, 1, 0, 2)
     builds.clear()
-    localcoh._KoszulPiece(M, 0, 2, 2)
+    _koszul_stage(M, 0, 2, 2)
     assert builds == []
-    localcoh._KoszulPiece(M, 2, 0, 2)
+    _koszul_stage(M, 2, 0, 2)
     assert sorted(d for d, _ in builds) == [4] * n
     # Every stage with the same s and j shares one differential.
     d = localcoh._koszul_matrix(presentation_xyz, 2, 2)
@@ -1035,7 +1131,7 @@ def _reference_transition_is_iso(ring, a, b):
             f = f * gens[i]
         return f
 
-    cols = a.map_blockwise(multiplier, b)
+    cols = _map_blockwise(a, multiplier, b)
     if not cols:
         return b.dim == 0
     return rank(ring.field, cols, b.dim) == b.dim
@@ -1043,7 +1139,7 @@ def _reference_transition_is_iso(ring, a, b):
 
 def _reference_stable_stage(module, j, ell, s):
     """The old acceptance: stages s and s + 1 agree."""
-    a, b = _koszul_stage(module, j, ell, s), _koszul_stage(module, j, ell, s + 1)
+    a, b = _stage_view(module, j, ell, s), _stage_view(module, j, ell, s + 1)
     if a.dim != b.dim:
         return None
     if a.dim == 0:
@@ -1080,7 +1176,7 @@ def test_stage_s0_is_not_too_small(char):
                     assert (dim, s0) == (0, 2)
                     s0 = _twist_stage(j, M, ell)
                     vanishing += 1
-                stages = [_koszul_stage(M, j, ell, s) for s in (s0, s0 + 1, s0 + 2)]
+                stages = [_stage_view(M, j, ell, s) for s in (s0, s0 + 1, s0 + 2)]
                 assert len({st.dim for st in stages}) == 1, (j, ell, s0)
                 for a, b in zip(stages, stages[1:]):
                     assert _reference_transition_is_iso(ring, a, b), (j, ell, s0)

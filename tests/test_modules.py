@@ -6,6 +6,7 @@ from soclelab.groebner import Ideal, minimal_generator_degrees
 from soclelab.localcoh import ideal_as_module
 from soclelab.modules import (
     GradedMatrix,
+    ModulePresentation,
     block_columns,
     free_module,
     matrix_from_vectors,
@@ -22,6 +23,7 @@ from soclelab.resolutions import (
     residue_field_resolution,
     syzygy,
     tor_residue_field,
+    truncated_resolution,
 )
 from soclelab.rings import RingPresentation
 
@@ -326,3 +328,44 @@ def test_matrix_from_vectors_equals_the_cell_by_cell_grid(char):
     # Validation still runs: a column of mixed degrees is refused.
     with pytest.raises(StructuralError):
         matrix_from_vectors(R, (0, 0), [{(0, (1, 0, 0, 0)): 1, (1, (2, 0, 0, 0)): 1}], (1,))
+
+
+def _other_ring():
+    return RingPresentation(PolyRing(field_of(7), ("x", "y")))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda R, x: GradedMatrix(R, (0, 0), (1,), [[x]]), "row count"),
+        (lambda R, x: GradedMatrix(R, (0,), (1, 1), [[x]]), "column count"),
+        (lambda R, x: GradedMatrix(R, (0,), (1,), [[x]]).compose(
+            GradedMatrix(R, (0,), (1,), [[x]])
+        ), "do not compose"),
+        (lambda R, x: ModulePresentation(
+            _other_ring(), GradedMatrix(R, (0,), (1,), [[x]])
+        ), "different ring"),
+    ],
+    ids=["rows", "columns", "compose", "ring"],
+)
+def test_matrices_and_presentations_refuse_mismatched_shapes(presentation_xy, ring_xy, build, message):
+    x, _ = ring_xy.gens()
+    with pytest.raises(StructuralError, match=message):
+        build(presentation_xy, x)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda M: truncated_resolution(M, -1), "steps must be >= 0"),
+        (lambda M: module_hom(M, free_module(_other_ring(), (0,))), "one ring"),
+        (lambda M: module_kernel_image(
+            M, M, GradedMatrix(M.ring, (0,), (1,), [[M.ring.ambient.var(0)]])
+        ), "does not match the presentations"),
+    ],
+    ids=["negative-steps", "hom-across-rings", "map-mismatch"],
+)
+def test_resolution_builders_refuse_bad_arguments(presentation_xy, ring_xy, build, message):
+    x, y = ring_xy.gens()
+    with pytest.raises(StructuralError, match=message):
+        build(quotient_module(presentation_xy, [x * y]))

@@ -113,6 +113,21 @@ def test_every_private_definition_is_referenced():
     assert _unreferenced_private_definitions(sources) == []
 
 
+def _test_only_public_definitions(package, others, exported):
+    """Names of the public module-level functions and classes of
+    ``package`` that are not ``exported``, that no code of ``package``
+    names outside their own definition, and that ``others`` name."""
+    defined, referenced = _definitions(package)
+    named_by_others = _definitions(others)[1]
+    return sorted(
+        name for _, name in defined
+        if not name.startswith("_")
+        and name not in referenced
+        and name not in exported
+        and name in named_by_others
+    )
+
+
 def test_public_definition_check_sees_leftovers():
     package = {
         "a.py": "def used():\n    pass\n\ndef tested():\n    pass\n\ndef shown():\n    pass\n\n"
@@ -130,3 +145,28 @@ def test_every_public_definition_is_exported_or_used():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     others = {path.name: path.read_text(encoding="utf-8") for path in sorted(tests.glob("*.py"))}
     assert _unreferenced_public_definitions(sources, others, set(soclelab.__all__)) == []
+
+
+def test_test_only_definition_check_sees_leftovers():
+    package = {
+        "a.py": "def used():\n    pass\n\ndef tested():\n    pass\n\ndef shown():\n    pass\n",
+        "b.py": "from a import used\n\nx = used()\n",
+    }
+    others = {"test_a.py": "import a\n\ndef test_it():\n    a.tested(), a.shown(), a.used()\n"}
+    assert _test_only_public_definitions(package, others, {"shown"}) == ["tested"]
+
+
+def test_only_the_named_definitions_serve_the_tests_alone():
+    # Each public, unexported definition that no package code uses must
+    # have a reason to stay in the package:
+    # - nullspace and EliminationOrder: perfbench's tracer wraps both by
+    #   name (linalg.nullspace, orders.EliminationOrder.key);
+    # - ext_k_piece: the direct linear-algebra check of Ext^i_R(k, M),
+    #   independent of the Tor route that ext_k_begin takes.
+    # A helper that only test references use belongs in the tests.
+    package = Path(soclelab.__file__).parent
+    tests = Path(__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    others = {path.name: path.read_text(encoding="utf-8") for path in sorted(tests.glob("*.py"))}
+    found = _test_only_public_definitions(sources, others, set(soclelab.__all__))
+    assert found == ["EliminationOrder", "ext_k_piece", "nullspace"]

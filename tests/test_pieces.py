@@ -22,7 +22,6 @@ import soclelab.modules as modules
 from soclelab.errors import UnstableLimitError
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, hilbert_function, ideal_power, krull_dimension
-from soclelab.linalg import rank
 from soclelab.localcoh import (
     canonical_module,
     ext_dual,
@@ -41,7 +40,7 @@ from soclelab.modules import (
 from soclelab.monomials import mono_mul, monomials_of_degree
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
-from span_reference import ReferencePiece
+from span_reference import ReferencePiece, rank
 
 CHARS = [2, 101, 0]
 
@@ -203,6 +202,25 @@ def test_multiplication_columns_are_projections_of_the_shifted_terms(char, monke
         assert sum(len(p._memo.get("term_nf", ())) for p in pieces) == len(calls) > 0
         calls.clear()
     assert columns >= 100 and nonzero >= 50
+
+
+def test_multiplication_columns_across_a_wider_table():
+    # Exponents of degree 32767 fit 15-bit fields and those of degree
+    # 32768 need 16, so multiplying the lower piece into the upper one
+    # encodes its basis terms again on the target's table.
+    S = PolyRing(field_of(101), ("x", "y"))
+    x, y = S.gens()
+    M = quotient_module(RingPresentation(S), [y**2])
+    piece, target = M.piece(32767), M.piece(32768)
+    assert (piece.table.bits, target.table.bits) == (15, 16)
+    for f in (x, 2 * x + 3 * y):
+        shifted = [
+            {(i, mono_mul(m, e)): coef for e, coef in f.terms.items()}
+            for i, m in piece.terms
+        ]
+        cols = piece.multiplication_matrix(f)
+        assert cols == [target.project(v) for v in shifted]
+        assert len(cols) == 2 and all(cols)
 
 
 @pytest.mark.parametrize("char", CHARS)

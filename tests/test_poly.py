@@ -173,3 +173,33 @@ def test_standard_monomials_are_freed_with_their_ring():
     finally:
         tracemalloc.stop()
     assert kept < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda S, T: RingPresentation(RingPresentation(S)), "ambient must be a polynomial ring"),
+        (lambda S, T: RingPresentation(S, [T.var(0) ** 2]), "relation from a different ambient ring"),
+        (lambda S, T: RingPresentation(S, [S.var(0) ** 2 + S.var(1)]), "homogeneous of degree >= 1"),
+        (lambda S, T: RingPresentation(S, [S.one]), "homogeneous of degree >= 1"),
+    ],
+    ids=["ambient", "foreign-relation", "inhomogeneous", "constant"],
+)
+def test_ring_presentation_constructor_checks(SQ, build, message):
+    T = PolyRing(field_of(0), ("x", "y", "z"))
+    with pytest.raises(StructuralError, match=message):
+        build(SQ, T)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MonomialOrder("lex"), "unknown order kind 'lex'"),
+        (lambda: MonomialOrder("degrevlex", (1, 0)).key((1, 2, 3)), "permutation length"),
+        (lambda: DEGREVLEX.compare((1, 0), (1, 0, 0)), "different lengths"),
+    ],
+    ids=["kind", "permutation", "compare"],
+)
+def test_monomial_order_checks(call, message):
+    with pytest.raises(StructuralError, match=message):
+        call()

@@ -16,7 +16,7 @@ from math import comb
 
 import pytest
 
-from soclelab import modgb, runs
+from soclelab import modgb, resolutions, runs
 from soclelab.errors import DomainError, StructuralError
 from soclelab.fields import QQ, field_of
 from soclelab.frobenius import frobenius_power
@@ -40,6 +40,7 @@ from soclelab.resolutions import (
     _free_numerator,
     minimal_free_resolution,
     residue_field_resolution,
+    syzygy,
     truncated_resolution,
 )
 from soclelab.rings import RingPresentation
@@ -306,6 +307,56 @@ def test_a_certificate_that_does_not_advance_raises(monkeypatch):
     curve = RingPresentation(S, [a * c - b**2, a * d - b * c, b * d - c**2])
     with pytest.raises(StructuralError, match="does not advance"):
         residue_field_resolution(curve, 3)
+
+
+def _four_quadrics():
+    """d_1 of S/(four seeded quadrics) in GF(32003)[a..e], with no image
+    numerator in its memo, so that its syzygy step reads the kernel's
+    Hilbert series off the tagged run and then certifies."""
+    S = PolyRing(field_of(32003), ("a", "b", "c", "d", "e"))
+    rng = random.Random(5)
+    gens = [_random_form(rng, S, 2, 6) for _ in range(4)]
+    d1 = minimalize_presentation(quotient_module(RingPresentation(S, []), gens)).matrix
+    assert d1.source == (2, 2, 2, 2) and "image_numerator" not in d1._memo
+    return d1
+
+
+def test_a_kernel_series_that_misses_the_first_syzygies_raises(monkeypatch):
+    """Mutation check: with the image's numerator off by one at t^1, the
+    kernel's series starts in degree 1, below the first syzygies the
+    tagged run found in degree 4."""
+    d1 = _four_quadrics()
+    original = runs.TaggedRun.quotient_numerator
+
+    def off_by_one(run, n):
+        numerator = dict(original(run, n))
+        numerator[1] = numerator.get(1, 0) + 1
+        return {k: v for k, v in numerator.items() if v}
+
+    monkeypatch.setattr(runs.TaggedRun, "quotient_numerator", off_by_one)
+    with pytest.raises(StructuralError, match="misses its first syzygies"):
+        syzygy(d1)
+    monkeypatch.undo()
+    assert syzygy(d1).source == (4,) * 6
+
+
+def test_a_certificate_numerator_too_low_raises(monkeypatch):
+    """Mutation check: given the kernel's numerator lowered by one at its
+    least degree, the certificate finds more leading terms there than the
+    series allows."""
+    d1 = _four_quadrics()
+    original = resolutions._nakayama_run
+
+    def lowered(ring, twists, rels, kernel):
+        kernel = dict(kernel)
+        kernel[min(kernel)] -= 1
+        return original(ring, twists, rels, {k: v for k, v in kernel.items() if v})
+
+    monkeypatch.setattr(resolutions, "_nakayama_run", lowered)
+    with pytest.raises(StructuralError, match="outgrow the Hilbert series"):
+        syzygy(d1)
+    monkeypatch.undo()
+    assert syzygy(d1).source == (4,) * 6
 
 
 def _assert_certificates_keep_what_nakayama_keeps(matrices):
