@@ -84,8 +84,12 @@ taken block by block through one multiplication matrix of M_{ell + js}
 and written in the coordinates of the stage of degree ell + 1.  The
 socle has dimension dim H_ell minus the rank of those vectors.
 
-What the two routes share.  s0 reads only twists of the minimal free
-resolution that the duality route memoizes.  The oracle's degree pieces
+What the two routes share.  The duality route reads only the degrees
+of the Nakayama-minimal generators of each Ext module
+(``_ext_generators``); the relations among them are presented on demand
+(``ext_dual``), for the callers that need the module itself.  s0 reads
+only twists of the minimal free resolution that the duality route
+memoizes.  The oracle's degree pieces
 of M, and the Hilbert series that the two rules read (M_ell and dim M),
 come from one reduced Groebner basis of M's relations
 (``ModulePresentation.relation_basis``), reduced
@@ -113,7 +117,7 @@ from .errors import (
 )
 from .groebner import Ideal, minimal_generator_degrees
 from .linalg import QuotientSpace, Span
-from .modgb import poly_to_vec
+from .modgb import poly_to_vec, vec_degree
 from .modules import (
     GradedMatrix,
     ModulePresentation,
@@ -121,9 +125,11 @@ from .modules import (
     matrix_from_vectors,
     module_hilbert,
     nakayama_minimal_subset,
+    present_generators,
     present_subquotient,
     quotient_module,
     s_presentation,
+    subquotient_generators,
     syzygies_over,
 )
 from .poly import NEG_INF, POS_INF
@@ -146,65 +152,97 @@ def ext_dual(i, module):
     """Ext^i_S(M, S(-n)) as a minimally presented module over M's ring.
 
     Cohomology of the dual of the minimal free resolution; the zero
-    module outside 0 <= i <= projective dimension.  Memoized on the
-    module.
+    module outside 0 <= i <= projective dimension.  Its generators are
+    those of ``_ext_generators``, and only the relations among them are
+    computed here.  Memoized on the module; callers that read only
+    generator degrees (``lc_end``, ``socle_begin``, ``module_dimension``)
+    never build it.
     """
-    return memoized(module, ("ext_dual", i), lambda: _ext_dual(i, module))
 
-
-def _ext_dual(i, module):
-    ring = module.ring
-    folded = s_presentation(module)
-    base = folded.ring
-    n = base.n
-    res = minimal_free_resolution(folded)
-    twist_lists = [res.module_twists(k) for k in range(res.length + 1)]
-    if i < 0 or i > res.length or module.is_zero():
-        return ModulePresentation(ring, GradedMatrix(ring, (), (), []))
-    dual_i = tuple(n - a for a in twist_lists[i])
-
-    # The dual of d_step maps F_{step-1}* to F_step*: its columns are
-    # those of the transpose of d_step.
-    if i < res.length:
-        dual_next = tuple(n - a for a in twist_lists[i + 1])
-        gens = syzygies_over(
-            base, block_columns(res.matrices[i].transpose()), dual_next
+    def build():
+        ext = _ext_generators(i, module)
+        mat = present_generators(ext.base, ext.twists, ext.kept, ext.rels).matrix
+        ring = module.ring
+        return ModulePresentation(
+            ring, GradedMatrix(ring, mat.target, mat.source, mat.entries, check=False)
         )
-    else:
-        gens = [
-            {(p, (0,) * n): base.field.one} for p in range(len(dual_i))
-        ]
-    rels = block_columns(res.matrices[i - 1].transpose()) if i >= 1 else []
-    pres, _ = present_subquotient(base, dual_i, gens, rels)
-    mat = pres.matrix
-    return ModulePresentation(
-        ring, GradedMatrix(ring, mat.target, mat.source, mat.entries, check=False)
-    )
+
+    return memoized(module, ("ext_dual", i), build)
+
+
+@dataclass
+class _ExtGenerators:
+    """Ext^i_S(M, S(-n)) = ker(d_{i+1}^T) / im(d_i^T) without its
+    relations: the Nakayama-minimal generators ``kept``, vectors in the
+    free S-module with the given ``twists`` (the dual of F_i, into
+    S(-n)), their ``degrees``, and the columns ``rels`` of d_i^T, which
+    span the image."""
+
+    base: RingPresentation
+    twists: tuple
+    kept: list
+    rels: list
+    degrees: tuple
+
+
+def _ext_generators(i, module):
+    """The generators half of ``ext_dual``: one graded Nakayama pass over
+    the kernel generators of d_{i+1}^T modulo im(d_i^T), and no relation
+    run.  Memoized on the module, so the pass runs once per (module, i)
+    whichever caller comes first."""
+
+    def build():
+        folded = s_presentation(module)
+        base = folded.ring
+        n = base.n
+        res = minimal_free_resolution(folded)
+        if i < 0 or i > res.length or module.is_zero():
+            return _ExtGenerators(base, (), [], [], ())
+        dual_i = tuple(n - a for a in res.module_twists(i))
+        # The dual of d_step maps F_{step-1}* to F_step*: its columns are
+        # those of the transpose of d_step.
+        if i < res.length:
+            dual_next = tuple(n - a for a in res.module_twists(i + 1))
+            gens = syzygies_over(
+                base, block_columns(res.matrices[i].transpose()), dual_next
+            )
+        else:
+            gens = [
+                {(p, (0,) * n): base.field.one} for p in range(len(dual_i))
+            ]
+        rels = block_columns(res.matrices[i - 1].transpose()) if i >= 1 else []
+        kept = subquotient_generators(base, dual_i, gens, rels)[1]
+        degrees = tuple(vec_degree(v, dual_i) for v in kept)
+        return _ExtGenerators(base, dual_i, kept, rels, degrees)
+
+    return memoized(module, ("ext_generators", i), build)
 
 
 def lc_end(j, module):
-    """Top nonvanishing degree of H^j_m(M); -inf when H^j vanishes."""
-    n = module.ring.n
-    dual = ext_dual(n - j, module)
-    if dual.is_zero():
-        return NEG_INF
-    return -dual.begin()
+    """Top nonvanishing degree of H^j_m(M); -inf when H^j vanishes.
+
+    Minus the least generator degree of Ext^{n-j}_S(M, S(-n)), read off
+    ``_ext_generators`` with no relations computed.
+    """
+    degrees = _ext_generators(module.ring.n - j, module).degrees
+    return -min(degrees) if degrees else NEG_INF
 
 
 def socle_begin(j, module):
-    """Least socle degree of H^j_m(M); +inf when H^j vanishes."""
-    n = module.ring.n
-    dual = ext_dual(n - j, module)
-    if dual.is_zero():
-        return POS_INF
-    return -max(dual.generator_degrees)
+    """Least socle degree of H^j_m(M); +inf when H^j vanishes.
+
+    Minus the largest generator degree of Ext^{n-j}_S(M, S(-n)), read off
+    ``_ext_generators`` with no relations computed.
+    """
+    degrees = _ext_generators(module.ring.n - j, module).degrees
+    return -max(degrees) if degrees else POS_INF
 
 
 def module_dimension(module):
     """Krull dimension of the module: the top nonvanishing cohomology index."""
     n = module.ring.n
     for j in range(n, -1, -1):
-        if not ext_dual(n - j, module).is_zero():
+        if _ext_generators(n - j, module).degrees:
             return j
     return -1
 

@@ -146,8 +146,9 @@ class ModulePresentation:
     relation submodule ("relation_gb", a ``modgb.VectorReducer`` that
     keeps the basis coded once per field width), the Hilbert numerator
     read off it ("hilbert_numerator"), its graded pieces (("piece", d)),
-    its Krull dimension ("dimension"), its fold over S, resolution, Ext
-    duals and Koszul stages.
+    its Krull dimension ("dimension"), its fold over S, resolution, the
+    minimal generators of its Ext duals and their presentations, and its
+    Koszul stages.
     """
 
     def __init__(self, ring, matrix):
@@ -525,23 +526,40 @@ def present_subquotient(ring, twists, gens, rels=()):
     """Minimal presentation of <gens> / <rels> inside a free module.
 
     Every relation vector must lie in the span of the generators.  The
-    returned presentation has Nakayama-minimal generators, and its
-    relations are ``syzygies_over(kept generators, rels)``, themselves
-    Nakayama-minimalized.  Also returns the indices of the surviving
-    generators, so callers can align side data with them.
+    returned presentation has Nakayama-minimal generators
+    (``subquotient_generators``), and its relations are
+    ``syzygies_over(kept generators, rels)``, themselves
+    Nakayama-minimalized (``present_generators``).  Also returns the
+    indices of the surviving generators, so callers can align side data
+    with them.
     """
+    kept_idx, kept = subquotient_generators(ring, twists, gens, rels)
+    return present_generators(ring, twists, kept, rels), kept_idx
+
+
+def subquotient_generators(ring, twists, gens, rels=()):
+    """The generators half of ``present_subquotient``: the indices of a
+    minimal generating subset of <gens> + <rels> / <rels>
+    (``nakayama_minimal_subset``), and those generators, each component
+    in normal form modulo the ring relations."""
     kept_idx = nakayama_minimal_subset(ring, twists, gens, rels)
-    kept = [vec_reduce_components(ring, gens[i]) for i in kept_idx]
-    kept_degs = [vec_degree(v, twists) for v in kept]
+    return kept_idx, [vec_reduce_components(ring, gens[i]) for i in kept_idx]
+
+
+def present_generators(ring, twists, kept, rels=()):
+    """The relations half of ``present_subquotient``: the minimal
+    presentation of <kept> + <rels> / <rels> on the generators ``kept``,
+    which must be minimal already (``subquotient_generators``).  Its
+    relations are the Nakayama-minimal ``syzygies_over(kept, rels)``."""
     if not kept:
-        empty = GradedMatrix(ring, (), (), [])
-        return ModulePresentation(ring, empty), []
+        return ModulePresentation(ring, GradedMatrix(ring, (), (), []))
+    kept_degs = tuple(vec_degree(v, twists) for v in kept)
     live_rels = [vec_reduce_components(ring, v) for v in rels]
     live_rels = [v for v in live_rels if v]
     syz = syzygies_over(ring, kept, twists, live_rels)
-    keep_rel = nakayama_minimal_subset(ring, tuple(kept_degs), syz)
-    mat = matrix_from_vectors(ring, tuple(kept_degs), [syz[i] for i in keep_rel])
-    return ModulePresentation(ring, mat), kept_idx
+    keep_rel = nakayama_minimal_subset(ring, kept_degs, syz)
+    mat = matrix_from_vectors(ring, kept_degs, [syz[i] for i in keep_rel])
+    return ModulePresentation(ring, mat)
 
 
 def minimalize_presentation(module):

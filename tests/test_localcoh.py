@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,10 +7,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from soclelab.errors import AlgebraError, DomainError, TruncationError, UnstableLimitError
+from soclelab.errors import (
+    AlgebraError,
+    DomainError,
+    HypothesisError,
+    TruncationError,
+    UnstableLimitError,
+)
 from soclelab.fields import field_of
 from soclelab.groebner import Ideal, ideal_power, minimal_generator_degrees
 import soclelab.localcoh as localcoh
+import soclelab.modules as modules
 import soclelab.resolutions as resolutions
 from soclelab.localcoh import (
     _class_nonzero_in_hom,
@@ -38,14 +46,19 @@ from soclelab.modules import (
     GradedMatrix,
     GradedPiece,
     ModulePresentation,
+    block_columns,
     free_module,
     module_hilbert,
+    present_subquotient,
     quotient_module,
+    s_presentation,
+    syzygies_over,
 )
 from soclelab.linalg import Span, nullspace
 from soclelab.modgb import vec_degree
 from soclelab.poly import NEG_INF, POS_INF, PolyRing, format_polynomial
 from soclelab.rings import RingPresentation
+from soclelab.scans import scan_powers
 from span_reference import RowQuotientSpace, rank, transpose
 
 
@@ -1033,11 +1046,9 @@ def test_the_oracle_builds_no_kernel_basis(monkeypatch):
 ORACLE_DUALITY_BUDGET_S = {2: 0.6, 101: 0.6, 0: 1.8}
 
 
-@pytest.mark.parametrize("char", [2, 101, 0])
-def test_oracle_equals_duality_degree_by_degree(char):
-    # dim H^j_m(M)_ell is dim Ext^{n-j}(M, S(-n))_{-ell}, and by Matlis
-    # duality the socle of H^j in degree ell is dual to Ext/m Ext in
-    # degree -ell: the minimal generators of the dual in that degree.
+def _duality_corpus(char):
+    """The modules of ``_hom_complex_modules``, then S/(xy, yz, zx)^2 and
+    the square of the twisted cubic's ideal, each with its ring."""
     F = field_of(char)
     S3 = PolyRing(F, ("x", "y", "z"))
     x, y, z = S3.gens()
@@ -1045,12 +1056,20 @@ def test_oracle_equals_duality_degree_by_degree(char):
     S4 = PolyRing(F, ("a", "b", "c", "d"))
     a, b, c, d = S4.gens()
     R4 = RingPresentation(S4)
-    corpus = list(_hom_complex_modules(char)) + [
+    return list(_hom_complex_modules(char)) + [
         (R3, quotient_module(R3, ideal_power(Ideal(R3, [x * y, y * z, z * x]), 2).generators)),
         (R4, quotient_module(
             R4, ideal_power(Ideal(R4, [a * c - b**2, a * d - b * c, b * d - c**2]), 2).generators
         )),
     ]
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_oracle_equals_duality_degree_by_degree(char):
+    # dim H^j_m(M)_ell is dim Ext^{n-j}(M, S(-n))_{-ell}, and by Matlis
+    # duality the socle of H^j in degree ell is dual to Ext/m Ext in
+    # degree -ell: the minimal generators of the dual in that degree.
+    corpus = _duality_corpus(char)
     start = time.perf_counter()
     pairs = nonzero = socles = 0
     for ring, M in corpus:
@@ -1068,6 +1087,173 @@ def test_oracle_equals_duality_degree_by_degree(char):
     elapsed = time.perf_counter() - start
     assert pairs >= 350 and nonzero >= 60 and socles >= 10, (pairs, nonzero, socles)
     assert elapsed < 5 * ORACLE_DUALITY_BUDGET_S[char]
+
+
+# -- Ext generators first, relations on demand -------------------------------
+
+
+def _eager_ext_dual(i, module):
+    """Ext^i_S(M, S(-n)) built in one pass, as ``ext_dual`` once did: the
+    kernel generators of d_{i+1}^T presented modulo im(d_i^T) by one
+    ``present_subquotient`` call, on the module's memoized resolution."""
+    ring = module.ring
+    base = s_presentation(module).ring
+    n = base.n
+    res = resolutions.minimal_free_resolution(module)
+    if i < 0 or i > res.length or module.is_zero():
+        return ModulePresentation(ring, GradedMatrix(ring, (), (), []))
+    dual_i = tuple(n - a for a in res.module_twists(i))
+    if i < res.length:
+        dual_next = tuple(n - a for a in res.module_twists(i + 1))
+        gens = syzygies_over(base, block_columns(res.matrices[i].transpose()), dual_next)
+    else:
+        gens = [{(p, (0,) * n): base.field.one} for p in range(len(dual_i))]
+    rels = block_columns(res.matrices[i - 1].transpose()) if i >= 1 else []
+    mat = present_subquotient(base, dual_i, gens, rels)[0].matrix
+    return ModulePresentation(
+        ring, GradedMatrix(ring, mat.target, mat.source, mat.entries, check=False)
+    )
+
+
+def _matrix_data(module):
+    mat = module.matrix
+    return mat.target, mat.source, mat.entries
+
+
+def _fresh(module):
+    """The same presentation with an empty memo."""
+    return ModulePresentation(module.ring, module.matrix)
+
+
+def _degree_readers(module):
+    """Every reader of Ext generator degrees, over all j."""
+    n = module.ring.n
+    values = [module_dimension(module), socle_report(module).entries]
+    values += [(lc_end(j, module), socle_begin(j, module)) for j in range(n + 1)]
+    if not module.is_zero():
+        values.append(regularity(module))
+    return values
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_ext_generators_are_the_eager_presentations_generators(char):
+    for ring, M in _duality_corpus(char):
+        n = ring.ambient.n
+        for i in range(-1, n + 2):
+            eager = _eager_ext_dual(i, M)
+            assert localcoh._ext_generators(i, M).degrees == eager.generator_degrees, i
+
+
+def _count_relation_runs(monkeypatch):
+    """Calls that present relations: ``present_subquotient`` and
+    ``present_generators`` where localcoh calls them, and
+    ``syzygies_over`` where modules calls it, which only the relations
+    half does."""
+    calls = []
+    for owner, name in (
+        (localcoh, "present_subquotient"),
+        (localcoh, "present_generators"),
+        (modules, "syzygies_over"),
+    ):
+        def counting(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_degree_readers_start_no_relation_run(char, monkeypatch):
+    corpus = _duality_corpus(char)
+    for _, M in corpus:
+        resolutions.minimal_free_resolution(M)
+    calls = _count_relation_runs(monkeypatch)
+    for ring, M in corpus:
+        _degree_readers(M)
+        assert calls == []
+    # The counters see the relation run when a caller asks for the module.
+    ring, M = corpus[-1]
+    n = ring.ambient.n
+    ext_dual(n - M.krull_dimension(), M)
+    assert "present_generators" in calls and "syzygies_over" in calls
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_ext_dual_is_the_same_in_every_order_of_calls(char):
+    for ring, M in _duality_corpus(char):
+        n = ring.ambient.n
+        degrees_first, presentation_first = _fresh(M), _fresh(M)
+        _degree_readers(degrees_first)
+        for i in range(-1, n + 2):
+            expected = _matrix_data(_eager_ext_dual(i, M))
+            late = ext_dual(i, degrees_first)
+            early = ext_dual(i, presentation_first)
+            assert _matrix_data(late) == _matrix_data(early) == expected, i
+            assert localcoh._ext_generators(i, presentation_first).degrees == expected[0]
+            assert ext_dual(i, degrees_first) is late
+        assert _degree_readers(presentation_first) == _degree_readers(M)
+        degrees_only, d = _fresh(M), M.krull_dimension()
+        _degree_readers(degrees_only)
+        assert ext_k_begin(1, d, degrees_only) == ext_k_begin(1, d, _fresh(M))
+    # The canonical module after a degrees-only call on R itself.
+    for ring in _hom_complex_rings(char):
+        R = quotient_module(ring, [])
+        d = ring.dimension()
+        socle_begin(d, R)
+        omega = canonical_module(ring)
+        expected = _matrix_data(_eager_ext_dual(ring.n - d, R))
+        assert _matrix_data(ext_dual(ring.n - d, R)) == _matrix_data(omega) == expected
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_one_nakayama_pass_per_module_and_index(char, monkeypatch):
+    passes = []
+    original = localcoh.subquotient_generators
+
+    def counting(*args):
+        passes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(localcoh, "subquotient_generators", counting)
+    for ring, M in _duality_corpus(char):
+        n = ring.ambient.n
+        length = resolutions.minimal_free_resolution(M).length
+        for i in range(-1, n + 2):
+            before = len(passes)
+            localcoh._ext_generators(i, M)
+            ext_dual(i, M)
+            lc_end(n - i, M)
+            socle_begin(n - i, M)
+            ext_dual(i, M)
+            assert len(passes) - before == (0 <= i <= length and not M.is_zero())
+        before = len(passes)
+        _degree_readers(M)
+        ext_k_begin(1, M.krull_dimension(), M)
+        assert len(passes) == before
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="the oracle spot check tests a vanishing H^j in degree 0 only, and the "
+    "mutation makes H^0 of S/(xy,yz,zx)^2, which lives in degree 3, vanish",
+)
+def test_dropping_the_last_ext_generator_fails_the_oracle_scan(presentation_xyz, ring_xyz, monkeypatch):
+    # Mutation check: with the generators half one generator short, the
+    # duality route's degrees should disagree with the Koszul oracle.
+    # Of the Ext modules the scan reads, only Ext^3 of S/I^2 (one
+    # generator, in degree -3) changes its least or largest degree.
+    original = localcoh._ext_generators
+
+    def dropping(i, module):
+        ext = original(i, module)
+        return dataclasses.replace(ext, kept=ext.kept[:-1], degrees=ext.degrees[:-1])
+
+    monkeypatch.setattr(localcoh, "_ext_generators", dropping)
+    x, y, z = ring_xyz.gens()
+    with pytest.raises(HypothesisError, match="oracle disagrees"):
+        scan_powers(presentation_xyz, Ideal(presentation_xyz, [x * y, y * z, z * x]), 3, oracle=True)
 
 
 @pytest.mark.parametrize("char", [2, 101, 0])

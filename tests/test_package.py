@@ -51,28 +51,64 @@ def test_no_unused_module_level_imports():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+def _module_names(tree):
+    """Names that the imports of ``tree`` bind to a module, mapped to the
+    module's last dotted component; ``import a.b`` binds ``a`` to "a"."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if alias.asname:
+                    names[alias.asname] = parts[-1]
+                else:
+                    names[parts[0]] = parts[0]
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                names[alias.asname or alias.name] = alias.name
+    return names
+
+
+def _module_of(node, modules):
+    """The module that ``node`` (a name, or a dotted chain of names
+    starting at one bound by an import) refers to, or None."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id not in modules:
+        return None
+    return chain[0] if chain else modules[node.id]
+
+
 def _definitions(sources):
     """Module-level functions and classes of ``sources`` (file names to
-    code) as (file name, name), and every name the code reads outside the
-    definition that binds it."""
+    code) as (file name, name), and the references the code makes outside
+    the definition that binds them: every name it reads, and as (file
+    name, name) every attribute it reads off a module (``linalg.rank``
+    names rank in linalg.py; ``span.rank`` names nothing)."""
     defined = []
     referenced = set()
     for fname, source in sources.items():
-        for node in ast.parse(source).body:
+        tree = ast.parse(source)
+        modules = _module_names(tree)
+        for node in tree.body:
             own = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = node.name
                 defined.append((fname, own))
             for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    name = sub.id
-                elif isinstance(sub, ast.Attribute):
-                    name = sub.attr
-                else:
-                    continue
-                if name != own:
-                    referenced.add(name)
+                if isinstance(sub, ast.Name) and sub.id != own:
+                    referenced.add(sub.id)
+                elif isinstance(sub, ast.Attribute) and sub.attr != own:
+                    module = _module_of(sub.value, modules)
+                    if module is not None:
+                        referenced.add((f"{module}.py", sub.attr))
     return defined, referenced
+
+
+def _is_referenced(definition, referenced):
+    return definition[1] in referenced or definition in referenced
 
 
 def _unreferenced_private_definitions(sources):
@@ -80,7 +116,7 @@ def _unreferenced_private_definitions(sources):
     outside their own definition; ``sources`` maps file names to code."""
     defined, referenced = _definitions(sources)
     private = [d for d in defined if d[1].startswith("_") and not d[1].startswith("__")]
-    return sorted(d for d in private if d[1] not in referenced)
+    return sorted(d for d in private if not _is_referenced(d, referenced))
 
 
 def _unreferenced_public_definitions(package, others, exported):
@@ -91,7 +127,9 @@ def _unreferenced_public_definitions(package, others, exported):
     referenced |= _definitions(others)[1]
     return sorted(
         d for d in defined
-        if not d[1].startswith("_") and d[1] not in referenced and d[1] not in exported
+        if not d[1].startswith("_")
+        and not _is_referenced(d, referenced)
+        and d[1] not in exported
     )
 
 
@@ -120,11 +158,11 @@ def _test_only_public_definitions(package, others, exported):
     defined, referenced = _definitions(package)
     named_by_others = _definitions(others)[1]
     return sorted(
-        name for _, name in defined
-        if not name.startswith("_")
-        and name not in referenced
-        and name not in exported
-        and name in named_by_others
+        d[1] for d in defined
+        if not d[1].startswith("_")
+        and not _is_referenced(d, referenced)
+        and d[1] not in exported
+        and _is_referenced(d, named_by_others)
     )
 
 
@@ -137,6 +175,30 @@ def test_public_definition_check_sees_leftovers():
     others = {"test_a.py": "from a import tested\n\ndef test_it():\n    tested()\n"}
     found = _unreferenced_public_definitions(package, others, {"shown"})
     assert found == [("a.py", "Gone"), ("a.py", "rec")]
+
+
+def test_an_attribute_names_only_the_definition_of_its_module():
+    # Span.rank, a property, is spelled like linalg.rank, a function
+    # that only a test calls.
+    package = {
+        "linalg.py": "def rank(rows):\n    pass\n\nclass Span:\n    @property\n"
+        "    def rank(self):\n        return 0\n\ndef _width(span):\n    return span.rank\n",
+        "b.py": "from linalg import Span, _width\n\nx = _width(Span()).rank\n",
+    }
+    assert _unreferenced_public_definitions(package, {}, set()) == [("linalg.py", "rank")]
+    for test in (
+        "import linalg\n\nlinalg.rank([])\n",
+        "import pkg.linalg as la\n\nla.rank([])\n",
+        "import pkg.linalg\n\npkg.linalg.rank([])\n",
+        "from pkg import linalg\n\nlinalg.rank([])\n",
+    ):
+        others = {"test_b.py": test}
+        assert _unreferenced_public_definitions(package, others, set()) == [], test
+        assert _test_only_public_definitions(package, others, set()) == ["rank"], test
+    others = {"test_b.py": "import b\n\nb.rank\n"}
+    assert _test_only_public_definitions(package, others, set()) == []
+    package["b.py"] += "\ndef _rank(x):\n    pass\n\nclass Q:\n    def run(self):\n        return self._rank\n"
+    assert _unreferenced_private_definitions(package) == [("b.py", "_rank")]
 
 
 def test_every_public_definition_is_exported_or_used():
