@@ -39,6 +39,15 @@ after a degree and resume it later.
 
 Orders on module terms put heavier positions first through an optional
 degree component so that graded inputs are processed degree by degree.
+
+Every reduction takes a basis as its index (``lead_index``): for each
+position, the (coded vector, lead code, number) triples of the elements
+led there, in basis order.  The divisibility mask covers the position
+field, so the first divisor of a term in basis order is the first in its
+position's list: reductions, the chain criterion and pair creation meet
+the same elements in the same order as a scan of the whole basis would,
+and give the same vectors.  ``_reduce_basis`` keeps an element out of
+the index that reduces it, as its own lead would reduce it to zero.
 """
 
 import functools
@@ -318,15 +327,15 @@ def vec_degree(vec, twists):
     return degs.pop()
 
 
-def normal_form_vec(vec, basis, table, field):
+def normal_form_vec(vec, index, table, field):
     """Full reduction of the coded vector ``vec`` by monic basis elements.
 
-    ``basis`` is a list of (coded vector, lead code) pairs under
-    ``table``.  The first element whose lead divides the current lead
-    reduces it, and every term left is reduced in turn.  The S-pairs of
-    ``buchberger_vectors``, ``runs.TaggedRun`` and ``runs._ImageRun`` are
-    reduced so, and so is every candidate that ``runs.HilbertRun``
-    decides; only that run's own S-pairs are top-reduced (``_Basis.top``).
+    ``index`` is the basis under ``table`` (``lead_index``).  The first
+    element whose lead divides the current lead reduces it, and every
+    term left is reduced in turn.  The S-pairs of ``buchberger_vectors``,
+    ``runs.TaggedRun`` and ``runs._ImageRun`` are reduced so, and so is
+    every candidate that ``runs.HilbertRun`` decides; only that run's
+    own S-pairs are top-reduced (``_Basis.top``).
 
     Lead terms come off a heap of codes: every code is pushed when it
     enters the work vector, and one that has cancelled since is skipped
@@ -338,13 +347,22 @@ def normal_form_vec(vec, basis, table, field):
     so, which keeps each shifted term within twice the fields.  With no
     basis the vector is its own normal form.
     """
-    if not basis:
+    if not index:
         return dict(vec)
-    return _reduce(vec, basis, table, field.characteristic, True)
+    return _reduce(vec, index, table, field.characteristic, True)
 
 
-def _reduce(vec, basis, table, p, full):
-    """``vec`` reduced by a nonempty ``basis`` as in ``normal_form_vec``:
+def lead_index(coded, table):
+    """The index of the (coded vector, lead code) pairs ``coded``: each
+    position's (vector, lead, number) triples, in the order given."""
+    index = {}
+    for k, (g, lead) in enumerate(coded):
+        index.setdefault(table.decode(lead)[0], []).append((g, lead, k))
+    return index
+
+
+def _reduce(vec, index, table, p, full):
+    """``vec`` reduced by a nonempty ``index`` as in ``normal_form_vec``:
     fully, or, unless ``full``, only until its lead is irreducible (or
     it is zero).
 
@@ -355,6 +373,7 @@ def _reduce(vec, basis, table, p, full):
     out of its field into the next one.
     """
     guard, mask, absorb = table.guard, table.mask, table.absorb
+    pos_place, pos_mask = table.pos_place, table.pos_mask
     work = dict(vec)
     heap = list(work)
     heapq.heapify(heap)
@@ -367,7 +386,7 @@ def _reduce(vec, basis, table, p, full):
         if t & guard:
             raise _Outgrown("a term outgrew its code table")
         t_abs = t + absorb
-        for g, lead in basis:
+        for g, lead, _ in index.get(t >> pos_place & pos_mask, ()):
             if not (t_abs - lead) & mask:
                 break
         else:
@@ -387,7 +406,8 @@ class _Basis:
     """The growing basis of one engine run and its pending S-pairs.
 
     ``elements`` holds (coded vector, lead code) pairs, every vector
-    monic, and ``heads`` the lead of each as (position, exponents).  A
+    monic, ``heads`` the lead of each as (position, exponents), and
+    ``index`` the elements by the position of their lead (``lead_index``).  A
     pair leaves the heap smallest lcm first, that is largest code first,
     so under a degree-first order in increasing lcm degree.  Pairs whose
     lcm code is below ``cap`` are never pushed, nor pairs of an element
@@ -413,6 +433,7 @@ class _Basis:
         self.top = False
         self.elements = []
         self.heads = []
+        self.index = {}
         self.heap = []  # (-lcm code, i, j, lcm code)
         self.treated = set()
 
@@ -424,22 +445,21 @@ class _Basis:
         c = v[lt]
         if c != field.one:
             v = vec_scale(v, field.inv(c), field)
+        new_idx = len(self.elements)
         self.elements.append((v, lt))
         pos_new, lm_new = head = self.table.decode(lt)
         self.heads.append(head)
+        led_here = self.index.setdefault(pos_new, [])
+        led_here.append((v, lt, new_idx))
         if not pairs or (self.split is not None and pos_new >= self.split):
             return
-        encode, heap, cap = self.table.encode, self.heap, self.cap
-        new_idx = len(self.heads) - 1
+        encode, heap, cap, heads = self.table.encode, self.heap, self.cap, self.heads
         single = len(v) == 1
-        elements = self.elements
-        for i, (pos, lm) in enumerate(self.heads[:new_idx]):
-            if pos != pos_new:
-                continue
-            lcm = encode((pos, mono_lcm(lm, lm_new)))
+        for g, _, i in led_here[:-1]:
+            lcm = encode((pos_new, mono_lcm(heads[i][1], lm_new)))
             if lcm < cap:
                 continue
-            if single and len(elements[i][0]) == 1:
+            if single and len(g) == 1:
                 # Two monic terms: the S-vector is exactly zero.  The pair
                 # counts as treated for the chain criterion.
                 self.treated.add((i, new_idx))
@@ -465,7 +485,7 @@ class _Basis:
             return None
         lcm_abs = lcm + self.table.absorb
         mask = self.table.mask
-        for k, (_, lead) in enumerate(basis):
+        for _, lead, k in self.index[heads[i][0]]:
             if k == i or k == j or (lcm_abs - lead) & mask:
                 continue
             a = (i, k) if i < k else (k, i)
@@ -479,8 +499,8 @@ class _Basis:
         _sub_multiple(spoly, gi, field.neg(field.one), lcm - lti, p)
         _sub_multiple(spoly, gj, field.one, lcm - ltj, p)
         if self.top:
-            return _reduce(spoly, basis, self.table, p, False)
-        return normal_form_vec(spoly, basis, self.table, field)
+            return _reduce(spoly, self.index, self.table, p, False)
+        return normal_form_vec(spoly, self.index, self.table, field)
 
 
 def buchberger_vectors(vectors, order, field, degree=None):
@@ -518,17 +538,25 @@ def buchberger_vectors(vectors, order, field, degree=None):
 
 def _reduce_basis(basis, table, field):
     """Minimalize leads, then tail-reduce: the unique reduced basis,
-    smallest lead first."""
+    smallest lead first.
+
+    Elements come smallest lead first, and each is reduced by the index
+    of those kept before it, then joins it.  A divisor of a term is no
+    larger than the term, and a reduction meets only terms up to the
+    element's lead, so no later element could act; the element itself
+    must stay out, as its lead would reduce it to zero.
+    """
     mask, absorb = table.mask, table.absorb
-    kept = []
+    index, kept = {}, []
     for g, lt in sorted(basis, key=itemgetter(1), reverse=True):
         lt_abs = lt + absorb
-        if any(not (lt_abs - lead) & mask for _, lead in kept):
+        led_here = index.setdefault(table.decode(lt)[0], [])
+        if any(not (lt_abs - lead) & mask for _, lead, _ in led_here):
             continue
-        kept.append((g, lt))
-    for idx, (g, lt) in enumerate(kept):
-        kept[idx] = (normal_form_vec(g, kept[:idx] + kept[idx + 1 :], table, field), lt)
-    return [g for g, _ in kept]
+        g = normal_form_vec(g, index, table, field)
+        led_here.append((g, lt, len(kept)))
+        kept.append(g)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +589,8 @@ def groebner_polys(polys):
 class VectorReducer:
     """Normal forms modulo a fixed monic Groebner basis under one order.
 
-    It keeps the basis coded, with the lead codes grouped by position,
-    once per field width, so that repeated reductions under equal tables
+    It keeps the basis coded, as its ``lead_index``, once per field
+    width, so that repeated reductions under equal tables
     (``RingPresentation.nf``, the pieces of a ``ModulePresentation``)
     encode the basis once.
     """
@@ -572,28 +600,23 @@ class VectorReducer:
         self.order = order
         self.field = field
         self.bits = order.table(self.basis).bits if self.basis else EXP_BITS
-        self._coded = {}  # field width -> (coded basis, lead codes by position)
+        self._coded = {}  # field width -> lead index of the coded basis
 
     def coded(self, table):
-        """The basis as (coded vector, lead code) pairs under ``table``, and
-        a dict from each position to the lead codes there."""
-        entry = self._coded.get(table.bits)
-        if entry is None:
-            basis, by_pos = [], {}
-            for v in self.basis:
-                g = table.encode_vec(v)
-                lead = min(g)
-                basis.append((g, lead))
-                by_pos.setdefault(table.decode(lead)[0], []).append(lead)
-            entry = self._coded[table.bits] = (basis, by_pos)
-        return entry
+        """The ``lead_index`` of the basis under ``table``."""
+        index = self._coded.get(table.bits)
+        if index is None:
+            coded = [(g, min(g)) for g in map(table.encode_vec, self.basis)]
+            index = self._coded[table.bits] = lead_index(coded, table)
+        return index
 
     def lead_terms(self):
         """The lead of each basis element, as (position, exponents)."""
         if not self.basis:
             return []
         table = self.order.table(self.basis, self.bits)
-        return [table.decode(lead) for _, lead in self.coded(table)[0]]
+        triples = sorted(chain.from_iterable(self.coded(table).values()), key=itemgetter(2))
+        return [table.decode(lead) for _, lead, _ in triples]
 
     def normal_form(self, vec, bits=EXP_BITS):
         """``(table, remainder)``: the coded normal form of the nonzero
@@ -602,7 +625,7 @@ class VectorReducer:
         outgrows its table starts over on wider fields."""
 
         def run(table):
-            return normal_form_vec(table.encode_vec(vec), self.coded(table)[0], table, self.field)
+            return normal_form_vec(table.encode_vec(vec), self.coded(table), table, self.field)
 
         return _run_packed(self.order, [vec], run, max(bits, self.bits))
 

@@ -327,11 +327,11 @@ class GradedPiece:
             # every exponent of degree d.
             probe = [(i, monos[0]) for i, monos in candidates if monos]
             table = self.table = reducer.order.table([probe], bits)
-            leads = reducer.coded(table)[1]
+            index = reducer.coded(table)
             offsets, steps, mask = table.offsets, table.steps, table.mask
             for i, monos in candidates:
                 # lead l divides code t in position i iff (t + absorb - l) & mask == 0
-                divisors = [lead - table.absorb for lead in leads.get(i, ())]
+                divisors = [lead - table.absorb for _, lead, _ in index.get(i, ())]
                 for m in monos:
                     code = sum(map(mul, m, steps), offsets[i])
                     if all(map(mask.__and__, map(code.__sub__, divisors))):
@@ -382,7 +382,7 @@ class GradedPiece:
             codes = [table.encode(t) for t in self.terms]
         shifts = [(table.step(e), c) for e, c in f.terms.items()]
         reducer = self.module.relation_basis()
-        basis, field = reducer.coded(table)[0], reducer.field
+        index, field = reducer.coded(table), reducer.field
         p, one = field.characteristic, field.one
         known = memoized(target, "term_nf", dict)
         cols = []
@@ -395,7 +395,7 @@ class GradedPiece:
                 elif t in known:
                     coords = known[t]
                 else:
-                    nf = normal_form_vec({t: one}, basis, table, field)
+                    nf = normal_form_vec({t: one}, index, table, field)
                     coords = known[t] = [(slots[r], a) for r, a in nf.items()]
                 for k, a in coords:
                     v = col.get(k, 0) + c * a

@@ -182,11 +182,10 @@ class _ImageRun(Run):
             table, basis = tagged.table, tagged.basis
             floor = table.tag_floor
             copy = _Basis(table, self.field, self.order.split)
-            copy.elements = [
-                (g if lead >= floor else {t: c for t, c in g.items() if t < floor}, lead)
-                for g, lead in basis.elements
-            ]
-            copy.heads = list(basis.heads)
+            for g, lead in basis.elements:
+                if lead < floor:
+                    g = {t: c for t, c in g.items() if t < floor}
+                copy.append(g, pairs=False)
             copy.heap = list(basis.heap)
             copy.treated = set(basis.treated)
             try:
@@ -358,7 +357,7 @@ class HilbertRun(Run):
         for k, v in queued:
             if diff is not None and not diff.get(d, 0):
                 break
-            form = normal_form_vec(table.encode_vec(v), basis.elements, table, field)
+            form = normal_form_vec(table.encode_vec(v), basis.index, table, field)
             if not form:
                 continue
             columns.update(form)

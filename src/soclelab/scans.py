@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import HypothesisError
 from .groebner import ideal_power, krull_dimension
 from .localcoh import (
+    _koszul_stage,
     alpha_max,
     ext_dual,
     ext_k_begin,
@@ -26,6 +27,7 @@ from .localcoh import (
 )
 from .modules import quotient_module
 from .poly import NEG_INF, POS_INF
+from .resolutions import minimal_free_resolution
 
 
 @dataclass
@@ -57,9 +59,9 @@ def _fit_max(values):
 def scan_powers(ring, ideal, t_max, oracle=False, s_max=10):
     """lc_end and socle_begin of H^j(R/I^t) for t = 1..t_max, all j.
 
-    With ``oracle`` on, each finite value is spot-checked against the
-    Koszul-limit route (nonzero at the claimed degree, zero just past
-    it).
+    With ``oracle`` on, each row is checked against the Koszul-limit
+    route (``_oracle_spot_check``); a vanishing H^j with j >= 1 only in
+    degree 0, a sample that proves nothing.
     """
     if t_max < 1:
         raise HypothesisError("t_max must be >= 1")
@@ -102,9 +104,25 @@ def scan_powers(ring, ideal, t_max, oracle=False, s_max=10):
 def _oracle_spot_check(module, j, socle_val, end_val, s_max=10):
     """Cross-check duality values against the Koszul-limit oracle: nonzero
     at the end and socle degrees, zero just past the end and no socle
-    just below its begin.  Raises HypothesisError on a disagreement."""
+    just below its begin.  Raises HypothesisError on a disagreement.
+
+    A vanishing H^0 is proved: Soc(M) = 0 :_M m, stage 1 of the H^0
+    oracle with no stage cap, lies in H^0_m(M), which is zero exactly
+    when its socle is and lives in degrees indeg M .. reg M, read off
+    the Betti table.  A vanishing H^j with j >= 1 is only sampled in
+    degree 0: agreement there proves nothing about other degrees.
+    """
     if socle_val in (POS_INF, NEG_INF) or end_val in (POS_INF, NEG_INF):
-        # Vanishing cohomology: the oracle must agree somewhere cheap.
+        if j == 0:
+            entries = minimal_free_resolution(module).betti().entries
+            low = min((a for i, a in entries if i == 0), default=0)
+            for ell in range(low, max((a - i for i, a in entries), default=low - 1) + 1):
+                if _koszul_stage(module, 0, ell, 1).dim:
+                    raise HypothesisError(
+                        f"oracle disagrees with duality route at j=0: "
+                        f"H^0 vanishes, but Soc(M) is nonzero in degree {ell}"
+                    )
+            return True
         dim0, _ = koszul_piece(j, module, 0, s_max)
         if dim0:
             raise HypothesisError(

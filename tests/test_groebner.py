@@ -28,6 +28,7 @@ from soclelab.linalg import Span
 from soclelab.modgb import (
     VectorOrder,
     buchberger_vectors,
+    lead_index,
     normal_form_vec,
     poly_to_vec,
     vec_scale,
@@ -371,8 +372,8 @@ def test_normal_form_matches_scan_reference(char, tagged):
         rem, quotients = _reference_normal_form(vec, basis, order, F)
         # The engine reduces coded vectors: convert through the order.
         table = order.table([vec] + [g for g, _ in basis])
-        coded = [(table.encode_vec(g), table.encode(lt)) for g, lt in basis]
-        assert table.decode_vec(normal_form_vec(table.encode_vec(vec), coded, table, F)) == rem
+        index = lead_index([(table.encode_vec(g), table.encode(lt)) for g, lt in basis], table)
+        assert table.decode_vec(normal_form_vec(table.encode_vec(vec), index, table, F)) == rem
         for (pos, m) in rem:
             assert not any(lp == pos and mono_divides(lm, m) for _, (lp, lm) in basis)
         total = dict(rem)
