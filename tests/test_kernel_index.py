@@ -127,16 +127,16 @@ def test_stopped_and_resumed_tag_block_runs_and_their_image_numerators(char, mon
         for S, twists, vectors in _setups(char, 2626):
             half = len(vectors) // 2
             run = runs.TaggedRun(S, vectors[half:], twists, vectors[:half])
-            degree = run.resume(2).next_degree()
-            out.append((_items(run.new_syzygies()), degree, run.quotient_numerator(S.n)))
-            while not run.done:
-                run.resume(run.next_degree())
-                out.append((_items(run.new_syzygies()), run.quotient_numerator(S.n)))
+            degree = 2
+            while degree is not None:
+                run.resume(degree)
+                out.append((_items(run.new_syzygies()), run.done, run.quotient_numerator(S.n)))
+                degree = run.next_degree()
         return out
 
     indexed, reference = _both(monkeypatch, work)
     assert indexed == reference
-    assert len(indexed) >= 20 and sum(len(row[0]) for row in indexed) >= 15
+    assert sum(not done for _, done, _ in indexed) >= 15 and sum(len(row[0]) for row in indexed) >= 15
 
 
 @pytest.mark.parametrize("char", CHARS)
@@ -144,10 +144,11 @@ def test_hilbert_run_kept_lists_with_and_without_a_series(char, monkeypatch):
     # With a series: the certificate of each step of a resolution, fed
     # the raw syzygies of the step's tag-block run, as a resolution step is.
     def work():
-        out = []
+        without = []
         for S, twists, vectors in _setups(char, 2630):
             R = RingPresentation(S)
-            out.append(nakayama_minimal_subset(R, twists, vectors + vectors[::-1]))
+            without.append(nakayama_minimal_subset(R, twists, vectors + vectors[::-1]))
+        certified = []
         F = field_of(char)
         S = PolyRing(F, ("a", "b", "c", "d"))
         a, b, c, d = S.gens()
@@ -161,12 +162,13 @@ def test_hilbert_run_kept_lists_with_and_without_a_series(char, monkeypatch):
             laurent_add(kernel, ModulePresentation(R, matrix).hilbert_numerator())
             run = _nakayama_run(R, matrix.source, (), kernel)
             run.add(raw)
-            out.append((run.resume().deficient, run.kept))
-        return out
+            certified.append((run.resume().deficient, run.kept))
+        return without, certified
 
     indexed, reference = _both(monkeypatch, work)
     assert indexed == reference
-    assert sum(len(row[1]) if isinstance(row, tuple) else len(row) for row in indexed) >= 20
+    without, certified = indexed
+    assert sum(map(len, without)) >= 20 and len(certified) >= 2
 
 
 def _resolution_corpus(char):

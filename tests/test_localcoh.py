@@ -1096,7 +1096,9 @@ def test_betti_numbers_are_koszul_homology(char):
     # stage 1 of the oracle.  The stages read only degree pieces of M and
     # multiplication by the variables, so this checks the resolution
     # without its syzygy and Nakayama runs; one degree past reg + i shows
-    # the zeros above the table.
+    # the zeros above the table.  It shares M's relation basis and the
+    # modgb normal forms with the resolution, and leaves open a Betti
+    # number above reg + i + 1, outside the window read here.
     checked = nonzero = 0
     # _duality_corpus holds the modules of _hom_complex_modules.
     for ring, M in _duality_corpus(char):
