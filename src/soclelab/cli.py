@@ -15,7 +15,7 @@ from .frobenius import fedder_module, gauge_scan
 from .inputfile import parse_input_file
 from .localcoh import canonical_ideal, endomorphism_check, socle_report
 from .modules import quotient_module
-from .poly import NEG_INF, POS_INF, format_polynomial
+from .poly import format_polynomial
 from .report import (
     SCHEMA,
     fmt,
@@ -26,7 +26,7 @@ from .report import (
     to_json,
 )
 from .resolutions import minimal_free_resolution
-from .scans import _oracle_spot_check, criterion_check, lemma37_scan, scan_powers
+from .scans import ScanRow, _oracle_spot_check, criterion_check, lemma37_scan, scan_powers
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,9 +135,7 @@ def cmd_socle(args, ring, ideals):
     module, _ = _module_of(ring, args, ideals)
     rows = []
     for j, (s_val, e_val) in socle_report(module).entries.items():
-        # Rows where H^j vanishes are left unchecked.
-        finite = s_val not in (POS_INF, NEG_INF)
-        checked = args.oracle and finite and _oracle_spot_check(module, j, s_val, e_val)
+        checked = args.oracle and _oracle_spot_check(module, j, s_val, e_val)
         rows.append((j, e_val, s_val, checked))
     _report(args, "socle", rows)
     return 0
@@ -211,15 +209,9 @@ def cmd_scan_frobenius(args, ring, ideals):
     records, verdict = gauge_scan(ring, args.e_max)
     if args.svg:
         # Reuse the chart with e on the x axis and socle/q on the y axis.
-        class _Row:
-            def __init__(self, r):
-                self.t = r.e
-                self.j = 0
-                self.socle_beg = r.socle_begin_canonical
-
+        rows = [ScanRow(r.e, 0, None, r.socle_begin_canonical) for r in records]
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(powers_chart_svg([_Row(r) for r in records],
-                                      title="socle_beg(omega^[q]) / e against e"))
+            fh.write(powers_chart_svg(rows, title="socle_beg(omega^[q]) / e against e"))
     _report_gauge(args, records, verdict)
     return 0
 

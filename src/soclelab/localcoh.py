@@ -122,7 +122,6 @@ from .modules import (
     GradedMatrix,
     ModulePresentation,
     block_columns,
-    matrix_from_vectors,
     module_hilbert,
     nakayama_minimal_subset,
     present_generators,
@@ -702,9 +701,10 @@ def endomorphism_check(ring, omega_ideal, window_top=None):
 
 
 def _class_nonzero_in_hom(ring, mod, vec):
+    """Is the class of the degree-0 vector ``vec`` of Hom(F_0, M) nonzero?
+    Exactly when graded Nakayama keeps it: it lies outside the relations."""
     hom0_twists, hom0_rels = _hom_free_into(mod, mod.matrix.target)
-    hom0 = ModulePresentation(ring, matrix_from_vectors(ring, hom0_twists, hom0_rels))
-    return bool(hom0.piece(0).project(vec))
+    return bool(nakayama_minimal_subset(ring, hom0_twists, [vec], hom0_rels))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ a versioned schema field and round-trips through json.loads.
 
 import json
 from fractions import Fraction
+from operator import attrgetter
 
 from .poly import NEG_INF, POS_INF
 
@@ -46,37 +47,24 @@ def fmt(value):
     return str(value)
 
 
+# The row attributes behind each scan kind's CSV columns; other kinds
+# are tuples already.
+_CELLS = {
+    "powers": attrgetter("t", "j", "lc_end", "socle_beg", "oracle_checked", "elapsed_ms"),
+    "criterion": attrgetter("t", "j", "lc_end", "socle_beg", "ext_k", "elapsed_ms"),
+    "lemma37": attrgetter(
+        "t", "socle_beg_quotient", "socle_beg_ideal", "difference", "elapsed_ms"
+    ),
+    "gauge": attrgetter(
+        "e", "q", "max_alpha", "socle_begin_canonical", "identity_holds",
+        "fedder.generator_degrees", "alphas", "elapsed_ms",
+    ),
+}
+
+
 def rows_to_cells(kind, rows):
-    """Normalize row objects into lists of cells per CSV header."""
-    out = []
-    if kind == "powers":
-        for r in rows:
-            out.append([r.t, r.j, r.lc_end, r.socle_beg, r.oracle_checked, r.elapsed_ms])
-    elif kind == "criterion":
-        for r in rows:
-            out.append([r.t, r.j, r.lc_end, r.socle_beg, tuple(r.ext_k), r.elapsed_ms])
-    elif kind == "lemma37":
-        for r in rows:
-            out.append(
-                [r.t, r.socle_beg_quotient, r.socle_beg_ideal, r.difference, r.elapsed_ms]
-            )
-    elif kind == "gauge":
-        for r in rows:
-            out.append(
-                [
-                    r.e,
-                    r.q,
-                    r.max_alpha,
-                    r.socle_begin_canonical,
-                    r.identity_holds,
-                    tuple(r.fedder.generator_degrees),
-                    tuple(r.alphas),
-                    r.elapsed_ms,
-                ]
-            )
-    else:
-        out = [list(r) for r in rows]
-    return out
+    """Normalize row objects into tuples of cells per CSV header."""
+    return [_CELLS.get(kind, tuple)(r) for r in rows]
 
 
 def to_csv(kind, rows, summary_lines=()):

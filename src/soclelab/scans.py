@@ -60,8 +60,13 @@ def scan_powers(ring, ideal, t_max, oracle=False, s_max=10):
     """lc_end and socle_begin of H^j(R/I^t) for t = 1..t_max, all j.
 
     With ``oracle`` on, each row is checked against the Koszul-limit
-    route (``_oracle_spot_check``); a vanishing H^j with j >= 1 only in
-    degree 0, a sample that proves nothing.
+    route (``_oracle_spot_check``).  A vanishing H^j is proved by depth:
+    H^j_m(M) = 0 for j < depth M (Bruns-Herzog 3.5.7), with depth M read
+    off the Koszul homology on the variables (1.6.17), while H^depth and
+    H^dim never vanish and are refused.  A vanishing row with
+    depth M < j < dim M has no finite proof and keeps
+    ``oracle_checked=False``.  The Betti window lo..reg that the rule
+    reads is its only datum shared with the duality route.
     """
     if t_max < 1:
         raise HypothesisError("t_max must be >= 1")
@@ -106,29 +111,42 @@ def _oracle_spot_check(module, j, socle_val, end_val, s_max=10):
     at the end and socle degrees, zero just past the end and no socle
     just below its begin.  Raises HypothesisError on a disagreement.
 
-    A vanishing H^0 is proved: Soc(M) = 0 :_M m, stage 1 of the H^0
-    oracle with no stage cap, lies in H^0_m(M), which is zero exactly
-    when its socle is and lives in degrees indeg M .. reg M, read off
-    the Betti table.  A vanishing H^j with j >= 1 is only sampled in
-    degree 0: agreement there proves nothing about other degrees.
+    A vanishing H^j is decided by depth.  The Koszul homology on the
+    variables detects it: depth M = n - max{i : H_i(x; M) != 0}
+    (Bruns-Herzog, Cohen-Macaulay Rings, 1.6.17), and H^j_m(M) vanishes
+    for j < depth M, but not at j = depth M nor at j = dim M (3.5.7).
+    H_i(x; M)_a is stage 1 of the oracle at index n - i in degree a - n,
+    with no stage cap, and its dimension is beta_{i,a}, zero outside
+    lo + i <= a <= reg + i.  So the rule reads i = n, n - 1, ..., n - j
+    in turn over that window, and the first nonzero H_i decides:
+
+    * none: depth M > j, so H^j vanishes and the row is proved (True);
+    * i = n - j: j = depth M, where H^j never vanishes; raises;
+    * i > n - j with j = dim M (Hilbert series): H^dim never vanishes;
+      raises;
+    * otherwise depth M < j < dim M, where no finite probe is known to
+      decide H^j = 0: the row stays unchecked (False).
+
+    At j = 0 the rule reads Soc(M) = H_n(x; M)(-n) in degrees lo..reg.
+    lo, the least twist of F_0, and reg are read off the minimal free
+    resolution; they are the only datum the rule shares with the
+    duality route.
     """
     if socle_val in (POS_INF, NEG_INF) or end_val in (POS_INF, NEG_INF):
-        if j == 0:
-            entries = minimal_free_resolution(module).betti().entries
-            low = min((a for i, a in entries if i == 0), default=0)
-            for ell in range(low, max((a - i for i, a in entries), default=low - 1) + 1):
-                if _koszul_stage(module, 0, ell, 1).dim:
+        n = module.ring.n
+        entries = minimal_free_resolution(module).betti().entries
+        low = min((a for i, a in entries if i == 0), default=0)
+        reg = max((a - i for i, a in entries), default=low - 1)
+        for i in range(n, n - j - 1, -1):
+            for ell in range(low + i - n, reg + i - n + 1):
+                if _koszul_stage(module, n - i, ell, 1).dim:
+                    if i > n - j and j != module.krull_dimension():
+                        return False
                     raise HypothesisError(
-                        f"oracle disagrees with duality route at j=0: "
-                        f"H^0 vanishes, but Soc(M) is nonzero in degree {ell}"
+                        f"oracle disagrees with duality route at j={j}: H^{j} vanishes "
+                        f"at j = {'depth' if i == n - j else 'dim'} M (H^{n - i}(x; M) "
+                        f"is nonzero in degree {ell}, so depth M = {n - i})"
                     )
-            return True
-        dim0, _ = koszul_piece(j, module, 0, s_max)
-        if dim0:
-            raise HypothesisError(
-                f"oracle disagrees with duality route at j={j}: "
-                f"H^{j} vanishes, but the oracle has dimension {dim0} in degree 0"
-            )
         return True
     top, _ = koszul_piece(j, module, end_val, s_max)
     past, _ = koszul_piece(j, module, end_val + 1, s_max)
@@ -178,36 +196,26 @@ def criterion_check(ring, ideal, t_max, truncation=None):
     for t in range(1, t_max + 1):
         it = ideal_power(ideal, t)
         module = quotient_module(ring, list(it.generators))
-        finite_cs = []
-        for j in range(0, d):
+        for j in range(d + 1):
             row_start = time.monotonic()
-            evals = []
-            for i in range(0, d + 2):
-                v = ext_k_begin(i, j, module, truncation=depth_steps)
-                evals.append(v)
-                if v not in (POS_INF, NEG_INF):
-                    finite_cs.append(Fraction(-v, t))
+            # Ext^i(k, H^j) for i < d + 2 below the top index, none at j = d.
+            evals = tuple(
+                ext_k_begin(i, j, module, truncation=depth_steps)
+                for i in range(d + 2 if j < d else 0)
+            )
             rows.append(
                 ScanRow(
                     t=t,
                     j=j,
                     lc_end=lc_end(j, module),
                     socle_beg=socle_begin(j, module),
-                    ext_k=tuple(evals),
+                    ext_k=evals,
                     elapsed_ms=int((time.monotonic() - row_start) * 1000),
                 )
             )
-        row_start = time.monotonic()
-        top_socle = socle_begin(d, module)
-        rows.append(
-            ScanRow(
-                t=t,
-                j=d,
-                lc_end=lc_end(d, module),
-                socle_beg=top_socle,
-                elapsed_ms=int((time.monotonic() - row_start) * 1000),
-            )
-        )
+        finite_cs = [Fraction(-v, t) for r in rows[-d - 1:] for v in r.ext_k
+                     if v not in (POS_INF, NEG_INF)]
+        top_socle = rows[-1].socle_beg
         c_prime = max(finite_cs) if finite_cs else None
         candidates = []
         if c_prime is not None:

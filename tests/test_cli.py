@@ -123,6 +123,27 @@ def test_scan_oracle_refuses_a_class_on_a_vanishing_row(demo_file, monkeypatch, 
     assert "oracle disagrees with duality route at j=0" in capsys.readouterr().err
 
 
+def test_socle_oracle_proves_the_vanishing_row(demo_file, capsys):
+    # H^0 of S/(x) vanishes: socle --oracle proves it as scan-powers does.
+    from soclelab import cli
+
+    assert cli.main(["socle", demo_file, "--ideal", "J", "--oracle"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "j,lc_end,socle_beg,oracle_checked",
+        "0,-inf,inf,true",
+        "1,-1,-1,true",
+    ]
+
+
+def test_socle_oracle_refuses_a_class_on_the_vanishing_row(demo_file, monkeypatch, capsys):
+    from soclelab import cli
+    from test_scans import _oracle_nonzero_at_h0
+
+    _oracle_nonzero_at_h0(monkeypatch)
+    assert cli.main(["socle", demo_file, "--ideal", "J", "--oracle"]) == 2
+    assert "oracle disagrees with duality route at j=0" in capsys.readouterr().err
+
+
 def test_canonical_subcommand(twisted_file):
     out = run_cli("canonical", twisted_file)
     assert out.returncode == 0

@@ -67,6 +67,56 @@ def test_an_oracle_class_on_a_vanishing_row_raises(setting, monkeypatch):
         scan_powers(R, Ideal(R, [x]), 2, oracle=True)
 
 
+def _curve():
+    S = PolyRing(field_of(32003), ("a", "b", "c", "d"))
+    a, b, c, d = S.gens()
+    R = RingPresentation(S)
+    return R, Ideal(R, [a * c - b**2, a * d - b * c, b * d - c**2])
+
+
+def test_a_vanishing_row_at_the_depth_raises(monkeypatch):
+    # depth S/I^2 = 1 on the twisted cubic, so H^1 cannot vanish: the
+    # Koszul homology H_3(x; S/I^2) is nonzero, which the degree-0
+    # sample of H^1 did not see.
+    from soclelab import scans
+
+    R, curve = _curve()
+    true_end, true_socle = scans.lc_end, scans.socle_begin
+    monkeypatch.setattr(scans, "lc_end", lambda j, m: NEG_INF if j == 1 else true_end(j, m))
+    monkeypatch.setattr(
+        scans, "socle_begin", lambda j, m: POS_INF if j == 1 else true_socle(j, m)
+    )
+    with pytest.raises(HypothesisError, match=r"j=1: H\^1 vanishes at j = depth M"):
+        scan_powers(R, curve, 2, oracle=True)
+
+
+def _unchecked_row_cases():
+    S3 = PolyRing(field_of(101), ("x", "y", "z"))
+    x, y, z = S3.gens()
+    R3 = RingPresentation(S3)
+    S4 = PolyRing(field_of(101), ("x", "y", "z", "w"))
+    x4, y4, z4, w4 = S4.gens()
+    R4 = RingPresentation(S4)
+    yield "curve", *_curve(), 2, []
+    yield "xy,yz,zx", R3, Ideal(R3, [x * y, y * z, z * x]), 4, []
+    # S/I^t has depth 0 (x^(2t-1) is a socle class) and dimension 3, while
+    # H^1 and H^2 vanish: I^t = x^t m^t has saturation (x^t).
+    yield "x2,xy,xz,xw", R4, Ideal(R4, [x4**2, x4 * y4, x4 * z4, x4 * w4]), 2, [
+        (1, 1), (1, 2), (2, 1), (2, 2)
+    ]
+
+
+@pytest.mark.parametrize("case", list(_unchecked_row_cases()), ids=lambda case: case[0])
+def test_rows_between_depth_and_dimension_stay_unchecked(case):
+    # A vanishing H^j with depth < j < dim has no finite proof; every
+    # other row is proved or raises.
+    _, R, ideal, t_max, expected = case
+    rows, _ = scan_powers(R, ideal, t_max, oracle=True)
+    unchecked = [(r.t, r.j) for r in rows if not r.oracle_checked]
+    assert unchecked == expected
+    assert all(r.lc_end == NEG_INF for r in rows if not r.oracle_checked)
+
+
 def test_scan_rows_match_direct_calls(setting):
     S, R = setting
     x, y = S.gens()
