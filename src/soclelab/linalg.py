@@ -149,13 +149,16 @@ def nullspace(field, rows, width):
 class QuotientSpace:
     """H = ker A / im B for matrices with AB = 0, from the columns of A.
 
-    ``image`` is an untracked echelon basis of im B.  Its non-pivot
-    columns, ``free``, index a complement C of im B, and H is ker(A|C).
-    The columns of A|C go into one tracked Span in increasing order; each
-    one that reduces to zero leaves a relation, its reduced kernel vector,
-    so ``dim`` counts them and ``reps`` are their relations.  The argument
-    is written out in the ``soclelab.localcoh`` docstring, whose Hom
-    complexes are the callers.
+    ``image`` is an untracked echelon basis of im B, built at once.  Its
+    non-pivot columns, ``free``, index a complement C of im B, and H is
+    ker(A|C).  Solving H waits for the first read of ``dim``, ``reps``,
+    ``unit`` or ``coords``: then the columns of A|C go into one tracked
+    Span in increasing order; each one that reduces to zero leaves a
+    relation, its reduced kernel vector, so ``dim`` counts them and
+    ``reps`` are their relations.  The columns of A are dropped once H is
+    solved.  A stage that is only read through ``remainder`` is never
+    solved.  The argument is written out in the ``soclelab.localcoh``
+    docstring, whose Hom complexes are the callers.
 
     B is given by its columns ``image_vectors`` and A by its columns
     ``out_cols`` of length ``out_width``, one per column of V (width
@@ -166,17 +169,59 @@ class QuotientSpace:
         self.image = Span(field, width)
         for v in image_vectors:
             self.image.add(v)
-        self.free = free = sorted(set(range(width)).difference(self.image.pivots))
-        # reps: cocycles whose classes form a basis of H.  Rep h is 1 at its
-        # own free column (``unit`` maps it to h), 0 at every other rep's,
-        # and otherwise lives on the independent columns of A|C.
-        self.reps, self.unit = [], {}
-        columns = Span(field, out_width, track=True)
-        for k in free:
-            if not columns.add(out_cols[k] if out_cols else {}):
-                self.unit[k] = len(self.reps)
-                self.reps.append({free[i]: c for i, c in columns.relation.items()})
-        self.dim = len(self.reps)
+        self.free = sorted(set(range(width)).difference(self.image.pivots))
+        self._out = (out_cols, out_width)
+        self._reps = self._unit = None
+
+    def _solve(self):
+        """reps: cocycles whose classes form a basis of H.  Rep h is 1 at
+        its own free column (``unit`` maps it to h), 0 at every other
+        rep's, and otherwise lives on the independent columns of A|C."""
+        if self._reps is None:
+            (out_cols, out_width), free = self._out, self.free
+            reps, unit = [], {}
+            columns = Span(self.image.field, out_width, track=True)
+            for k in free:
+                if not columns.add(out_cols[k] if out_cols else {}):
+                    unit[k] = len(reps)
+                    reps.append({free[i]: c for i, c in columns.relation.items()})
+            self._reps, self._unit, self._out = reps, unit, None
+        return self._reps
+
+    @property
+    def dim(self):
+        return len(self._solve())
+
+    @property
+    def reps(self):
+        return self._solve()
+
+    @property
+    def unit(self):
+        self._solve()
+        return self._unit
+
+    def remainder(self, vec):
+        """The remainder of a cocycle modulo im B: its component in C,
+        zero at every pivot of im B.  V/im B -> C is a linear isomorphism,
+        so ranks of remainders are ranks of classes.  Raises AlgebraError
+        when vec is no cocycle: by its image under A while H is unsolved,
+        and by the reps, as ``coords`` does, once it is; so reading a
+        remainder never solves H."""
+        rem = self.image.reduce(vec)
+        if self._reps is not None:
+            self._combination(dict(rem))
+            return rem
+        out_cols, p = self._out[0], self.image.p
+        if out_cols:
+            image = {}
+            for k, c in rem.items():
+                for r, a in out_cols[k].items():
+                    v = image.get(r, 0) + c * a
+                    image[r] = v % p if p else v
+            if any(image.values()):
+                raise AlgebraError("vector escapes the cohomology subquotient")
+        return rem
 
     def coords(self, vec):
         """Sparse coordinates {rep index: coefficient} of a cocycle.
@@ -185,9 +230,12 @@ class QuotientSpace:
         combination of the reps read off at their unit columns; raises
         AlgebraError when it is not.
         """
-        reps = self.reps
-        rem = self.image.reduce(vec)
-        unit, p = self.unit, self.image.p
+        self._solve()
+        return self._combination(self.image.reduce(vec))
+
+    def _combination(self, rem):
+        """The reps' coefficients in a remainder, which it consumes."""
+        reps, unit, p = self._reps, self._unit, self.image.p
         out = {unit[k]: c for k, c in rem.items() if k in unit}
         for h, c in out.items():
             for k, a in reps[h].items():

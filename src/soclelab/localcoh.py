@@ -27,7 +27,8 @@ H = ker A / im B is isomorphic to ker A meet C, the kernel of A
 restricted to the columns of C.
 
 That kernel is read off the columns of A|C (A restricted to C), inserted
-in increasing order into one tracked span.  A column that reduces to
+in increasing order into one tracked span, on the first read of the
+stage's dimension or representatives.  A column that reduces to
 zero lies in the span of the earlier ones.  Row operations keep every
 linear relation among the columns, and in a reduced row echelon form a
 column is a pivot column exactly when it is no combination of the
@@ -80,9 +81,18 @@ j-subset, are M_{ell + js}.  Multiplication by a variable commutes with
 the transitions, and s0 for ell + 1 is at most s0 for ell, so the socle
 in degree ell is read at stage s0(ell) on both sides: each
 representative h of degree ell goes to (x_1 h, ..., x_n h), each x_i h
-taken block by block through one multiplication matrix of M_{ell + js}
-and written in the coordinates of the stage of degree ell + 1.  The
-socle has dimension dim H_ell minus the rank of those vectors.
+taken block by block through one multiplication matrix of M_{ell + js}.
+The socle has dimension dim H_ell minus the rank of those vectors, read
+in H_{ell+1}^n.  The stage of degree ell + 1 need not be solved for that
+rank: with V its middle term and B its incoming map, H_{ell+1} =
+ker A / im B embeds in V / im B, and the remainder modulo im B (the
+echelon reduction above) is a linear isomorphism from V / im B onto C.
+So x_i h -> its remainder is injective on H_{ell+1}, block by block, and
+the stacked remainders have the same rank as the stacked coordinates.
+Only the image of that stage is built; its columns of A|C are eliminated
+when, and only when, its own dimension is read.  Each remainder is still
+checked to lie in ker A, so a multiplication that leaves the cocycles
+raises AlgebraError.
 
 What the two routes share.  The duality route reads only the degrees
 of the Nakayama-minimal generators of each Ext module
@@ -98,9 +108,11 @@ syzygies and minimal generators on the duality route.  The Hom complexes,
 the cohomology of each stage (``linalg.QuotientSpace``), its
 representatives and the socle's Span are the oracle's own sparse linear
 algebra.  The tests keep the Span-based pieces, which use no module
-Groebner basis, and two older cohomology routes (a kernel basis from
+Groebner basis, two older cohomology routes (a kernel basis from
 ``nullspace`` inserted after the image into one tracked Span, and the
-rows of A|C with their reduced kernel basis), as independent references.
+rows of A|C with their reduced kernel basis), and the socle count on the
+coordinates of the solved stage of degree ell + 1, as independent
+references.
 """
 
 import itertools
@@ -415,16 +427,17 @@ def koszul_piece(j, module, ell, s_max=10):
 
 
 def socle_piece(j, module, ell, s_max=10):
-    """dim of the socle of H^j_m(M) in one degree, by brute force.
+    """dim of the socle of H^j_m(M) in one degree.
 
     The joint kernel of the variable multiplications from stage s0 of
     degree ell to the same stage of degree ell + 1, counted as dim H_ell
     minus the rank of one Span of the images (x_1 h, ..., x_n h) of the
-    representatives h (module docstring).  s0 for ell is
-    at least s0 for ell + 1, so both stages equal their limits and the
-    multiplications are those of H^j_m(M).  The answer is (0, 2) where
-    ``koszul_piece`` gives it.  Raises UnstableLimitError when s0 >= s_max.
-    Returns (dimension, s0).
+    representatives h, each x_i h taken by its remainder modulo the image
+    of the stage of degree ell + 1, which this call does not solve
+    (module docstring).  s0 for ell is at least s0 for ell + 1, so both
+    stages equal their limits and the multiplications are those of
+    H^j_m(M).  The answer is (0, 2) where ``koszul_piece`` gives it.
+    Raises UnstableLimitError when s0 >= s_max.  Returns (dimension, s0).
     """
     s = _limit_stage(j, module, ell, s_max)
     if s is None:
@@ -436,21 +449,23 @@ def socle_piece(j, module, ell, s_max=10):
     source = module.piece(ell + j * s)
     block, tgt_block = source.dim, module.piece(ell + 1 + j * s).dim
     mults = [source.multiplication_matrix(x) for x in module.ring.ambient.gens()]
-    # One vector per rep h: (x_1 h, ..., x_n h) in b0's coordinates.
-    images = Span(module.ring.field, len(mults) * b0.dim)
+    # One vector per rep h: (x_1 h, ..., x_n h), each by its remainder
+    # modulo b0's image, block i at columns i * width onwards.
+    width = b0.image.width
+    images = Span(module.ring.field, len(mults) * width)
     for rep in a0.reps:
         stacked = {}
         for i, mm in enumerate(mults):
-            # Plain int or Fraction sums: coords reduces its input mod p.
+            # Plain int or Fraction sums: remainder reduces its input mod p.
             out = {}
             for k, c in rep.items():
                 subset, b = divmod(k, block)
                 base = subset * tgt_block
                 for r, v in mm[b].items():
                     out[base + r] = out.get(base + r, 0) + c * v
-            base = i * b0.dim
-            for h, c in b0.coords(out).items():
-                stacked[base + h] = c
+            base = i * width
+            for k, c in b0.remainder(out).items():
+                stacked[base + k] = c
         images.add(stacked)
     return a0.dim - images.rank, s
 

@@ -21,7 +21,7 @@ from .modgb import (
     vec_degree,
 )
 from .monomials import hilbert_coefficient, leads_numerator, series_dimension
-from .poly import Polynomial
+from .poly import POS_INF, Polynomial
 from .rings import RingPresentation, memoized
 from .runs import HilbertRun, TaggedRun
 
@@ -146,6 +146,7 @@ class ModulePresentation:
     relation submodule ("relation_gb", a ``modgb.VectorReducer`` that
     keeps the basis coded once per field width), the Hilbert numerator
     read off it ("hilbert_numerator"), its graded pieces (("piece", d)),
+    the ``Staircase`` of the leads in each position (("staircase", i)),
     its Krull dimension ("dimension"), its fold over S, resolution, the
     minimal generators of its Ext duals and their presentations, and its
     Koszul stages.
@@ -171,8 +172,6 @@ class ModulePresentation:
         Valid on minimal presentations, where it is the least generator
         degree.
         """
-        from .poly import POS_INF
-
         if self.is_zero():
             return POS_INF
         return min(self.matrix.target)
@@ -295,6 +294,49 @@ def vec_reduce_components(ring, vec):
     return out
 
 
+class Staircase:
+    """The staircase of the monomial ideal L generated by ``leads``, as a
+    table of heights.
+
+    For a prefix p = (e_1, ..., e_{n-1}), the height h(p) is the least
+    last exponent of a lead whose other exponents are all <= p, so that
+    x^m lies outside L exactly when m_n < h(m_{<n}).  ``height`` holds
+    h(p) for every prefix of finite height and of degree at most the
+    highest ``top`` passed to ``extend``; a prefix of infinite height has
+    no entry.
+    """
+
+    def __init__(self, leads):
+        self.height = {}
+        self._exact = {}  # prefix degree -> [(prefix, last exponent)] of the leads
+        for e in leads:
+            self._exact.setdefault(sum(e[:-1]), []).append((e[:-1], e[-1]))
+        self._level = {}  # the entries of ``height`` of prefix degree ``_top``
+        self._top = -1
+
+    def extend(self, top):
+        """``height``, filled through prefix degree ``top``, each degree
+        from the one below it (the induction in ``GradedPiece``)."""
+        while self._top < top:
+            level = {}
+            get = level.get
+            for q, h in self._level.items():
+                up = list(q)
+                for k in range(len(up)):
+                    up[k] += 1
+                    p = tuple(up)
+                    up[k] -= 1
+                    if h < get(p, POS_INF):
+                        level[p] = h
+            self._top += 1
+            for p, h in self._exact.pop(self._top, ()):
+                if h < get(p, POS_INF):
+                    level[p] = h
+            self.height.update(level)
+            self._level = level
+        return self.height
+
+
 class GradedPiece:
     """The degree piece (F/N)_d of a presented module M = F/N.
 
@@ -311,6 +353,20 @@ class GradedPiece:
     under ``table``; ``project`` reads coordinates off the normal form.
     The table holds every term of degree d, so normal forms in this
     degree never outgrow it.
+
+    A candidate x^m of the ring in position i is standard exactly when
+    m_n < h_i(m_{<n}), h_i the height of the ``Staircase`` of the leads
+    in position i: a lead x^l divides x^m iff l_{<n} <= m_{<n} and
+    l_n <= m_n, and the least such l_n is h_i(m_{<n}).  So each
+    candidate costs one lookup, not a scan of the leads.  The heights
+    follow by induction on the prefix degree: a lead below p either has
+    prefix p or lies below p - u_k for some k with p_k > 0, so h(p) is
+    the least of the last exponent of a lead with prefix p and of the
+    h(p - u_k) over those k.  The staircase is kept in the module's memo
+    (("staircase", i)), so it is freed with the module, and filled only
+    through prefix degree d - a_i.  It holds at most one entry per
+    prefix p of degree <= d - a_i, and p -> p * x_n^(d - a_i - |p|) maps
+    those prefixes one to one into the monomials of S of degree d - a_i.
     """
 
     def __init__(self, module, degree):
@@ -328,15 +384,19 @@ class GradedPiece:
             probe = [(i, monos[0]) for i, monos in candidates if monos]
             table = self.table = reducer.order.table([probe], bits)
             index = reducer.coded(table)
-            offsets, steps, mask = table.offsets, table.steps, table.mask
+            offsets, steps = table.offsets, table.steps
             for i, monos in candidates:
-                # lead l divides code t in position i iff (t + absorb - l) & mask == 0
-                divisors = [lead - table.absorb for _, lead, _ in index.get(i, ())]
-                for m in monos:
-                    code = sum(map(mul, m, steps), offsets[i])
-                    if all(map(mask.__and__, map(code.__sub__, divisors))):
-                        self.terms.append((i, m))
-                        self.codes.append(code)
+                if not monos:
+                    continue
+                stair = memoized(
+                    module,
+                    ("staircase", i),
+                    lambda: Staircase([table.decode(lead)[1] for _, lead, _ in index.get(i, ())]),
+                )
+                height = stair.extend(degree - twists[i])
+                kept = [m for m in monos if m[-1] < height.get(m[:-1], POS_INF)]
+                self.terms.extend((i, m) for m in kept)
+                self.codes.extend(sum(map(mul, m, steps), offsets[i]) for m in kept)
         self.slots = {code: k for k, code in enumerate(self.codes)}
 
     @property

@@ -16,11 +16,15 @@ replaced: it inserts the rows of A|C, counts dim H as #free - rank, and
 builds the representatives as the reduced kernel basis of those rows
 (``Span.kernel``) on first use.
 
+``divisor_scan`` is the test for standard terms that the staircase
+lookup of ``modules.GradedPiece`` replaced: each candidate's code is
+checked against every lead of its position by one masked subtraction.
+
 Also here: the small helpers that only the references use, ``transpose``
 and ``rank`` of sparse matrices and ``mono_div`` of exponent vectors.
 """
 
-from operator import sub
+from operator import mul, sub
 
 from soclelab.errors import AlgebraError
 from soclelab.linalg import Span
@@ -79,6 +83,34 @@ def multiples_span(ring, twists, degree, vector_degree_pairs):
         for m in ring.standard_monomials(degree - d):
             span.add(vec_coords(vec_reduce_components(ring, vec_shift(vec, m)), index))
     return basis, index, span
+
+
+def divisor_scan(module, degree):
+    """The standard terms of a degree piece of the module and their codes,
+    in the order of ``modules.GradedPiece``: the candidates of
+    ``RingPresentation.standard_monomials`` in each position that no lead
+    of the relation basis in that position divides, coded under the
+    table the piece builds."""
+    ring, twists = module.ring, module.matrix.target
+    reducer = module.relation_basis()
+    candidates = [(i, ring.standard_monomials(degree - a)) for i, a in enumerate(twists)]
+    terms, codes = [], []
+    if not any(monos for _, monos in candidates):
+        return terms, codes
+    bits = max(reducer.bits, (degree - min(twists)).bit_length())
+    probe = [(i, monos[0]) for i, monos in candidates if monos]
+    table = reducer.order.table([probe], bits)
+    index = reducer.coded(table)
+    offsets, steps, mask = table.offsets, table.steps, table.mask
+    for i, monos in candidates:
+        # lead l divides code t in position i iff (t + absorb - l) & mask == 0
+        divisors = [lead - table.absorb for _, lead, _ in index.get(i, ())]
+        for m in monos:
+            code = sum(map(mul, m, steps), offsets[i])
+            if all(map(mask.__and__, map(code.__sub__, divisors))):
+                terms.append((i, m))
+                codes.append(code)
+    return terms, codes
 
 
 class ReferencePiece:

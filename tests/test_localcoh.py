@@ -996,6 +996,108 @@ def test_socle_piece_matches_the_old_route(char):
     assert staged >= 150 and socles >= 8, (staged, socles)
 
 
+def _coords_socle_piece(j, module, ell, s_max=10):
+    """The socle count ``socle_piece`` made before it read the stage of
+    degree ell + 1 by remainders: each x_i h written in the coordinates
+    of that stage's reps (``QuotientSpace.coords``, which solves it), the
+    images stacked into one Span, and dim H_ell minus their rank."""
+    s = _limit_stage(j, module, ell, s_max)
+    if s is None:
+        return 0, 2
+    a0 = _koszul_stage(module, j, ell, s)
+    if a0.dim == 0:
+        return 0, s
+    b0 = _koszul_stage(module, j, ell + 1, s)
+    source = module.piece(ell + j * s)
+    block, tgt_block = source.dim, module.piece(ell + 1 + j * s).dim
+    mults = [source.multiplication_matrix(x) for x in module.ring.ambient.gens()]
+    images = Span(module.ring.field, len(mults) * b0.dim)
+    for rep in a0.reps:
+        stacked = {}
+        for i, mm in enumerate(mults):
+            out = {}
+            for k, c in rep.items():
+                subset, b = divmod(k, block)
+                for r, v in mm[b].items():
+                    out[subset * tgt_block + r] = out.get(subset * tgt_block + r, 0) + c * v
+            for h, c in b0.coords(out).items():
+                stacked[i * b0.dim + h] = c
+        images.add(stacked)
+    return a0.dim - images.rank, s
+
+
+@pytest.mark.parametrize("char", [2, 101, 0])
+def test_socle_piece_equals_the_coords_route(char):
+    # Each degree of the window, upwards on one copy of the corpus and
+    # downwards on another, so the stage of degree ell + 1 is read both
+    # before and after it is solved.  socle_piece runs first: the
+    # reference solves every stage it reads.
+    calls = {False: 0, True: 0}
+    socles = 0
+    for window in (range(-6, 8), range(7, -7, -1)):
+        for ring, M in _duality_corpus(char):
+            n = ring.ambient.n
+            for j in range(M.krull_dimension() + 1):
+                for ell in window:
+                    s = _limit_stage(j, M, ell, 12)
+                    above = M._memo.get(("koszul", j, ell + 1, s))
+                    solved = above is not None and above._reps is not None
+                    dim = socle_piece(j, M, ell, s_max=12)
+                    if s is not None and _koszul_stage(M, j, ell, s).dim:
+                        calls[solved] += 1
+                    assert dim == _coords_socle_piece(j, M, ell, s_max=12), (j, ell)
+                    socles += dim[0] > 0
+    assert calls[False] >= 100 and calls[True] >= 15 and socles >= 20, (calls, socles)
+
+
+def test_a_stage_read_only_from_below_is_never_solved(monkeypatch):
+    # socle_piece solves its own stage and reads the stage of degree
+    # ell + 1 only by remainders modulo its image: one tracked Span in
+    # all.  Reading the dimension of the stage above solves it.
+    S = PolyRing(field_of(101), ("x", "y", "z"))
+    x, y, z = S.gens()
+    R = RingPresentation(S)
+    M = quotient_module(R, ideal_power(Ideal(R, [x * y, y * z, z * x]), 2).generators)
+    ell = socle_begin(1, M)
+    s = _limit_stage(1, M, ell, 10)
+    tracked = []
+    original = Span.__init__
+
+    def recording(span, field, width, track=False):
+        tracked.append(track)
+        original(span, field, width, track)
+
+    monkeypatch.setattr(Span, "__init__", recording)
+    assert socle_piece(1, M, ell) == (3, s)
+    above = M._memo[("koszul", 1, ell + 1, s)]
+    assert tracked.count(True) == 1 and above._reps is None
+    assert above.dim == koszul_piece(1, M, ell + 1)[0]
+    assert tracked.count(True) == 2
+
+
+@pytest.mark.parametrize("solved", [False, True])
+def test_a_multiplication_column_off_the_kernel_raises(presentation_xy, ring_xy, solved):
+    # H^1 of S/(xy) in degree -1, stage 2: the rep at block {x} and basis
+    # term 0 of M_1 is sent by x to column 0 of x's multiplication matrix.
+    # Mutated to a unit vector that A does not kill, x h is no cocycle of
+    # the stage above, whether that stage is solved or not.
+    x, y = ring_xy.gens()
+    M = quotient_module(presentation_xy, [x * y])
+    j, ell, s = 1, -1, 2
+    assert _limit_stage(j, M, ell, 10) == s
+    a0 = _koszul_stage(M, j, ell, s)
+    assert a0.reps[0] == {0: 1}
+    out_cols, _ = localcoh._hom_map(M, localcoh._koszul_matrix(M.ring, s, j + 1), ell + 1)
+    [r] = [r for r in range(M.piece(ell + 1 + j * s).dim) if out_cols[r]]
+    if solved:
+        assert koszul_piece(j, M, ell + 1) == (1, s)
+    assert socle_piece(j, M, ell) == (0, s)
+    M.piece(ell + j * s).multiplication_matrix(x)[0] = {r: 1}
+    with pytest.raises(AlgebraError, match="escapes"):
+        socle_piece(j, M, ell)
+    assert (M._memo[("koszul", j, ell + 1, s)]._reps is not None) == solved
+
+
 def test_coords_of_a_non_cocycle_raises(presentation_xy, ring_xy):
     x, y = ring_xy.gens()
     M = quotient_module(presentation_xy, [x * y])

@@ -12,8 +12,10 @@ cubic quotient, ranks 1 to 3 with negative twists, and Ext modules from
 the duality route.
 """
 
+import gc
 import random
 import time
+import weakref
 
 import pytest
 
@@ -33,6 +35,7 @@ from soclelab.modules import (
     GradedMatrix,
     GradedPiece,
     ModulePresentation,
+    Staircase,
     module_hilbert,
     quotient_module,
     s_presentation,
@@ -40,7 +43,7 @@ from soclelab.modules import (
 from soclelab.monomials import mono_mul, monomials_of_degree
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
-from span_reference import ReferencePiece, rank
+from span_reference import ReferencePiece, divisor_scan, rank
 
 CHARS = [2, 101, 0]
 
@@ -221,6 +224,85 @@ def test_multiplication_columns_across_a_wider_table():
         cols = piece.multiplication_matrix(f)
         assert cols == [target.project(v) for v in shifted]
         assert len(cols) == 2 and all(cols)
+
+
+@pytest.mark.parametrize("char", CHARS)
+@pytest.mark.parametrize("quotient", [False, True])
+def test_staircase_pieces_equal_the_divisor_scan(char, quotient):
+    # Fresh modules are asked for their pieces from the top degree down,
+    # which fills each staircase at once, and from the bottom up, which
+    # extends it one degree at a time.  Ext duals are among the modules.
+    pieces, nonzero, duals = {}, 0, 0
+    for descending in (True, False):
+        count = 0
+        for module, is_dual in _modules(char, quotient):
+            duals += is_dual
+            low = min(module.matrix.target)
+            degrees = range(low, low + 7)
+            for d in reversed(degrees) if descending else degrees:
+                piece = module.piece(d)
+                assert (piece.terms, piece.codes) == divisor_scan(module, d), (module, d)
+                count += 1
+                nonzero += piece.dim > 0
+        pieces[descending] = count
+    assert pieces[True] == pieces[False] >= 42 and nonzero >= 60 and duals >= 2
+
+
+def test_staircase_heights():
+    # Leads a^2, b*c^3 and c^5 in k[a,b,c]: a prefix (e_a, e_b) has the
+    # least c exponent of the leads below it as its height.  Below (0, 1)
+    # lie b*c^3 and c^5, below (2, 0) lie a^2 and c^5, below (1, 0) only c^5.
+    stair = Staircase([(2, 0, 0), (0, 1, 3), (0, 0, 5)])
+    height = stair.extend(2)
+    assert height == {
+        (0, 0): 5, (1, 0): 5, (0, 1): 3, (2, 0): 0, (1, 1): 3, (0, 2): 3,
+    }
+    # Asking for a lower degree adds nothing; one degree more adds the
+    # four prefixes of degree 3.
+    assert stair.extend(1) is height and len(height) == 6
+    assert stair.extend(3) == {
+        **height, (3, 0): 0, (2, 1): 0, (1, 2): 3, (0, 3): 3,
+    }
+    assert len(height) == 10
+    assert Staircase([]).extend(4) == {}
+
+
+def test_staircase_of_one_variable_and_of_a_free_summand():
+    # In k[x] every lead has the empty prefix.  A free summand of a module
+    # has no lead in its position: every candidate there is standard.
+    S = PolyRing(field_of(101), ("x",))
+    (x,) = S.gens()
+    M = quotient_module(RingPresentation(S), [x**3])
+    assert [M.piece(d).dim for d in range(6)] == [1, 1, 1, 0, 0, 0]
+    assert M._memo[("staircase", 0)].height == {(): 3}
+    T = PolyRing(field_of(101), ("a", "b", "c"))
+    a, b, c = T.gens()
+    R = RingPresentation(T)
+    N = ModulePresentation(R, GradedMatrix(R, (0, 1), (2, 2), [[a**2, b * c], [T.zero, T.zero]]))
+    for d in range(5):
+        piece = N.piece(d)
+        assert (piece.terms, piece.codes) == divisor_scan(N, d)
+        assert sum(i == 1 for i, _ in piece.terms) == len(monomials_of_degree(3, d - 1))
+    assert N._memo[("staircase", 1)].height == {}
+    assert N._memo[("staircase", 0)].height[(0, 1)] == 1
+
+
+def test_a_staircase_is_freed_with_its_module():
+    # The table lives in the module's memo and nowhere else: once the
+    # module and its pieces go, so does the table.
+    S = PolyRing(field_of(2), ("a", "b", "c", "d"))
+    a, b = S.gens()[:2]
+    M = quotient_module(RingPresentation(S), [a**2, a * b**3])
+    assert M.piece(12).dim == len(divisor_scan(M, 12)[0])
+    stair = M._memo[("staircase", 0)]
+    # One entry per prefix (a, b, c) of degree <= 12 with a >= 2, or a = 1 and b >= 3.
+    assert len(stair.height) == sum(
+        1 for e in range(13) for p in monomials_of_degree(3, e) if p[0] >= 2 or (p[0] == 1 and p[1] >= 3)
+    )
+    gone = weakref.ref(stair)
+    del M, stair
+    gc.collect()
+    assert gone() is None
 
 
 @pytest.mark.parametrize("char", CHARS)

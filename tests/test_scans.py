@@ -321,6 +321,24 @@ def test_the_default_oracle_scan_of_the_twisted_cubic_reaches_t6():
     assert elapsed < 3 * CURVE_T6_BUDGET_S
 
 
+def test_the_oracle_scan_of_the_triangle_ideal_to_t8():
+    # (xy, yz, zx), the edge ideal of a triangle, over GF(101): every row
+    # is checked by the Koszul oracle.  H^0(S/I^t) ends and begins its
+    # socle at 2t - 1 from t = 2 on, H^1 ends at 2t - 2 and begins its
+    # socle at floor(3t/2) - 1.  At t = 1, S/I is Cohen-Macaulay of
+    # dimension 1: H^0 vanishes and H^1 is (0, 0).  About 0.25 s (2 cores,
+    # CPython 3.11.7).
+    S = PolyRing(field_of(101), ("x", "y", "z"))
+    x, y, z = S.gens()
+    R = RingPresentation(S)
+    rows, _ = scan_powers(R, Ideal(R, [x * y, y * z, z * x]), 8, oracle=True)
+    assert all(r.oracle_checked for r in rows)
+    expected = [(1, 0, NEG_INF, POS_INF), (1, 1, 0, 0)]
+    for t in range(2, 9):
+        expected += [(t, 0, 2 * t - 1, 2 * t - 1), (t, 1, 2 * t - 2, 3 * t // 2 - 1)]
+    assert [(r.t, r.j, r.lc_end, r.socle_beg) for r in rows] == expected
+
+
 @pytest.mark.parametrize("scan", [scan_powers, criterion_check, lemma37_scan])
 def test_scans_refuse_t_max_zero(setting, scan):
     S, R = setting
