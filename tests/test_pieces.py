@@ -9,7 +9,9 @@ them: dimensions, which vectors project to zero, ranks of projected
 families, and ranks of multiplication matrices.  Inputs are seeded, over
 GF(2), GF(101) and QQ, the polynomial ring k[a,b,c,d] and the twisted
 cubic quotient, ranks 1 to 3 with negative twists, and Ext modules from
-the duality route.
+the duality route.  The staircase lookup that finds the standard terms
+is held to the divisor scan it replaced (``span_reference.divisor_scan``),
+term for term and code for code.
 """
 
 import gc
