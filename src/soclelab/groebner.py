@@ -45,11 +45,11 @@ class Ideal:
         return f"Ideal({gens})"
 
     def groebner(self):
-        """Reduced Groebner basis of generators + relations, memoized."""
+        """Reduced Groebner basis of the generators and the relation basis, memoized."""
         return memoized(
             self,
             "gb",
-            lambda: tuple(groebner_polys(list(self.generators) + list(self.ring.relations))),
+            lambda: tuple(groebner_polys([*self.generators, *self.ring.relations_groebner()])),
         )
 
     def hilbert_numerator(self):

@@ -523,6 +523,8 @@ def ext_k_begin(i, j, module, truncation=None):
 
     +inf when the Ext module vanishes (in particular whenever H^j does).
     """
+    if truncation is not None and truncation < 0:
+        raise DomainError("truncation must be >= 0")
     ring = module.ring
     n = module.ring.n
     dual = ext_dual(n - j, module)

@@ -1,11 +1,12 @@
 """Buchberger engine for submodules of free modules over a polynomial ring.
 
 At the boundary (``buchberger_vectors``, ``groebner_polys``,
-``poly_normal_form`` and the runs of ``soclelab.runs``) a vector is a
-dict mapping ``(position, exponent tuple)`` to a nonzero field
-coefficient; ideals are the rank-one case.  Inside the engine every term is one Python int, its
-code under the run's ``VectorOrder`` (see there): a smaller code is a
-larger term, and multiplying a term by a monomial adds one int.
+``VectorReducer``, ``poly_normal_form`` and the runs of ``soclelab.runs``)
+a vector is a dict mapping ``(position, exponent tuple)`` to a nonzero
+field coefficient; ideals are the rank-one case.  Inside the engine every
+term is one Python int, its code under the run's ``VectorOrder`` (see
+there): a smaller code is a larger term, and multiplying a term by a
+monomial adds one int.
 Coefficients are plain field elements, reduced ``% p`` in the loop over
 GF(p) and left as Fractions over QQ, as ``linalg.Span`` does.
 
@@ -590,9 +591,9 @@ class VectorReducer:
     """Normal forms modulo a fixed monic Groebner basis under one order.
 
     It keeps the basis coded, as its ``lead_index``, once per field
-    width, so that repeated reductions under equal tables
-    (``RingPresentation.nf``, the pieces of a ``ModulePresentation``)
-    encode the basis once.
+    width, so that repeated reductions under equal tables (a ring's
+    relations, in ``RingPresentation.nf_terms``; a module's, in its
+    pieces) encode the basis once.
     """
 
     def __init__(self, basis, order, field):
@@ -630,21 +631,11 @@ class VectorReducer:
         return _run_packed(self.order, [vec], run, max(bits, self.bits))
 
 
-class PolyReducer(VectorReducer):
-    """Normal forms modulo fixed monic polynomials of one ring."""
-
-    def __init__(self, ring, basis_polys):
-        super().__init__([poly_to_vec(g) for g in basis_polys], VectorOrder(ring.order.key), ring.field)
-        self.ring = ring
-
-    def reduce(self, f):
-        """Remainder of f on division by the basis."""
-        if f.is_zero() or not self.basis:
-            return f
-        table, rem = self.normal_form(poly_to_vec(f))
-        return vec_to_poly(self.ring, table.decode_vec(rem))
-
-
 def poly_normal_form(f, basis_polys):
     """Remainder of f on division by monic polynomials."""
-    return PolyReducer(f.ring, basis_polys).reduce(f)
+    if f.is_zero() or not basis_polys:
+        return f
+    ring = f.ring
+    reducer = VectorReducer(map(poly_to_vec, basis_polys), VectorOrder(ring.order.key), ring.field)
+    table, rem = reducer.normal_form(poly_to_vec(f))
+    return vec_to_poly(ring, table.decode_vec(rem))

@@ -20,7 +20,7 @@ from .modgb import (
     poly_to_vec,
     vec_degree,
 )
-from .monomials import hilbert_coefficient, leads_numerator, series_dimension
+from .monomials import Staircase, hilbert_coefficient, leads_numerator, series_dimension
 from .poly import POS_INF, Polynomial
 from .rings import RingPresentation, memoized
 from .runs import HilbertRun, TaggedRun
@@ -279,62 +279,16 @@ def quotient_module(ring, ideal_gens):
 
 
 def vec_reduce_components(ring, vec):
-    """Normal form of each polynomial component modulo the relations."""
+    """Normal form of each polynomial component modulo the relations
+    (``RingPresentation.nf_terms``)."""
     if ring.is_polynomial_ring:
         return dict(vec)
-    amb = ring.ambient
     by_pos = {}
     for (pos, m), c in vec.items():
         by_pos.setdefault(pos, {})[m] = c
-    out = {}
-    for pos, terms in by_pos.items():
-        f = ring.nf(Polynomial(amb, terms))
-        for m, c in f.terms.items():
-            out[(pos, m)] = c
-    return out
-
-
-class Staircase:
-    """The staircase of the monomial ideal L generated by ``leads``, as a
-    table of heights.
-
-    For a prefix p = (e_1, ..., e_{n-1}), the height h(p) is the least
-    last exponent of a lead whose other exponents are all <= p, so that
-    x^m lies outside L exactly when m_n < h(m_{<n}).  ``height`` holds
-    h(p) for every prefix of finite height and of degree at most the
-    highest ``top`` passed to ``extend``; a prefix of infinite height has
-    no entry.
-    """
-
-    def __init__(self, leads):
-        self.height = {}
-        self._exact = {}  # prefix degree -> [(prefix, last exponent)] of the leads
-        for e in leads:
-            self._exact.setdefault(sum(e[:-1]), []).append((e[:-1], e[-1]))
-        self._level = {}  # the entries of ``height`` of prefix degree ``_top``
-        self._top = -1
-
-    def extend(self, top):
-        """``height``, filled through prefix degree ``top``, each degree
-        from the one below it (the induction in ``GradedPiece``)."""
-        while self._top < top:
-            level = {}
-            get = level.get
-            for q, h in self._level.items():
-                up = list(q)
-                for k in range(len(up)):
-                    up[k] += 1
-                    p = tuple(up)
-                    up[k] -= 1
-                    if h < get(p, POS_INF):
-                        level[p] = h
-            self._top += 1
-            for p, h in self._exact.pop(self._top, ()):
-                if h < get(p, POS_INF):
-                    level[p] = h
-            self.height.update(level)
-            self._level = level
-        return self.height
+    return {
+        (pos, m): c for pos, terms in by_pos.items() for m, c in ring.nf_terms(terms).items()
+    }
 
 
 class GradedPiece:
@@ -354,19 +308,11 @@ class GradedPiece:
     The table holds every term of degree d, so normal forms in this
     degree never outgrow it.
 
-    A candidate x^m of the ring in position i is standard exactly when
-    m_n < h_i(m_{<n}), h_i the height of the ``Staircase`` of the leads
-    in position i: a lead x^l divides x^m iff l_{<n} <= m_{<n} and
-    l_n <= m_n, and the least such l_n is h_i(m_{<n}).  So each
-    candidate costs one lookup, not a scan of the leads.  The heights
-    follow by induction on the prefix degree: a lead below p either has
-    prefix p or lies below p - u_k for some k with p_k > 0, so h(p) is
-    the least of the last exponent of a lead with prefix p and of the
-    h(p - u_k) over those k.  The staircase is kept in the module's memo
-    (("staircase", i)), so it is freed with the module, and filled only
-    through prefix degree d - a_i.  It holds at most one entry per
-    prefix p of degree <= d - a_i, and p -> p * x_n^(d - a_i - |p|) maps
-    those prefixes one to one into the monomials of S of degree d - a_i.
+    A candidate of position i, a standard monomial of R of degree d - a_i,
+    is kept when it lies outside the ``monomials.Staircase`` of the leads
+    in position i: the rule by which R finds its own standard monomials.
+    That staircase is kept in the module's memo (("staircase", i)), so it
+    is freed with the module, and filled only through degree d - a_i.
     """
 
     def __init__(self, module, degree):
@@ -393,8 +339,7 @@ class GradedPiece:
                     ("staircase", i),
                     lambda: Staircase([table.decode(lead)[1] for _, lead, _ in index.get(i, ())]),
                 )
-                height = stair.extend(degree - twists[i])
-                kept = [m for m in monos if m[-1] < height.get(m[:-1], POS_INF)]
+                kept = stair.outside(monos, degree - twists[i])
                 self.terms.extend((i, m) for m in kept)
                 self.codes.extend(sum(map(mul, m, steps), offsets[i]) for m in kept)
         self.slots = {code: k for k, code in enumerate(self.codes)}
@@ -511,9 +456,10 @@ def syzygies_over(ring, columns, twists, rels=(), degree=None):
     subquotient, colon ideals and intersections all come from it.
     ``rels`` are vectors in the free module with the given twists.  Only
     the columns are tagged; ``rels`` and (over R = S/a) the multiples
-    a*e_i enter the engine untagged, so no syzygies among them are
-    computed.  Components are reduced to normal form and zero generators
-    dropped.
+    g*e_i of the reduced basis of a (``_ring_multiples``, as in
+    ``relation_basis`` and the Nakayama runs) enter the engine untagged,
+    so no syzygies among them are computed.  Components are reduced to
+    normal form and zero generators dropped.
 
     It constructs one ``runs.TaggedRun`` on the columns and the untagged
     vectors.  Without ``degree`` the call takes that run to its end and
@@ -521,10 +467,7 @@ def syzygies_over(ring, columns, twists, rels=(), degree=None):
     the call returns the run stopped after that degree; the step passes
     what the run finds through ``reduced_syzygies``.
     """
-    extra = list(rels)
-    for rel in ring.relations:
-        for i in range(len(twists)):
-            extra.append(poly_to_vec(rel, i))
+    extra = list(rels) + _ring_multiples(ring, len(twists))
     run = TaggedRun(ring.ambient, columns, twists, extra).resume(degree)
     if degree is not None:
         return run

@@ -1,6 +1,7 @@
 """Monomials as exponent tuples, plus the handful of operations on them.
 
-Also the one monomial-ideal kernel: the numerator of the Hilbert–Poincaré
+Also the two monomial-ideal kernels: the ``Staircase`` that tells the
+standard monomials of each degree, and the numerator of the Hilbert–Poincaré
 series of S/(monomials), from which Hilbert functions and Krull
 dimensions are read.  A graded module's numerator is a sum of such
 numerators shifted by the twists, which may be negative: a Laurent
@@ -9,7 +10,7 @@ polynomial, kept as a dict from exponent to nonzero coefficient
 either format.
 """
 
-from math import comb
+from math import comb, inf
 from operator import add, le
 
 
@@ -19,11 +20,6 @@ def mono_mul(a, b):
 
 def mono_degree(a):
     return sum(a)
-
-
-def mono_divides(a, b):
-    """True iff x^a divides x^b."""
-    return all(map(le, a, b))
 
 
 def mono_lcm(a, b):
@@ -49,6 +45,60 @@ def monomials_of_degree(n, d):
         for rest in monomials_of_degree(n - 1, d - first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+class Staircase:
+    """The staircase of the monomial ideal L generated by ``leads``: the
+    one test for standard monomials, of a ring and of each position of a
+    module, whose complement of L is a basis of S/L (Macaulay's basis
+    theorem, Eisenbud, Commutative Algebra, 15.3).
+
+    For a prefix p = (e_1, ..., e_{n-1}), the height h(p) is the least
+    last exponent of a lead whose other exponents are all <= p, so x^m
+    lies outside L exactly when m_n < h(m_{<n}): one lookup, not a scan
+    of the leads.  ``height`` holds the finite h(p) of every prefix of
+    degree at most the highest ``top`` passed to ``extend``.  A lead below
+    p has prefix p or lies below p - u_k for some k with p_k > 0, so h(p)
+    is the least of the last exponent of a lead with prefix p and of those
+    h(p - u_k).  Filled through degree d, the table has at most one entry
+    per monomial of degree d, as p -> p * x_n^(d - |p|) is one to one.
+    """
+
+    def __init__(self, leads):
+        self.height = {}
+        self._exact = {}  # prefix degree -> [(prefix, last exponent)] of the leads
+        for e in leads:
+            self._exact.setdefault(sum(e[:-1]), []).append((e[:-1], e[-1]))
+        self._level = {}  # the entries of ``height`` of prefix degree ``_top``
+        self._top = -1
+
+    def extend(self, top):
+        """``height``, filled through prefix degree ``top``, each degree
+        from the one below it."""
+        while self._top < top:
+            level = {}
+            get = level.get
+            for q, h in self._level.items():
+                up = list(q)
+                for k in range(len(up)):
+                    up[k] += 1
+                    p = tuple(up)
+                    up[k] -= 1
+                    if h < get(p, inf):
+                        level[p] = h
+            self._top += 1
+            for p, h in self._exact.pop(self._top, ()):
+                if h < get(p, inf):
+                    level[p] = h
+            self.height.update(level)
+            self._level = level
+        return self.height
+
+    def outside(self, monos, degree):
+        """The monomials of ``monos``, all of degree ``degree`` (n >= 1
+        variables), that lie outside L, in order."""
+        height = self.extend(degree)
+        return [m for m in monos if m[-1] < height.get(m[:-1], inf)]
 
 
 def _minimalize(monos):

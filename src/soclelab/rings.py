@@ -7,15 +7,15 @@ polynomial ring itself.
 """
 
 from .errors import StructuralError
-from .modgb import PolyReducer, groebner_polys
+from .modgb import VectorOrder, VectorReducer, groebner_polys, poly_to_vec
 from .monomials import (
+    Staircase,
     hilbert_coefficient,
     hilbert_numerator,
-    mono_divides,
     monomials_of_degree,
     series_dimension,
 )
-from .poly import PolyRing
+from .poly import Polynomial, PolyRing
 
 
 class RingPresentation:
@@ -26,9 +26,11 @@ class RingPresentation:
     basis ("gb"), the numerator of the Hilbert–Poincaré series
     ("hilbert_numerator"), the standard monomials of each degree
     (("std", d)), the truncated residue-field resolution ("kres"), the
-    Fedder report of each Frobenius exponent (("fedder", e)) and the
-    reducer behind ``nf`` ("nf"), which keeps the term order and the
-    coded relation basis.  No lock guards it.
+    Fedder report of each Frobenius exponent (("fedder", e)) and that
+    basis coded as a ``modgb.VectorReducer`` ("nf").  The basis is the one
+    form in which the relations reach the engine; only the fold over S
+    (``modules.s_presentation``) and ``frobenius`` read the generators.
+    No lock guards it.
 
     ``hilbert`` and ``dimension`` read the series: H(d) is its t^d
     coefficient, the dimension its pole order at t = 1.
@@ -83,12 +85,21 @@ class RingPresentation:
 
     def nf(self, f):
         """Normal form of f modulo the relation ideal."""
-        if not self.relations:
+        if not self.relations or f.is_zero():
             return f
-        reducer = memoized(
-            self, "nf", lambda: PolyReducer(self.ambient, self.relations_groebner())
-        )
-        return reducer.reduce(f)
+        return Polynomial(self.ambient, self.nf_terms(f.terms))
+
+    def nf_terms(self, terms):
+        """``nf`` of a nonzero {exponents: coefficient} dict over R != S, as
+        such a dict, decoded straight off the codes of the remainder."""
+
+        def build():
+            basis = [poly_to_vec(g) for g in self.relations_groebner()]
+            return VectorReducer(basis, VectorOrder(self.ambient.order.key), self.field)
+
+        reducer = memoized(self, "nf", build)
+        table, rem = reducer.normal_form({(0, m): c for m, c in terms.items()})
+        return {table.decode(t)[1]: c for t, c in rem.items()}
 
     def is_zero_in_quotient(self, f):
         return self.nf(f).is_zero()
@@ -99,12 +110,11 @@ class RingPresentation:
             return ()
 
         def build():
+            monos = monomials_of_degree(self.n, degree)
+            if not self.relations:
+                return monos
             leads = [g.lead_monomial() for g in self.relations_groebner()]
-            return tuple(
-                m
-                for m in monomials_of_degree(self.n, degree)
-                if not any(mono_divides(lt, m) for lt in leads)
-            )
+            return tuple(Staircase(leads).outside(monos, degree))
 
         return memoized(self, ("std", degree), build)
 

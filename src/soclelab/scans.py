@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import HypothesisError
+from .errors import DomainError, HypothesisError
 from .groebner import ideal_power, krull_dimension
 from .localcoh import (
     _koszul_stage,
@@ -185,6 +185,8 @@ def criterion_check(ring, ideal, t_max, truncation=None):
     """
     if t_max < 1:
         raise HypothesisError("t_max must be >= 1")
+    if truncation is not None and truncation < 0:
+        raise DomainError("truncation must be >= 0")
     d = krull_dimension(ideal)
     if d < 0:
         raise HypothesisError("criterion scan needs a proper ideal")

@@ -21,10 +21,13 @@ lookup of ``modules.GradedPiece`` replaced: each candidate's code is
 checked against every lead of its position by one masked subtraction.
 
 Also here: the small helpers that only the references use, ``transpose``
-and ``rank`` of sparse matrices and ``mono_div`` of exponent vectors.
+and ``rank`` of sparse matrices and ``mono_div`` and ``mono_divides`` of
+exponent vectors.  ``mono_divides`` is the divisor test that
+``RingPresentation.standard_monomials`` ran on every lead before both it
+and ``modules.GradedPiece`` read a ``monomials.Staircase``.
 """
 
-from operator import mul, sub
+from operator import le, mul, sub
 
 from soclelab.errors import AlgebraError
 from soclelab.linalg import Span
@@ -46,6 +49,11 @@ def rank(field, rows, width):
     for r in rows:
         sp.add(r)
     return sp.rank
+
+
+def mono_divides(a, b):
+    """True iff x^a divides x^b."""
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):

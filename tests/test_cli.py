@@ -382,6 +382,8 @@ def test_scan_frobenius_svg_draws_the_canonical_socle_line(twisted_file, tmp_pat
         (["gb", "{demo}"], "needs --ideal NAME"),
         (["gb", "{demo}", "--ideal", "NOPE"], "no ideal named 'NOPE'"),
         (["fedder", "{twisted}", "--e-max", "0"], "e_max must be >= 1"),
+        (["criterion", "{demo}", "--ideal", "J", "--t-max", "1", "--trunc", "-3"],
+         "truncation must be >= 0"),
     ],
 )
 def test_in_process_errors_exit_1(demo_file, twisted_file, capsys, argv, message):

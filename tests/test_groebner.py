@@ -37,7 +37,6 @@ from soclelab.modgb import (
 from soclelab.monomials import (
     hilbert_coefficient,
     hilbert_numerator,
-    mono_divides,
     mono_mul,
     monomials_of_degree,
     series_dimension,
@@ -45,7 +44,7 @@ from soclelab.monomials import (
 from soclelab.orders import DEGREVLEX, EliminationOrder
 from soclelab.poly import PolyRing, Polynomial, parse_polynomial
 from soclelab.rings import RingPresentation
-from span_reference import mono_div
+from span_reference import mono_div, mono_divides
 
 
 @pytest.fixture(scope="module")

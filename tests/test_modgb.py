@@ -29,7 +29,6 @@ from soclelab.modules import quotient_module
 from soclelab.monomials import (
     mono_coprime,
     mono_degree,
-    mono_divides,
     mono_lcm,
     mono_mul,
     monomials_of_degree,
@@ -38,7 +37,7 @@ from soclelab.orders import DEGLEX, DEGREVLEX, EliminationOrder, MonomialOrder
 from soclelab.poly import PolyRing
 from soclelab.rings import RingPresentation
 from soclelab.runs import TaggedRun
-from span_reference import mono_div
+from span_reference import mono_div, mono_divides
 
 CHARS = [2, 101, 32003, 0]
 

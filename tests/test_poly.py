@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from soclelab.errors import StructuralError
 from soclelab.fields import field_of
-from soclelab.monomials import mono_divides, mono_lcm, monomials_of_degree
+from soclelab.monomials import mono_lcm, monomials_of_degree
 from soclelab.orders import DEGLEX, DEGREVLEX, MonomialOrder
 from soclelab.poly import NEG_INF, PolyRing, format_polynomial, parse_polynomial
 from soclelab.rings import RingPresentation
+from span_reference import mono_divides
 
 
 @pytest.fixture(scope="module")
